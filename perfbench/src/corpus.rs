@@ -118,6 +118,12 @@ pub fn build(workload: Workload, seed: u64, scale: Scale) -> Vec<Case> {
     }
 }
 
+/// A handler that takes the lock twice but that no dispatch loop calls.
+/// Its label is unreachable because nothing calls it, and the slice drops
+/// dead procedures, so a check of it ends in the slice, before any solve.
+const ORPHAN_HANDLER: &str = "\nunregistered() begin\n  call acquire();\n  \
+                              if (lock) then ORPHAN: skip; fi;\n  call release();\nend\n";
+
 fn drivers(seed: u64, scale: Scale) -> Vec<Case> {
     let mut rng = SplitMix64(seed);
     let mut cases = Vec::new();
@@ -139,6 +145,17 @@ fn drivers(seed: u64, scale: Scale) -> Vec<Case> {
                 expect_reachable: d.expect_reachable,
             });
         }
+        // One driver per shape is asked about an unregistered handler.
+        let spec =
+            DriverSpec { handlers, globals, locals, filler: 4, positive: false, seed: rng.next() };
+        let name = format!("{shape}-orphan");
+        let d = driver(&name, spec);
+        cases.push(Case {
+            name,
+            source: format!("{}{ORPHAN_HANDLER}", d.program),
+            query: Query::Seq { label: "ORPHAN".into(), slice: true },
+            expect_reachable: false,
+        });
     }
     cases
 }

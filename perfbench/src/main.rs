@@ -2,8 +2,10 @@
 //!
 //! Closed loop, one process, one thread, one case at a time. Set-up
 //! (corpus generation, source rendering and one warm-up pass) runs
-//! [`SETUP_REPS`] times and is not timed as work. Then whole passes over the
-//! corpus run until `--seconds` have passed (at least [`MIN_PASSES`]).
+//! [`SETUP_REPS`] times and is not timed as work: once before the first
+//! timed pass, the other times spread evenly between the timed passes.
+//! Whole passes over the corpus run until their walls add up to
+//! `--seconds` (at least [`MIN_PASSES`]).
 //! Every verdict is checked against the generator's answer and every
 //! witness is replayed; failing cases are named.
 //!
@@ -20,8 +22,11 @@ use getafix_perfbench::trace::Tracer;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// Set-up repetitions; `setup_s` is their median.
-const SETUP_REPS: usize = 3;
+/// Set-up repetitions; `setup_s` is their median. On Bluetooth a set-up
+/// is mostly its warm-up pass, and three set-ups back to back before the
+/// timed passes all fell into the same slow phase of a shared host often
+/// enough to spread `setup_s` by a third from run to run.
+const SETUP_REPS: usize = 5;
 
 /// Passes a run makes at least, however long they take.
 const MIN_PASSES: usize = 3;
@@ -76,28 +81,23 @@ fn peak_rss_bytes() -> Result<u64, String> {
 }
 
 /// Generates and renders the corpus, then runs one untraced warm-up pass.
-/// Returns the corpus and the names of warm-up failures.
-fn set_up(args: &Args) -> (Vec<Case>, Vec<String>) {
+/// Returns the corpus; records the set-up's wall in `setup` and warm-up
+/// failures in `errors`.
+fn set_up(args: &Args, setup: &mut Vec<Duration>, errors: &mut Vec<String>) -> Vec<Case> {
+    let t0 = Instant::now();
     let corpus = corpus::build(args.workload, args.seed, Scale::Full);
     let warm = run_pass(&corpus, &mut Tracer::new(false));
-    let failed = warm
-        .iter()
-        .filter_map(|r| r.outcome.error.as_ref().map(|e| format!("{}: {e}", corpus[r.case].name)))
-        .collect();
-    (corpus, failed)
+    setup.push(t0.elapsed());
+    errors.extend(warm.iter().filter_map(|r| {
+        r.outcome.error.as_ref().map(|e| format!("warm-up {}: {e}", corpus[r.case].name))
+    }));
+    corpus
 }
 
 fn run(args: &Args) -> Result<String, String> {
     let mut setup = Vec::new();
-    let mut corpus = Vec::new();
     let mut errors = Vec::new();
-    for _ in 0..SETUP_REPS {
-        let t0 = Instant::now();
-        let (c, failed) = set_up(args);
-        setup.push(t0.elapsed());
-        corpus = c;
-        errors.extend(failed.into_iter().map(|f| format!("warm-up {f}")));
-    }
+    let mut corpus = set_up(args, &mut setup, &mut errors);
     println!(
         "perfbench workload={} seed={} cases={} trace={}",
         args.workload.name(),
@@ -108,16 +108,30 @@ fn run(args: &Args) -> Result<String, String> {
     let mut tracer = Tracer::new(false);
     let mut passes: Vec<Pass> = Vec::new();
     let budget = Duration::from_secs_f64(args.seconds);
-    let t0 = Instant::now();
-    while passes.len() < MIN_PASSES || t0.elapsed() < budget {
+    let mut timed = Duration::ZERO;
+    while passes.len() < MIN_PASSES || timed < budget {
+        // Set-up `k` is due once the timed passes reach k/SETUP_REPS of
+        // the budget.
+        if setup.len() < SETUP_REPS
+            && timed >= budget.mul_f64(setup.len() as f64 / SETUP_REPS as f64)
+        {
+            corpus = set_up(args, &mut setup, &mut errors);
+            continue;
+        }
         let traced = args.trace && passes.len().is_multiple_of(2);
         tracer.set_on(traced);
         let first_span = tracer.spans().len();
         let p0 = Instant::now();
         let runs = run_pass(&corpus, &mut tracer);
         let wall = p0.elapsed();
+        timed += wall;
         passes.push(Pass { traced, runs, wall, spans: first_span..tracer.spans().len() });
     }
+    while setup.len() < SETUP_REPS {
+        corpus = set_up(args, &mut setup, &mut errors);
+    }
+    let setup_s: Vec<String> = setup.iter().map(|d| format!("{:.3}", d.as_secs_f64())).collect();
+    println!("set-ups (s): {}", setup_s.join(" "));
 
     for (i, c) in corpus.iter().enumerate() {
         let lat: Vec<f64> = passes.iter().map(|p| p.runs[i].wall.as_secs_f64() * 1e3).collect();
@@ -147,7 +161,7 @@ fn run(args: &Args) -> Result<String, String> {
     println!(
         "passes={} timed={:.3}s failed_frac={} ratio",
         passes.len(),
-        t0.elapsed().as_secs_f64(),
+        timed.as_secs_f64(),
         failed as f64 / attempted as f64
     );
 

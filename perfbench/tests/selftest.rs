@@ -37,6 +37,9 @@ fn counters_are_identical_across_runs_and_with_tracing() {
         let replayed = total("boolprog.replay.steps") + total("conc.guided.steps");
         assert!(replayed > 0, "{}: no witness was replayed", w.name());
     }
+    // The drivers' orphaned handlers end in the slice, before any solve.
+    let drivers = pass_counts(Workload::Drivers, false);
+    assert!(drivers.iter().any(|c| c.get("boolprog.slice.decided") == Some(&1)));
 }
 
 #[test]
