@@ -95,7 +95,7 @@ const DRIVER_SHAPES: [(&str, usize, usize, usize, usize); 4] = [
 
 /// Programs drawn per `slam_suites(1)` program: more draws make the
 /// corpus's slow tail depend less on the seed.
-const DRIVER_DRAWS: usize = 2;
+const DRIVER_DRAWS: usize = 4;
 
 /// First context-switch bound at which the Figure 3 bug manifests, per
 /// `(adders, stoppers)` configuration (`None`: never).

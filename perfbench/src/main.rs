@@ -7,7 +7,9 @@
 //! Whole passes over the corpus run until their walls add up to
 //! `--seconds` (at least [`MIN_PASSES`]).
 //! Every verdict is checked against the generator's answer and every
-//! witness is replayed; failing cases are named.
+//! witness is replayed; failing cases are named. Times are reported at a
+//! reference host speed, from probes of the host between cases (see
+//! `host.rs`).
 //!
 //! With `--trace 0` the last line reports the end-to-end metrics. With
 //! `--trace 1`, passes alternate between traced and untraced, the last line
@@ -15,18 +17,16 @@
 //! `perfbench/out/`.
 
 use getafix_perfbench::corpus::{self, Case, Scale, Workload};
+use getafix_perfbench::host::{speed_factor, HostProbe};
 use getafix_perfbench::pipeline::{verdict_word, PEAK_ARENA_BYTES};
-use getafix_perfbench::report::{end_to_end, median, per_layer, result_json, Pass};
+use getafix_perfbench::report::{case_ms, end_to_end, median, per_layer, result_json, Pass};
 use getafix_perfbench::run_pass;
 use getafix_perfbench::trace::Tracer;
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
 
-/// Set-up repetitions; `setup_s` is their median. On Bluetooth a set-up
-/// is mostly its warm-up pass, and three set-ups back to back before the
-/// timed passes all fell into the same slow phase of a shared host often
-/// enough to spread `setup_s` by a third from run to run.
-const SETUP_REPS: usize = 5;
+/// Set-up repetitions, spread over the run; `setup_s` is their median.
+const SETUP_REPS: usize = 3;
 
 /// Passes a run makes at least, however long they take.
 const MIN_PASSES: usize = 3;
@@ -80,24 +80,43 @@ fn peak_rss_bytes() -> Result<u64, String> {
     Ok(kb * 1024)
 }
 
+/// One set-up's wall (probes excluded) and the factor that scales it to
+/// the reference host speed.
+struct SetUp {
+    wall: Duration,
+    speed: f64,
+}
+
+/// `xs` to three decimals, space-separated.
+fn joined(xs: impl Iterator<Item = f64>) -> String {
+    xs.map(|x| format!("{x:.3}")).collect::<Vec<_>>().join(" ")
+}
+
 /// Generates and renders the corpus, then runs one untraced warm-up pass.
-/// Returns the corpus; records the set-up's wall in `setup` and warm-up
-/// failures in `errors`.
-fn set_up(args: &Args, setup: &mut Vec<Duration>, errors: &mut Vec<String>) -> Vec<Case> {
+/// Returns the corpus; records the set-up in `setup` and warm-up failures
+/// in `errors`.
+fn set_up(
+    args: &Args,
+    probe: &mut HostProbe,
+    setup: &mut Vec<SetUp>,
+    errors: &mut Vec<String>,
+) -> Vec<Case> {
     let t0 = Instant::now();
     let corpus = corpus::build(args.workload, args.seed, Scale::Full);
-    let warm = run_pass(&corpus, &mut Tracer::new(false));
-    setup.push(t0.elapsed());
-    errors.extend(warm.iter().filter_map(|r| {
+    let generated = t0.elapsed();
+    let warm = run_pass(&corpus, &mut Tracer::new(false), Some(probe));
+    setup.push(SetUp { wall: generated + warm.wall(), speed: speed_factor(warm.probe_ms) });
+    errors.extend(warm.runs.iter().filter_map(|r| {
         r.outcome.error.as_ref().map(|e| format!("warm-up {}: {e}", corpus[r.case].name))
     }));
     corpus
 }
 
 fn run(args: &Args) -> Result<String, String> {
+    let mut probe = HostProbe::new();
     let mut setup = Vec::new();
     let mut errors = Vec::new();
-    let mut corpus = set_up(args, &mut setup, &mut errors);
+    let mut corpus = set_up(args, &mut probe, &mut setup, &mut errors);
     println!(
         "perfbench workload={} seed={} cases={} trace={}",
         args.workload.name(),
@@ -115,32 +134,48 @@ fn run(args: &Args) -> Result<String, String> {
         if setup.len() < SETUP_REPS
             && timed >= budget.mul_f64(setup.len() as f64 / SETUP_REPS as f64)
         {
-            corpus = set_up(args, &mut setup, &mut errors);
+            corpus = set_up(args, &mut probe, &mut setup, &mut errors);
             continue;
         }
         let traced = args.trace && passes.len().is_multiple_of(2);
         tracer.set_on(traced);
         let first_span = tracer.spans().len();
-        let p0 = Instant::now();
-        let runs = run_pass(&corpus, &mut tracer);
-        let wall = p0.elapsed();
+        let mut pass = run_pass(&corpus, &mut tracer, Some(&mut probe));
+        if !passes.is_empty() {
+            // Only the first pass's counters are reported. Dropping the
+            // others keeps the benchmark's own records from raising the
+            // process's peak RSS with the number of passes.
+            pass.runs.iter_mut().for_each(|r| r.outcome.counts.clear());
+        }
+        let wall = pass.wall();
         timed += wall;
-        passes.push(Pass { traced, runs, wall, spans: first_span..tracer.spans().len() });
+        passes.push(Pass {
+            traced,
+            wall,
+            spans: first_span..tracer.spans().len(),
+            speed: speed_factor(pass.probe_ms),
+            runs: pass.runs,
+        });
     }
     while setup.len() < SETUP_REPS {
-        corpus = set_up(args, &mut setup, &mut errors);
+        corpus = set_up(args, &mut probe, &mut setup, &mut errors);
     }
-    let setup_s: Vec<String> = setup.iter().map(|d| format!("{:.3}", d.as_secs_f64())).collect();
-    println!("set-ups (s): {}", setup_s.join(" "));
+    let setup_s: Vec<f64> = setup.iter().map(|s| s.wall.as_secs_f64() * s.speed).collect();
+    println!("set-ups (s): {}", joined(setup.iter().map(|s| s.wall.as_secs_f64())));
+    println!("set-ups (s at reference speed): {}", joined(setup_s.iter().copied()));
+    println!("pass speed factors: {}", joined(passes.iter().map(|p| p.speed)));
 
+    let scaled = case_ms(&passes);
     for (i, c) in corpus.iter().enumerate() {
         let lat: Vec<f64> = passes.iter().map(|p| p.runs[i].wall.as_secs_f64() * 1e3).collect();
         println!(
-            "case {} expect={} source=fnv1a:{:016x} bytes={} best_ms={:.3} median_ms={:.3} arena_b={}",
+            "case {} expect={} source=fnv1a:{:016x} bytes={} ms={:.3} raw_best_ms={:.3} \
+             raw_median_ms={:.3} arena_b={}",
             c.name,
             verdict_word(c.expect_reachable),
             c.source_hash(),
             c.source.len(),
+            scaled[i],
             lat.iter().copied().fold(f64::INFINITY, f64::min),
             median(&lat),
             passes[0].runs[i].outcome.counts.get(PEAK_ARENA_BYTES).copied().unwrap_or(0)
@@ -178,7 +213,9 @@ fn run(args: &Args) -> Result<String, String> {
         println!("spans written to {path}");
         per_layer(&passes, &tracer)
     } else {
-        end_to_end(&passes, &setup, peak_rss_bytes()?)
+        // The probe's tables are resident for the whole run; the program's
+        // high-water mark is what lies above it.
+        end_to_end(&passes, &setup_s, peak_rss_bytes()?.saturating_sub(probe.bytes()))
     };
     for m in &metrics {
         println!("{:<40} {:>16.6} {}", m.name, m.value, m.unit);

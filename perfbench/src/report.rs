@@ -13,10 +13,13 @@ pub struct Pass {
     pub traced: bool,
     /// Every case, in corpus order.
     pub runs: Vec<CaseRun>,
-    /// Wall time of the pass.
+    /// Σ case wall of the pass.
     pub wall: Duration,
     /// The pass's spans in the tracer.
     pub spans: Range<usize>,
+    /// Scales the pass's walls to the reference host speed
+    /// ([`crate::host::speed_factor`]).
+    pub speed: f64,
 }
 
 /// A named measurement.
@@ -59,38 +62,47 @@ fn ms(d: Duration) -> f64 {
     d.as_secs_f64() * 1e3
 }
 
-/// The end-to-end metrics of an untraced run.
+/// Each case's median wall over the passes, in milliseconds at the
+/// reference host speed.
+pub fn case_ms(passes: &[Pass]) -> Vec<f64> {
+    let n_cases = passes.first().map_or(0, |p| p.runs.len());
+    let mut walls = vec![Vec::with_capacity(passes.len()); n_cases];
+    for p in passes {
+        for r in &p.runs {
+            walls[r.case].push(ms(r.wall) * p.speed);
+        }
+    }
+    walls.iter().map(|w| median(w)).collect()
+}
+
+/// The end-to-end metrics of an untraced run; `setup_s` holds each
+/// set-up's seconds at the reference host speed.
 ///
-/// Every timing starts from each case's best (minimum) wall time over the
-/// run's passes. On a shared host, interference only ever adds time, and
-/// it comes in phases longer than a pass: per-case medians moved by 30%
-/// between runs of one binary, the minima by less (see `NOTES.md`).
-pub fn end_to_end(passes: &[Pass], setup: &[Duration], peak_rss_bytes: u64) -> Vec<Metric> {
+/// Every timing starts from each case's median wall over the run's
+/// passes, each pass scaled to the reference host speed by the host
+/// probes taken during it (see `host.rs`). The host's speed drifts by a
+/// third over minutes; the scaling takes most of that out, and the median
+/// the rest (see `NOTES.md`).
+pub fn end_to_end(passes: &[Pass], setup_s: &[f64], peak_rss_bytes: u64) -> Vec<Metric> {
     let runs: Vec<&CaseRun> = passes.iter().flat_map(|p| &p.runs).collect();
     let solved = runs.iter().filter(|r| r.outcome.error.is_none()).count() as f64;
-    let n_cases = passes.first().map_or(0, |p| p.runs.len());
-    let best_ms: Vec<f64> = (0..n_cases)
-        .map(|c| {
-            let walls = runs.iter().filter(|r| r.case == c).map(|r| ms(r.wall));
-            walls.fold(f64::INFINITY, f64::min)
-        })
-        .collect();
-    let pass_s = best_ms.iter().sum::<f64>() / 1e3;
-    let geomean = (best_ms.iter().map(|x| x.ln()).sum::<f64>() / n_cases as f64).exp();
+    let case_ms = case_ms(passes);
+    let n_cases = case_ms.len();
+    let pass_s = case_ms.iter().sum::<f64>() / 1e3;
+    let geomean = (case_ms.iter().map(|x| x.ln()).sum::<f64>() / n_cases as f64).exp();
     // Arena sizes step with capacity doublings, so the largest case's peak
     // jumps between levels as the seed redraws the drivers; the mean over
     // cases does not.
     let arena_bytes: u64 = passes
         .first()
         .map_or(0, |p| p.runs.iter().filter_map(|r| r.outcome.counts.get(PEAK_ARENA_BYTES)).sum());
-    let setup_s: Vec<f64> = setup.iter().map(Duration::as_secs_f64).collect();
     vec![
         metric("cases_per_s", solved / runs.len() as f64 * n_cases as f64 / pass_s, "1/s"),
         metric("case_ms.geomean", geomean, "ms"),
-        metric("case_ms.p90", quantile(&best_ms, 0.9), "ms"),
+        metric("case_ms.p90", quantile(&case_ms, 0.9), "ms"),
         metric("arena_mb.mean", arena_bytes as f64 / n_cases as f64 / MB, "MB"),
         metric("peak_rss_mb", peak_rss_bytes as f64 / MB, "MB"),
-        metric("setup_s", median(&setup_s), "s"),
+        metric("setup_s", median(setup_s), "s"),
     ]
 }
 
@@ -107,12 +119,14 @@ fn counter_unit(name: &str) -> &'static str {
 /// passes alternate.
 ///
 /// Times are per pass over the corpus (the median over traced passes of
-/// the per-pass sum), counters are the per-pass totals (identical on every
-/// pass), and shares are of the traced case wall.
+/// the per-pass sum, at the reference host speed), counters are the
+/// per-pass totals (identical on every pass), and shares are of the
+/// traced case wall.
 pub fn per_layer(passes: &[Pass], tracer: &Tracer) -> Vec<Metric> {
     let traced: Vec<&Pass> = passes.iter().filter(|p| p.traced).collect();
     // Self time per layer per traced pass, plus the case roots' own time
-    // (whatever no layer span covers) and the case wall.
+    // (whatever no layer span covers) and the case wall, all scaled to the
+    // reference host speed.
     let mut layer_ns: Vec<Vec<f64>> = vec![Vec::new(); LAYERS.len()];
     let mut case_wall_ns = 0.0;
     let mut unattributed_ns = 0.0;
@@ -123,18 +137,19 @@ pub fn per_layer(passes: &[Pass], tracer: &Tracer) -> Vec<Metric> {
         let mut sums = vec![0.0; LAYERS.len()];
         for (name, self_ns) in tracer.self_ns(p.spans.clone()) {
             if name == CASE {
-                unattributed_ns += self_ns as f64;
+                unattributed_ns += self_ns as f64 * p.speed;
             } else if let Some(i) = LAYERS.iter().position(|&l| l == name) {
-                sums[i] += self_ns as f64;
+                sums[i] += self_ns as f64 * p.speed;
             }
         }
-        case_wall_ns += tracer.spans()[p.spans.clone()]
-            .iter()
-            .filter(|s| s.name == CASE)
-            .map(|s| s.dur_ns() as f64)
-            .sum::<f64>();
-        let c: f64 = p.runs.iter().map(|r| r.outcome.compile_ms).sum();
-        let g: f64 = p.runs.iter().map(|r| r.outcome.gc_pause_ms).sum();
+        case_wall_ns += p.speed
+            * tracer.spans()[p.spans.clone()]
+                .iter()
+                .filter(|s| s.name == CASE)
+                .map(|s| s.dur_ns() as f64)
+                .sum::<f64>();
+        let c = p.speed * p.runs.iter().map(|r| r.outcome.compile_ms).sum::<f64>();
+        let g = p.speed * p.runs.iter().map(|r| r.outcome.gc_pause_ms).sum::<f64>();
         let solve = LAYERS.iter().position(|&l| l == "mucalc.solve").expect("solve is a layer");
         let solve_ms = sums[solve] / 1e6;
         compile.push(c);
@@ -169,10 +184,10 @@ pub fn per_layer(passes: &[Pass], tracer: &Tracer) -> Vec<Metric> {
 
     out.push(metric("trace.attributed_frac", 1.0 - unattributed_ns / case_wall_ns, "ratio"));
     let rate = |on: bool| {
-        let (n, wall) = passes
-            .iter()
-            .filter(|p| p.traced == on)
-            .fold((0usize, 0.0), |(n, w), p| (n + p.runs.len(), w + p.wall.as_secs_f64()));
+        let (n, wall) =
+            passes.iter().filter(|p| p.traced == on).fold((0usize, 0.0), |(n, w), p| {
+                (n + p.runs.len(), w + p.wall.as_secs_f64() * p.speed)
+            });
         n as f64 / wall
     };
     out.push(metric("trace.overhead_frac", 1.0 - rate(true) / rate(false), "ratio"));

@@ -4,6 +4,7 @@
 //! Run with `cargo test --release --manifest-path perfbench/Cargo.toml`.
 
 use getafix_perfbench::corpus::{build, Scale, Workload};
+use getafix_perfbench::host::HostProbe;
 use getafix_perfbench::pipeline::Counts;
 use getafix_perfbench::report::{end_to_end, per_layer};
 use getafix_perfbench::run_pass;
@@ -13,9 +14,10 @@ use getafix_perfbench::trace::Tracer;
 fn pass_counts(workload: Workload, traced: bool) -> Vec<Counts> {
     let corpus = build(workload, 7, Scale::Small);
     let mut tracer = Tracer::new(traced);
-    let runs = run_pass(&corpus, &mut tracer);
+    let pass = run_pass(&corpus, &mut tracer, None);
     assert_eq!(tracer.spans().is_empty(), !traced);
-    runs.into_iter()
+    pass.runs
+        .into_iter()
         .map(|r| {
             let name = &corpus[r.case].name;
             assert_eq!(r.outcome.error, None, "{}: {name}", workload.name());
@@ -40,6 +42,13 @@ fn counters_are_identical_across_runs_and_with_tracing() {
     // The drivers' orphaned handlers end in the slice, before any solve.
     let drivers = pass_counts(Workload::Drivers, false);
     assert!(drivers.iter().any(|c| c.get("boolprog.slice.decided") == Some(&1)));
+}
+
+#[test]
+fn host_probe_repeats_its_reference_problem() {
+    // `probe_ms` panics unless the BDD it builds has the known answer.
+    let mut probe = HostProbe::new();
+    assert!(probe.probe_ms() > 0.0 && probe.probe_ms() > 0.0);
 }
 
 #[test]
