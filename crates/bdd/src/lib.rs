@@ -57,7 +57,6 @@ mod explore;
 mod gc;
 mod hasher;
 mod manager;
-mod package;
 mod quant;
 mod rename;
 mod table;
@@ -66,5 +65,4 @@ pub use cache::CacheConfig;
 pub use explore::CubeIter;
 pub use gc::GcResult;
 pub use manager::{Bdd, Manager, ManagerStats, Var};
-pub use package::BddPackage;
 pub use rename::VarMap;

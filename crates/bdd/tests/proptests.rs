@@ -266,51 +266,6 @@ proptest! {
         }
     }
 
-    /// Export/import roundtrips across managers: the imported functions
-    /// match the originals on every assignment (truth-table oracle), and
-    /// complement parity survives the transfer — importing `¬f` yields the
-    /// complement handle of importing `f`, in a manager that never shared
-    /// any history with the exporter.
-    #[test]
-    fn export_import_roundtrip(a in expr_strategy(), b in expr_strategy()) {
-        let mut src = Manager::new();
-        let vars = src.new_vars(NVARS);
-        let fa = a.build(&mut src, &vars);
-        let fb = b.build(&mut src, &vars);
-        let nfa = src.not(fa);
-        let (mut dst, roots) = src.fork_inputs(&[fa, fb, nfa]);
-        prop_assert_eq!(roots.len(), 3);
-        for env in assignments() {
-            prop_assert_eq!(dst.eval(roots[0], &env), a.eval(&env));
-            prop_assert_eq!(dst.eval(roots[1], &env), b.eval(&env));
-            prop_assert_eq!(dst.eval(roots[2], &env), !a.eval(&env));
-        }
-        let complement = dst.not(roots[0]);
-        prop_assert_eq!(complement, roots[2]);
-        // Importing into a manager that already built the same functions
-        // hands back the existing canonical handles.
-        let mut warm = Manager::new();
-        let wvars = warm.new_vars(NVARS);
-        let wa = a.build(&mut warm, &wvars);
-        let back = warm.import(&src.export(&[fa]));
-        prop_assert_eq!(back[0], wa);
-    }
-
-    /// A second import of the same package is the identity: canonicity in
-    /// the target makes transfer idempotent.
-    #[test]
-    fn import_is_idempotent(e in expr_strategy()) {
-        let mut src = Manager::new();
-        let vars = src.new_vars(NVARS);
-        let f = e.build(&mut src, &vars);
-        let pkg = src.export(&[f]);
-        let mut dst = Manager::new();
-        dst.new_vars(NVARS);
-        let first = dst.import(&pkg);
-        let second = dst.import(&pkg);
-        prop_assert_eq!(first, second);
-    }
-
     /// Cube enumeration covers exactly the models.
     #[test]
     fn cube_enumeration_exact(e in expr_strategy()) {

@@ -28,14 +28,14 @@
 //! fails when the total matched worklist wall time exceeds
 //! `--max-wall-regress` (default 1.25) times the baseline.
 //!
-//! `--jobs N` (default 1; env fallback `GETAFIX_JOBS`; 0 = all cores)
-//! fans the independent cases of each fig2 workload, and the fig3
-//! workloads themselves, across a worker pool. Every case solves on a
-//! private BDD manager, so verdicts, re-evaluation counts and the
-//! strategy guard are bit-identical at any job count — only wall times
-//! change. The effective count is recorded as a top-level `jobs` field
-//! (the baseline comparison matches workloads by name/algorithm and
-//! ignores it).
+//! `--jobs N` (default 1; 0 = all cores) fans the independent cases of
+//! each fig2 workload, and the fig3 workloads themselves, across threads.
+//! Every case solves on a private BDD manager, so verdicts,
+//! re-evaluation counts and the strategy guard are bit-identical at any
+//! job count — only wall times change. The effective count is recorded
+//! as a top-level `jobs` field (the baseline comparison matches
+//! workloads by name/algorithm and ignores it). An unparsable `--jobs`,
+//! `--scale`, `--bits` or `--max-wall-regress` exits 2.
 //!
 //! The JSON is emitted through [`getafix_telemetry::json::JsonWriter`]
 //! (the workspace builds offline, without serde; the telemetry crate's
@@ -67,7 +67,11 @@
 //! `dead-baggage` workload asserts a *strict* reduction in both variables
 //! and re-evaluations on every run.
 
-use getafix_bench::{dead_baggage_cases, regression_cases, slam_cases, terminator_cases, SeqCase};
+use getafix_bench::parallel::parallel_map;
+use getafix_bench::{
+    dead_baggage_cases, flag_value, jobs_flag, parse_flag, regression_cases, slam_cases,
+    terminator_cases, SeqCase,
+};
 use getafix_boolprog::analysis::{slice, AnalysisOptions};
 use getafix_boolprog::{parse_concurrent, Cfg, Pc};
 use getafix_conc::{
@@ -75,16 +79,10 @@ use getafix_conc::{
     ConcError, ConcExplicitError, ConcLimits, Merged,
 };
 use getafix_core::{build_solver_with, check_reachability_with, Algorithm, AnalysisError};
-use getafix_mucalc::{
-    parallel_map, resolve_jobs, ResourceLimits, SolveError, SolveOptions, SolveStats, Strategy,
-};
+use getafix_mucalc::{ResourceLimits, SolveError, SolveOptions, SolveStats, Strategy};
 use getafix_telemetry::json::JsonWriter;
 use getafix_witness::{concurrent_witness_from, WitnessError};
 use std::time::Instant;
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
 
 /// Builds the run-wide resource limits from `--timeout SECS` (env
 /// fallback `GETAFIX_TIMEOUT`). Every case receives a clone of the
@@ -92,7 +90,9 @@ fn flag_value(args: &[String], name: &str) -> Option<String> {
 /// cancellation token: the first trip stops every in-flight solve.
 fn parse_limits(args: &[String]) -> ResourceLimits {
     let mut limits = ResourceLimits::default();
-    let timeout = flag_value(args, "--timeout").or_else(|| std::env::var("GETAFIX_TIMEOUT").ok());
+    let timeout = flag_value(args, "--timeout")
+        .map(str::to_string)
+        .or_else(|| std::env::var("GETAFIX_TIMEOUT").ok());
     if let Some(s) = timeout {
         let secs: f64 = s.trim().parse().unwrap_or_else(|e| panic!("--timeout: {e}"));
         assert!(
@@ -131,7 +131,7 @@ fn run_strategy(
 ) -> StrategyNumbers {
     let t0 = Instant::now();
     // Each case builds its own CFG, solver and BDD manager, so the batch
-    // fans out embarrassingly; verdict asserts run inside the workers and
+    // fans out embarrassingly; verdict asserts run on the case's thread and
     // stats are absorbed in case order afterwards, keeping the aggregate
     // bit-identical at any job count.
     let per_case = parallel_map(jobs, (0..cases.len()).collect(), |_, i| {
@@ -358,10 +358,11 @@ fn fig3_workloads() -> Vec<(String, getafix_boolprog::ConcProgram, Vec<String>, 
 /// reachable case must refine and guided-replay.
 fn fig3_report(jobs: usize, limits: &ResourceLimits) -> String {
     // The workloads are independent merged systems, so they fan out whole:
-    // each worker merges, solves both strategies and runs the witness
-    // pipeline on a private manager. Verdict asserts stay inside the
-    // workers; the progress lines and the JSON are emitted afterwards in
-    // workload order so the report is byte-stable at any job count.
+    // each one merges, solves both strategies and runs the witness
+    // pipeline on a private manager. Verdict asserts run on the
+    // workload's thread; the progress lines and the JSON are emitted
+    // afterwards in workload order so the report is byte-stable at any
+    // job count.
     let rows =
         parallel_map(jobs, fig3_workloads(), |_, (name, program, labels, switches, expect)| {
             let t0 = Instant::now();
@@ -428,25 +429,21 @@ fn fig3_report(jobs: usize, limits: &ResourceLimits) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let out_path = flag_value(&args, "--out").unwrap_or_else(|| "BENCH_fig2.json".into());
-    let fig3_path = flag_value(&args, "--out-fig3").unwrap_or_else(|| "BENCH_fig3.json".into());
-    let bdd_path = flag_value(&args, "--out-bdd").unwrap_or_else(|| "BENCH_bdd.json".into());
+    let out_path = flag_value(&args, "--out").unwrap_or("BENCH_fig2.json");
+    let fig3_path = flag_value(&args, "--out-fig3").unwrap_or("BENCH_fig3.json");
+    let bdd_path = flag_value(&args, "--out-bdd").unwrap_or("BENCH_bdd.json");
     let bdd_smoke = args.iter().any(|a| a == "--bdd-smoke");
-    let scale: usize = flag_value(&args, "--scale").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let bits: usize = flag_value(&args, "--bits").and_then(|s| s.parse().ok()).unwrap_or(3);
-    let jobs: usize = resolve_jobs(
-        flag_value(&args, "--jobs")
-            .or_else(|| std::env::var("GETAFIX_JOBS").ok())
-            .and_then(|s| s.trim().parse().ok())
-            .unwrap_or(1),
-    );
+    let scale: usize = parse_flag("bench-report", &args, "--scale", 1);
+    let bits: usize = parse_flag("bench-report", &args, "--bits", 3);
+    let jobs = jobs_flag("bench-report", &args);
+    let max_ratio: f64 = parse_flag("bench-report", &args, "--max-wall-regress", 1.25);
     let limits = parse_limits(&args);
 
     // Kernel microbenches first: they are fast, self-contained and make a
     // kernel regression visible even when a later (solver-level) group
     // panics. `--bdd-smoke` shrinks the state space for CI.
     let bdd = getafix_bench::bdd_kernel::report(bdd_smoke);
-    std::fs::write(&bdd_path, &bdd).unwrap_or_else(|e| panic!("{bdd_path}: {e}"));
+    std::fs::write(bdd_path, &bdd).unwrap_or_else(|e| panic!("{bdd_path}: {e}"));
     eprintln!("wrote {bdd_path}");
 
     let mut workloads: Vec<(String, Vec<SeqCase>)> = Vec::new();
@@ -560,24 +557,21 @@ fn main() {
     let mut json = w.finish();
     json.push('\n');
 
-    std::fs::write(&out_path, &json).unwrap_or_else(|e| panic!("{out_path}: {e}"));
+    std::fs::write(out_path, &json).unwrap_or_else(|e| panic!("{out_path}: {e}"));
     eprintln!("wrote {out_path}");
 
     // Baseline comparison: table + artifact + the wall-clock gate.
     if let Some(baseline_path) = flag_value(&args, "--compare") {
-        let baseline = std::fs::read_to_string(&baseline_path)
+        let baseline = std::fs::read_to_string(baseline_path)
             .unwrap_or_else(|e| panic!("--compare {baseline_path}: {e}"));
         let cmp = getafix_bench::compare::compare_fig2(&baseline, &json)
             .unwrap_or_else(|e| panic!("--compare: {e}"));
         eprint!("{}", cmp.render());
-        let compare_out =
-            flag_value(&args, "--compare-out").unwrap_or_else(|| "BENCH_compare.json".into());
+        let compare_out = flag_value(&args, "--compare-out").unwrap_or("BENCH_compare.json");
         let mut doc = cmp.to_json();
         doc.push('\n');
-        std::fs::write(&compare_out, doc).unwrap_or_else(|e| panic!("{compare_out}: {e}"));
+        std::fs::write(compare_out, doc).unwrap_or_else(|e| panic!("{compare_out}: {e}"));
         eprintln!("wrote {compare_out}");
-        let max_ratio: f64 =
-            flag_value(&args, "--max-wall-regress").and_then(|s| s.parse().ok()).unwrap_or(1.25);
         cmp.gate(max_ratio).unwrap_or_else(|e| panic!("{e}"));
     }
 
@@ -585,7 +579,7 @@ fn main() {
     // iterating on the sequential kernel/scheduler only.
     if !args.iter().any(|a| a == "--skip-fig3") {
         let fig3 = fig3_report(jobs, &limits);
-        std::fs::write(&fig3_path, &fig3).unwrap_or_else(|e| panic!("{fig3_path}: {e}"));
+        std::fs::write(fig3_path, &fig3).unwrap_or_else(|e| panic!("{fig3_path}: {e}"));
         eprintln!("wrote {fig3_path}");
     }
 

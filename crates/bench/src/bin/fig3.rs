@@ -6,30 +6,18 @@
 //! cargo run --release -p getafix-bench --bin fig3 [-- --max-k K] [--jobs N]
 //! ```
 //!
-//! `--jobs N` (default 1; env fallback `GETAFIX_JOBS`; 0 = all cores)
-//! fans the independent switch-bound solves of each configuration across
-//! a worker pool — every bound owns a private BDD manager, so the table
-//! is identical at any job count, only faster.
+//! `--jobs N` (default 1; 0 = all cores) fans the independent switch-bound
+//! solves of each configuration across threads — every bound owns a
+//! private BDD manager, so the table is identical at any job count, only
+//! faster. An unparsable `--max-k` or `--jobs` exits 2.
 
-use getafix_bench::run_fig3_config_jobs;
+use getafix_bench::{jobs_flag, parse_flag, run_fig3_config_jobs};
 use getafix_workloads::FIGURE3_CONFIGS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_k: usize = args
-        .iter()
-        .position(|a| a == "--max-k")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(6);
-    let jobs: usize = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| std::env::var("GETAFIX_JOBS").ok())
-        .and_then(|s| s.trim().parse().ok())
-        .unwrap_or(1);
+    let max_k: usize = parse_flag("fig3", &args, "--max-k", 6);
+    let jobs = jobs_flag("fig3", &args);
 
     println!("Figure 3 — Bluetooth driver, bounded context-switching reachability\n");
     println!("{:<9} {:<10} {:<14} {:<10} Time", "Context", "Reachable", "Reach set", "BDD");

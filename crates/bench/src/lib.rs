@@ -4,6 +4,7 @@
 
 pub mod bdd_kernel;
 pub mod compare;
+pub mod parallel;
 
 use getafix_bebop::bebop_reachable;
 use getafix_boolprog::{Cfg, Pc, Program};
@@ -12,7 +13,35 @@ use getafix_core::{check_reachability, check_reachability_with, Algorithm};
 use getafix_mucalc::{SolveOptions, Strategy};
 use getafix_pds::{poststar, prestar};
 use getafix_workloads as workloads;
+use std::fmt::Display;
+use std::str::FromStr;
 use std::time::Duration;
+
+/// The value following the first `name` in `args`, if any.
+pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
+    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
+}
+
+/// Parses the value of flag `name` for binary `bin`, `default` when the
+/// flag is absent. An unparsable value is reported with the flag named
+/// and exits 2, the usage-error code of every Getafix binary, rather
+/// than falling back to the default.
+pub fn parse_flag<T: FromStr>(bin: &str, args: &[String], name: &str, default: T) -> T
+where
+    T::Err: Display,
+{
+    let Some(v) = flag_value(args, name) else { return default };
+    v.parse().unwrap_or_else(|e| {
+        eprintln!("{bin}: {name} `{v}`: {e}");
+        std::process::exit(2)
+    })
+}
+
+/// The `--jobs N` of `bench-report` and `fig3`: how many threads whole
+/// cases fan out across (default 1, `0` = all available parallelism).
+pub fn jobs_flag(bin: &str, args: &[String]) -> usize {
+    parallel::resolve_jobs(parse_flag(bin, args, "--jobs", 1))
+}
 
 /// One Figure 2 row (possibly aggregated over a sub-suite).
 #[derive(Debug, Clone, Default)]
@@ -288,7 +317,7 @@ pub fn run_fig3_config(adders: usize, stoppers: usize, max_k: usize) -> (Merged,
 }
 
 /// [`run_fig3_config`] with the independent per-threshold solves fanned
-/// out across `jobs` workers (0 = all available parallelism). Each switch
+/// out across `jobs` threads (0 = all available parallelism). Each switch
 /// bound builds its own solver and BDD manager, so the solves share
 /// nothing and the verdict/tuple/node columns are identical at any job
 /// count — only the `time` column and total wall change.
@@ -307,7 +336,7 @@ pub fn run_fig3_config_jobs(
     let targets: Vec<Pc> = (0..adders)
         .map(|i| merged.cfg.label(&workloads::adder_err_label(i)).expect("ERR label"))
         .collect();
-    let rows = getafix_mucalc::parallel_map(jobs, (1..=max_k).collect(), |_, k| {
+    let rows = parallel::parallel_map(jobs, (1..=max_k).collect(), |_, k| {
         let r = check_merged(&merged, &targets, k).unwrap_or_else(|e| panic!("k={k}: {e}"));
         Fig3Row {
             switches: k,
@@ -318,4 +347,24 @@ pub fn run_fig3_config_jobs(
         }
     });
     (merged, rows)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Batch fan-out changes nothing but wall time: the switch bounds of
+    /// one configuration give the same rows on one thread and on two.
+    #[test]
+    fn fig3_rows_match_across_job_counts() {
+        let columns = |rows: Vec<Fig3Row>| -> Vec<(usize, bool, f64, usize)> {
+            rows.into_iter()
+                .map(|r| (r.switches, r.reachable, r.reach_tuples, r.reach_nodes))
+                .collect()
+        };
+        let one = columns(run_fig3_config_jobs(1, 1, 3, 1).1);
+        let two = columns(run_fig3_config_jobs(1, 1, 3, 2).1);
+        assert_eq!(one.len(), 3);
+        assert_eq!(one, two);
+    }
 }

@@ -24,16 +24,6 @@ pub enum ConcError {
     /// A resource bound tripped; the boxed report keeps the partial solve
     /// statistics (equality compares the limit kind only).
     ResourceLimit(Box<LimitReport>),
-    /// A solver pool worker panicked; the fault was isolated at the worker
-    /// boundary and peers were cancelled.
-    WorkerPanicked {
-        /// Pool worker index (0-based).
-        worker: usize,
-        /// SCC stratum index the worker was solving.
-        stratum: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
     /// Unknown target label.
     NoSuchTarget(String),
 }
@@ -45,12 +35,6 @@ impl fmt::Display for ConcError {
             ConcError::System(m) => write!(f, "system: {m}"),
             ConcError::Solve(m) => write!(f, "solve: {m}"),
             ConcError::ResourceLimit(report) => write!(f, "solve: {report}"),
-            ConcError::WorkerPanicked { worker, stratum, message } => {
-                write!(
-                    f,
-                    "solve: worker {worker} panicked while solving stratum {stratum}: {message}"
-                )
-            }
             ConcError::NoSuchTarget(l) => write!(f, "no label `{l}`"),
         }
     }
@@ -73,12 +57,9 @@ impl From<SystemError> for ConcError {
 impl From<SolveError> for ConcError {
     fn from(e: SolveError) -> Self {
         match e {
-            // Keep the resource errors structured: stringifying would
+            // Keep the resource error structured: stringifying would
             // discard the partial statistics the CLI reports on exit 3.
             SolveError::LimitExceeded(report) => ConcError::ResourceLimit(report),
-            SolveError::WorkerPanicked { worker, stratum, message } => {
-                ConcError::WorkerPanicked { worker, stratum, message }
-            }
             other => ConcError::Solve(other.to_string()),
         }
     }

@@ -74,16 +74,6 @@ pub enum AnalysisError {
     /// print the partial statistics and exit with the dedicated resource
     /// code. Equality compares the limit kind only.
     ResourceLimit(Box<LimitReport>),
-    /// A solver pool worker panicked; the fault was isolated at the worker
-    /// boundary and peers were cancelled.
-    WorkerPanicked {
-        /// Pool worker index (0-based).
-        worker: usize,
-        /// SCC stratum index the worker was solving.
-        stratum: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
     /// No pc matches the requested target.
     NoSuchTarget(String),
 }
@@ -95,12 +85,6 @@ impl fmt::Display for AnalysisError {
             AnalysisError::Encode(m) => write!(f, "encode: {m}"),
             AnalysisError::Solve(m) => write!(f, "solve: {m}"),
             AnalysisError::ResourceLimit(report) => write!(f, "solve: {report}"),
-            AnalysisError::WorkerPanicked { worker, stratum, message } => {
-                write!(
-                    f,
-                    "solve: worker {worker} panicked while solving stratum {stratum}: {message}"
-                )
-            }
             AnalysisError::NoSuchTarget(l) => write!(f, "no label `{l}` in the program"),
         }
     }
@@ -123,12 +107,9 @@ impl From<EncodeError> for AnalysisError {
 impl From<SolveError> for AnalysisError {
     fn from(e: SolveError) -> Self {
         match e {
-            // Keep the resource errors structured: stringifying would
+            // Keep the resource error structured: stringifying would
             // discard the partial statistics the CLI reports on exit 3.
             SolveError::LimitExceeded(report) => AnalysisError::ResourceLimit(report),
-            SolveError::WorkerPanicked { worker, stratum, message } => {
-                AnalysisError::WorkerPanicked { worker, stratum, message }
-            }
             other => AnalysisError::Solve(other.to_string()),
         }
     }

@@ -1,11 +1,10 @@
 //! The slicer's differential contract on the shipped corpus: `--slice`
 //! must never change a verdict. Every program is checked sliced and
-//! unsliced across all formula algorithms, both solver strategies and
-//! jobs ∈ {1, 4}, against the explicit oracle; enumerated summary sets on
-//! the sliced program must be bit-identical across strategies and job
-//! counts (the fixpoint is unique — scheduling must not show through);
-//! and sliced witnesses must replay in the sliced program's concrete
-//! semantics.
+//! unsliced across all formula algorithms and both solver strategies,
+//! against the explicit oracle; enumerated summary sets on the sliced
+//! program must be bit-identical across strategies (the fixpoint is
+//! unique — scheduling must not show through); and sliced witnesses must
+//! replay in the sliced program's concrete semantics.
 
 use getafix::boolprog::analysis::{slice, AnalysisOptions};
 use getafix::boolprog::{explicit_reachable, parse_concurrent, parse_program, replay, Cfg, Pc};
@@ -15,15 +14,14 @@ use getafix::mucalc::{SolveOptions, Strategy};
 use getafix::witness::sequential_witness;
 
 /// Enumerates the main relation's summary set (sorted model list).
-fn summary_set(cfg: &Cfg, target: Pc, strategy: Strategy, jobs: usize) -> (bool, Vec<Vec<bool>>) {
-    let options = SolveOptions { jobs, ..SolveOptions::with_strategy(strategy) };
+fn summary_set(cfg: &Cfg, target: Pc, strategy: Strategy) -> (bool, Vec<Vec<bool>>) {
+    let options = SolveOptions::with_strategy(strategy);
     let algo = Algorithm::EntryForwardOpt;
     let mut solver = build_solver_with(cfg, &[target], algo, options)
-        .unwrap_or_else(|e| panic!("{strategy} jobs={jobs}: {e}"));
-    let verdict =
-        solver.eval_query("reach").unwrap_or_else(|e| panic!("{strategy} jobs={jobs}: {e}"));
+        .unwrap_or_else(|e| panic!("{strategy}: {e}"));
+    let verdict = solver.eval_query("reach").unwrap_or_else(|e| panic!("{strategy}: {e}"));
     let rel = algo.main_relation();
-    let interp = solver.evaluate(rel).unwrap_or_else(|e| panic!("{strategy} jobs={jobs}: {e}"));
+    let interp = solver.evaluate(rel).unwrap_or_else(|e| panic!("{strategy}: {e}"));
     let nparams = solver.system().relation(rel).expect("main relation").params.len();
     let mut vars = Vec::new();
     for i in 0..nparams {
@@ -47,34 +45,28 @@ fn slice_agrees(src: &str, label: &str) {
 
     for algo in Algorithm::ALL {
         for strategy in [Strategy::Worklist, Strategy::RoundRobin] {
-            for jobs in [1usize, 4] {
-                let options = SolveOptions { jobs, ..SolveOptions::with_strategy(strategy) };
-                let full = check_reachability_with(&cfg, &[target], algo, options.clone())
-                    .unwrap_or_else(|e| panic!("{algo} {strategy} jobs={jobs}: {e}\n{src}"));
-                let cut = check_reachability_with(&sliced.cfg, &[new_target], algo, options)
-                    .unwrap_or_else(|e| panic!("{algo} {strategy} jobs={jobs}: {e}\n{src}"));
-                assert_eq!(
-                    full.reachable, oracle,
-                    "{algo} {strategy} jobs={jobs}: unsliced verdict vs oracle\n{src}"
-                );
-                assert_eq!(
-                    cut.reachable, full.reachable,
-                    "{algo} {strategy} jobs={jobs}: --slice changed the verdict\n{src}"
-                );
-            }
+            let options = SolveOptions::with_strategy(strategy);
+            let full = check_reachability_with(&cfg, &[target], algo, options.clone())
+                .unwrap_or_else(|e| panic!("{algo} {strategy}: {e}\n{src}"));
+            let cut = check_reachability_with(&sliced.cfg, &[new_target], algo, options)
+                .unwrap_or_else(|e| panic!("{algo} {strategy}: {e}\n{src}"));
+            assert_eq!(
+                full.reachable, oracle,
+                "{algo} {strategy}: unsliced verdict vs oracle\n{src}"
+            );
+            assert_eq!(
+                cut.reachable, full.reachable,
+                "{algo} {strategy}: --slice changed the verdict\n{src}"
+            );
         }
     }
 
-    // Summary-set determinism on the sliced program: strategy and job
-    // count are scheduling choices; the fixpoint they reach is unique.
-    let (v0, set0) = summary_set(&sliced.cfg, new_target, Strategy::Worklist, 1);
-    for strategy in [Strategy::Worklist, Strategy::RoundRobin] {
-        for jobs in [1usize, 4] {
-            let (v, set) = summary_set(&sliced.cfg, new_target, strategy, jobs);
-            assert_eq!(v, v0, "{strategy} jobs={jobs}: sliced verdict diverged\n{src}");
-            assert_eq!(set, set0, "{strategy} jobs={jobs}: sliced summary set diverged\n{src}");
-        }
-    }
+    // Summary-set determinism on the sliced program: the strategy is a
+    // scheduling choice; the fixpoint it reaches is unique.
+    let (v0, set0) = summary_set(&sliced.cfg, new_target, Strategy::Worklist);
+    let (v, set) = summary_set(&sliced.cfg, new_target, Strategy::RoundRobin);
+    assert_eq!(v, v0, "round-robin: sliced verdict diverged\n{src}");
+    assert_eq!(set, set0, "round-robin: sliced summary set diverged\n{src}");
 
     // A reachable sliced verdict must come with a replay-valid witness.
     let witness = sequential_witness(&sliced.cfg, &[new_target], SolveOptions::default())
@@ -103,20 +95,17 @@ fn conc_slice_agrees(src: &str, label: &str, switches: usize) {
         return;
     };
     for strategy in [Strategy::Worklist, Strategy::RoundRobin] {
-        for jobs in [1usize, 4] {
-            let options = SolveOptions { jobs, ..SolveOptions::with_strategy(strategy) };
-            let full =
-                getafix::conc::check_merged_with(&merged, &[target], switches, options.clone())
-                    .unwrap_or_else(|e| panic!("{strategy} jobs={jobs}: {e}\n{src}"));
-            let cut =
-                getafix::conc::check_merged_with(&sliced_merged, &[new_target], switches, options)
-                    .unwrap_or_else(|e| panic!("{strategy} jobs={jobs}: {e}\n{src}"));
-            assert_eq!(full.reachable, oracle, "{strategy} jobs={jobs}: verdict vs oracle\n{src}");
-            assert_eq!(
-                cut.reachable, full.reachable,
-                "{strategy} jobs={jobs}: --slice changed the concurrent verdict\n{src}"
-            );
-        }
+        let options = SolveOptions::with_strategy(strategy);
+        let full = getafix::conc::check_merged_with(&merged, &[target], switches, options.clone())
+            .unwrap_or_else(|e| panic!("{strategy}: {e}\n{src}"));
+        let cut =
+            getafix::conc::check_merged_with(&sliced_merged, &[new_target], switches, options)
+                .unwrap_or_else(|e| panic!("{strategy}: {e}\n{src}"));
+        assert_eq!(full.reachable, oracle, "{strategy}: verdict vs oracle\n{src}");
+        assert_eq!(
+            cut.reachable, full.reachable,
+            "{strategy}: --slice changed the concurrent verdict\n{src}"
+        );
     }
 }
 

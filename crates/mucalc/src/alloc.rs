@@ -90,9 +90,7 @@ pub struct Allocation {
     /// channel -> scratch columns (each a `Vec<Var>` of the channel's width).
     scratch: BTreeMap<String, Vec<Vec<Var>>>,
     /// Per-instance domain constraints, built eagerly in [`Allocation::build`]
-    /// and rebuilt (via `&mut self`) after a manager GC. Plain owned data —
-    /// no interior mutability — so the allocation is `Send` and a worker
-    /// thread can own a solver outright.
+    /// and rebuilt (via `&mut self`) after a manager GC.
     domains: Vec<Bdd>,
 }
 

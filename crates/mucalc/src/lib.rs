@@ -66,7 +66,6 @@ mod ast;
 mod compile;
 mod deps;
 mod limits;
-mod parallel;
 mod parse;
 mod pretty;
 mod provenance;
@@ -79,10 +78,7 @@ mod worklist;
 pub use alloc::{eq_const, eq_vars, lt_const, lt_vars, Allocation, Instance, LeafAlloc};
 pub use ast::{CmpOp, Formula, Term};
 pub use deps::{DepGraph, OrderedPlan, Scc};
-#[doc(hidden)]
-pub use limits::FaultInjection;
 pub use limits::{install_sigint_cancel, CancelToken, LimitKind, LimitReport, ResourceLimits};
-pub use parallel::{parallel_map, resolve_jobs, ParallelPlan};
 pub use parse::{parse_system, ParseError};
 pub use provenance::Provenance;
 pub use solve::{

@@ -4,8 +4,9 @@
 //! A solve can blow up in time (fixpoint rounds over exploding BDDs) or
 //! space (arena growth) long before [`crate::SolveOptions::max_iterations`]
 //! trips. [`ResourceLimits`] bounds both, and a shared [`CancelToken`]
-//! lets *anything* — a deadline check in one worker, a SIGINT handler, a
-//! panicking peer — stop every cooperating loop at its next poll point.
+//! lets *anything* — a deadline check, a SIGINT handler, a sibling case
+//! of a batch run sharing the same limits — stop every cooperating loop
+//! at its next poll point.
 //!
 //! Poll points are cheap by construction: one relaxed atomic load per
 //! re-evaluation / search expansion / onion-peel step, a clock read only
@@ -29,8 +30,8 @@ pub enum LimitKind {
     /// collection ([`ResourceLimits::node_budget`]).
     NodeBudget,
     /// The global step counter (re-evaluations + search expansions +
-    /// witness peel steps, summed across workers) exceeded the step
-    /// budget ([`ResourceLimits::step_budget`]).
+    /// witness peel steps, summed over every holder of the token) exceeded
+    /// the step budget ([`ResourceLimits::step_budget`]).
     StepBudget,
     /// An external cancellation — SIGINT, or a caller-side
     /// [`CancelToken::cancel`].
@@ -80,10 +81,11 @@ struct TokenInner {
 
 /// A shared, lock-free cancellation flag plus global step counter.
 ///
-/// Cloning shares the underlying state: `options.limits.clone()` in a
-/// worker means one deadline, one budget, one flag across the whole pool.
-/// The first [`CancelToken::cancel`] wins; later calls are no-ops, so the
-/// *reason* a solve stopped is stable however many workers trip at once.
+/// Cloning shares the underlying state: every clone of one
+/// `ResourceLimits` sees one budget and one flag, even across threads (a
+/// batch run hands each case a clone). The first [`CancelToken::cancel`]
+/// wins; later calls are no-ops, so the *reason* a run stopped is stable
+/// however many holders trip at once.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
@@ -130,9 +132,9 @@ impl CancelToken {
 /// Resource bounds for a solve, all optional and off by default.
 ///
 /// The deadline is an absolute [`Instant`], so cloning the limits (as the
-/// parallel pool does per worker) keeps one shared wall-clock cutoff
-/// rather than restarting the timer. The cancel token is likewise shared
-/// by clone.
+/// CLI does to carry them from the solve into witness extraction) keeps
+/// one shared wall-clock cutoff rather than restarting the timer. The
+/// cancel token is likewise shared by clone.
 #[derive(Debug, Clone, Default)]
 pub struct ResourceLimits {
     /// Absolute wall-clock cutoff. Checked at every poll point (only when
@@ -144,7 +146,7 @@ pub struct ResourceLimits {
     /// exceeds the budget.
     pub node_budget: Option<usize>,
     /// Max total steps (re-evaluations, explicit-search expansions,
-    /// witness peel steps) summed across all workers via the shared
+    /// witness peel steps) summed over every holder of the shared
     /// [`CancelToken`] counter.
     pub step_budget: Option<u64>,
     /// Shared cancellation flag + step counter.
@@ -182,7 +184,7 @@ impl ResourceLimits {
         self
     }
 
-    /// One poll: token first (cross-worker cancellation), then deadline.
+    /// One poll: token first (cancellation by any holder), then deadline.
     /// The step budget is checked by callers that *account* steps
     /// ([`ResourceLimits::note_steps`]); pure poll points skip it so a
     /// trip is attributed where the work happened.
@@ -193,7 +195,7 @@ impl ResourceLimits {
         if let Some(deadline) = self.deadline {
             if Instant::now() >= deadline {
                 self.cancel.cancel(LimitKind::Deadline);
-                // Re-read: a racing worker may have cancelled for a
+                // Re-read: another holder may have cancelled for a
                 // different reason first; its reason sticks.
                 return Err(self.cancel.cancelled().unwrap_or(LimitKind::Deadline));
             }
@@ -316,19 +318,6 @@ pub fn install_sigint_cancel(token: &CancelToken) {
     {
         let _ = token;
     }
-}
-
-/// Test-only fault injection: makes the parallel pool's worker path panic
-/// when solving the named relation's stratum, to prove fault isolation
-/// (the panic is caught, converted to
-/// [`crate::SolveError::WorkerPanicked`], and peers are cancelled). Not
-/// part of the public API contract.
-#[doc(hidden)]
-#[derive(Debug, Clone, Default)]
-pub struct FaultInjection {
-    /// Panic when a pool worker starts solving a stratum containing this
-    /// relation.
-    pub panic_on_relation: Option<String>,
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@
 use crate::alloc::{owner_query, owner_rel, Allocation};
 use crate::compile::CompileCtx;
 use crate::deps::DepGraph;
-use crate::limits::{FaultInjection, LimitKind, LimitReport, ResourceLimits};
+use crate::limits::{LimitKind, LimitReport, ResourceLimits};
 use crate::provenance::Provenance;
 use crate::system::{RelationKind, System, SystemError};
 use getafix_bdd::{Bdd, Manager};
@@ -83,18 +83,6 @@ pub enum SolveError {
     /// [`LimitReport`] carries the partial [`SolveStats`] collected up to
     /// the trip. Equality compares the limit kind only.
     LimitExceeded(Box<LimitReport>),
-    /// A pool worker panicked while solving a stratum. The panic was
-    /// caught at the worker boundary, peers were cancelled via the shared
-    /// token, and the process kept running — this error is the clean
-    /// surface of the fault.
-    WorkerPanicked {
-        /// Pool worker index (0-based).
-        worker: usize,
-        /// Index of the SCC stratum the worker was solving.
-        stratum: usize,
-        /// The panic payload, if it was a string.
-        message: String,
-    },
     /// Invariant violation (a bug in the caller or in this crate).
     Internal(String),
 }
@@ -113,12 +101,6 @@ impl fmt::Display for SolveError {
             SolveError::System(msg) => write!(f, "{msg}"),
             SolveError::Options(msg) => write!(f, "invalid solver options: {msg}"),
             SolveError::LimitExceeded(report) => write!(f, "{report}"),
-            SolveError::WorkerPanicked { worker, stratum, message } => {
-                write!(
-                    f,
-                    "solver worker {worker} panicked while solving stratum {stratum}: {message}"
-                )
-            }
             SolveError::Internal(msg) => write!(f, "internal error: {msg}"),
         }
     }
@@ -197,31 +179,16 @@ pub struct SolveOptions {
     /// `None` disables collection. Only the worklist strategy collects;
     /// the round-robin reference never does.
     pub gc_threshold: Option<usize>,
-    /// Worker threads for parallel stratified solving. `1` (the default)
-    /// is the exact single-threaded path; `0` means "use all available
-    /// parallelism"; `N > 1` lets waves of independent SCC strata solve
-    /// concurrently, each worker on a private BDD manager, with results
-    /// shipped back via cross-manager export/import at wave joins.
-    /// Verdicts, interpretations (as truth tables) and re-evaluation
-    /// counts are bit-identical at any job count; only wall-clock and
-    /// kernel cache/arena counters may differ. Ignored (treated as 1)
-    /// when [`SolveOptions::record_provenance`] is set — provenance
-    /// snapshots pin the coordinator's arena, so that path stays
-    /// sequential — and by the round-robin reference strategy.
-    pub jobs: usize,
     /// Resource bounds: wall-clock deadline, arena node budget, global
     /// step budget, plus the shared cancellation token every poll point
-    /// checks. All off by default. Cloning the options (as the parallel
-    /// pool does per worker) *shares* the deadline and token, so one
-    /// budget governs the whole solve. On a trip the solver returns
+    /// checks. All off by default. Cloning the limits *shares* the
+    /// deadline and token, so one budget governs the solve and whatever
+    /// else the caller runs under the same clone (witness extraction,
+    /// explicit refinement). On a trip the solver returns
     /// [`SolveError::LimitExceeded`] with partial statistics; on node
     /// pressure it first forces a collection and only fails if the live
     /// set itself exceeds the budget.
     pub limits: ResourceLimits,
-    /// Test-only fault injection for the parallel pool (see
-    /// [`crate::FaultInjection`]). Leave defaulted.
-    #[doc(hidden)]
-    pub fault: FaultInjection,
 }
 
 impl Default for SolveOptions {
@@ -251,17 +218,8 @@ impl SolveOptions {
             strategy: Strategy::default(),
             record_provenance: false,
             gc_threshold: Some(Self::DEFAULT_GC_THRESHOLD),
-            jobs: 1,
             limits: ResourceLimits::default(),
-            fault: FaultInjection::default(),
         }
-    }
-
-    /// Resolves [`SolveOptions::jobs`] to a concrete worker count:
-    /// `0` becomes the machine's available parallelism, everything else
-    /// passes through.
-    pub fn effective_jobs(&self) -> usize {
-        crate::parallel::resolve_jobs(self.jobs)
     }
 
     fn validate(&self) -> Result<(), SolveError> {
@@ -394,13 +352,6 @@ pub struct SolveStats {
     /// position among the body's top-level disjuncts). Worklist strategy
     /// only; the round-robin reference compiles whole bodies.
     pub disjuncts: BTreeMap<String, DisjunctStats>,
-    /// Effective worker count of the last worklist evaluation (`1` =
-    /// the sequential path, `0` = the solver has not run).
-    pub jobs: usize,
-    /// Wall-clock each pool worker spent solving strata, in milliseconds,
-    /// indexed by worker. Empty for sequential runs (the coordinator's
-    /// time lives in [`SccStats::wall_ms`] either way).
-    pub worker_wall_ms: Vec<f64>,
 }
 
 impl SolveStats {
@@ -436,13 +387,6 @@ impl SolveStats {
         w.field_u64("arena_nodes", self.arena_nodes as u64);
         w.field_u64("arena_bytes", self.arena_bytes as u64);
         w.field_u64("peak_arena_bytes", self.peak_arena_bytes as u64);
-        w.field_u64("jobs", self.jobs as u64);
-        w.key("worker_wall_ms");
-        w.begin_array();
-        for &wall in &self.worker_wall_ms {
-            w.value_f64(wall);
-        }
-        w.end_array();
         w.key("relations");
         w.begin_array();
         for (name, r) in &self.relations {
@@ -593,13 +537,6 @@ impl SolveStats {
         self.arena_nodes = self.arena_nodes.max(other.arena_nodes);
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.peak_arena_bytes = self.peak_arena_bytes.max(other.peak_arena_bytes);
-        self.jobs = self.jobs.max(other.jobs);
-        if self.worker_wall_ms.len() < other.worker_wall_ms.len() {
-            self.worker_wall_ms.resize(other.worker_wall_ms.len(), 0.0);
-        }
-        for (mine, theirs) in self.worker_wall_ms.iter_mut().zip(&other.worker_wall_ms) {
-            *mine += theirs;
-        }
     }
 }
 
@@ -812,20 +749,15 @@ impl Solver {
 
     /// Garbage-collects the node arena if it has outgrown the configured
     /// threshold, keeping exactly the live roots: input relations,
-    /// memoized interpretations and provenance snapshots. Called by the
-    /// worklist engine between SCC strata, where no intermediate handles
-    /// are live. The allocation's lazily cached domain constraints are
-    /// dropped (they rebuild on demand and re-deduplicate by hash-consing).
-    pub(crate) fn maybe_gc(&mut self) {
-        self.maybe_gc_with(&mut []);
-    }
-
-    /// Threshold-gated collection with *extra* live roots: the handles a
-    /// running stratum still needs — member environments, per-disjunct
-    /// cache values, domain constraints, accumulated interpretations. The
-    /// extras are remapped in place, which is what lets `gc_threshold`
-    /// fire in the middle of a long-running SCC instead of only at its
-    /// boundary. Returns whether a collection happened.
+    /// memoized interpretations and provenance snapshots, plus the
+    /// *extra* handles a running stratum still needs — member
+    /// environments, per-disjunct cache values, domain constraints,
+    /// accumulated interpretations (none between strata). The extras are
+    /// remapped in place, which is what lets `gc_threshold` fire in the
+    /// middle of a long-running SCC instead of only at its boundary. The
+    /// allocation's lazily cached domain constraints are dropped (they
+    /// rebuild on demand and re-deduplicate by hash-consing). Returns
+    /// whether a collection happened.
     pub(crate) fn maybe_gc_with(&mut self, extras: &mut [&mut Bdd]) -> bool {
         let Some(threshold) = self.options.gc_threshold else { return false };
         if self.manager.stats().nodes <= threshold {
@@ -867,8 +799,9 @@ impl Solver {
     }
 
     /// Builds the structured limit error for `kind`: cancels the shared
-    /// token (so pool peers trip at their next poll), refreshes the kernel
-    /// counters, and snapshots the partial statistics into the report.
+    /// token (so every later poll of the same limits trips too), refreshes
+    /// the kernel counters, and snapshots the partial statistics into the
+    /// report.
     pub(crate) fn limit_error(&mut self, kind: LimitKind) -> SolveError {
         self.options.limits.cancel.cancel(kind);
         self.sync_manager_stats();
@@ -886,8 +819,9 @@ impl Solver {
     }
 
     /// Accounts one step against the global budget, then polls. The step
-    /// counter is shared across pool workers via the token, so the budget
-    /// bounds *total* work, not per-worker work.
+    /// counter lives in the shared token, so the budget bounds the *total*
+    /// work of everything run under the same limits (solve, witness
+    /// extraction, explicit refinement).
     pub(crate) fn note_step(&mut self) -> Result<(), SolveError> {
         match self.options.limits.note_steps(1) {
             Ok(()) => Ok(()),

@@ -157,22 +157,12 @@ impl Solver {
             telemetry::gauge_set("solve.strata_total", scc_order.len() as f64);
             telemetry::gauge_set("solve.stratum", 0.0);
         }
-        // Provenance snapshots pin every intermediate value in the
-        // coordinator's arena, so that path stays on the exact sequential
-        // schedule regardless of the job count.
-        let jobs = self.options.effective_jobs();
-        if jobs > 1 && !self.options.record_provenance {
-            self.stats.jobs = self.stats.jobs.max(jobs);
-            self.solve_strata_parallel(&scc_order, &demanded, jobs)?;
-        } else {
-            self.stats.jobs = self.stats.jobs.max(1);
-            let mut strata_done = 0usize;
-            for idx in scc_order {
-                let roots = demanded.get(&idx).cloned().unwrap_or_default();
-                self.solve_stratum(idx, &roots)?;
-                strata_done += 1;
-                self.note_stratum_done(strata_done);
-            }
+        let mut strata_done = 0usize;
+        for idx in scc_order {
+            let roots = demanded.get(&idx).cloned().unwrap_or_default();
+            self.solve_stratum(idx, &roots)?;
+            strata_done += 1;
+            self.note_stratum_done(strata_done);
         }
         self.evaluated
             .get(name)
@@ -185,11 +175,7 @@ impl Solver {
     /// stratum boundary — nothing intermediate is live there, so the arena
     /// can be compacted around the inputs, the memoized interpretations
     /// and the provenance snapshots.
-    pub(crate) fn solve_stratum(
-        &mut self,
-        idx: usize,
-        roots: &BTreeSet<usize>,
-    ) -> Result<(), SolveError> {
+    fn solve_stratum(&mut self, idx: usize, roots: &BTreeSet<usize>) -> Result<(), SolveError> {
         let stratum_start = Instant::now();
         {
             let mut span = telemetry::span(Phase::Solve, "stratum");
@@ -213,7 +199,7 @@ impl Solver {
     /// kernel-counter time series (one point per stratum turns the
     /// terminal cache ratio into a trajectory over the run) and the
     /// heartbeat position gauge.
-    pub(crate) fn note_stratum_done(&mut self, strata_done: usize) {
+    fn note_stratum_done(&mut self, strata_done: usize) {
         if telemetry::enabled() {
             let ms = self.manager.stats();
             telemetry::sample("bdd.cache_hits", ms.cache_hits as f64);

@@ -1,18 +1,12 @@
 //! Resource-governance semantics on the public solver API: budgets trip
-//! into structured errors with partial statistics (deterministically, at
-//! any job count), generous limits leave results bit-identical to an
-//! ungoverned solve, and an injected worker panic surfaces as
-//! [`SolveError::WorkerPanicked`] with peers cancelled — never as a
-//! process abort.
+//! into structured errors with partial statistics, and generous limits
+//! leave results bit-identical to an ungoverned solve.
 
 use getafix_mucalc::{
-    eq_const, parse_system, FaultInjection, LimitKind, ResourceLimits, SolveError, SolveOptions,
-    Solver,
+    eq_const, parse_system, LimitKind, ResourceLimits, SolveError, SolveOptions, Solver,
 };
 
-/// Two independent reachability fixpoints under a conjunction — the
-/// smallest system whose parallel plan has a two-worker wave, so the
-/// jobs-4 variants below genuinely exercise the pool.
+/// Two independent reachability fixpoints under a conjunction.
 const DIAMOND: &str = r#"
     type S = bits 3;
     input Init(s: S);
@@ -51,28 +45,24 @@ fn seeded(options: SolveOptions) -> Solver {
 }
 
 /// A step budget smaller than the solve trips `LimitExceeded` with
-/// `StepBudget` and carries partial statistics — at jobs 1 and at
-/// jobs 4, where the trip happens inside a pool worker and must
-/// propagate out as the same structured error.
+/// `StepBudget` and carries partial statistics.
 #[test]
-fn step_budget_trips_deterministically_at_jobs_1_and_4() {
-    for jobs in [1usize, 4] {
-        let limits = ResourceLimits::default().with_step_budget(3);
-        let options = SolveOptions { jobs, limits: limits.clone(), ..SolveOptions::new() };
-        let mut solver = seeded(options);
-        match solver.eval_query("any") {
-            Err(SolveError::LimitExceeded(report)) => {
-                assert_eq!(report.kind, LimitKind::StepBudget, "jobs {jobs}");
-                // The shared token accounted at least the budget's worth
-                // of re-evaluations before tripping.
-                assert!(limits.cancel.steps() >= 3, "jobs {jobs}: {}", limits.cancel.steps());
-            }
-            other => panic!("jobs {jobs}: expected a step-budget trip, got {other:?}"),
+fn step_budget_trips_deterministically() {
+    let limits = ResourceLimits::default().with_step_budget(3);
+    let options = SolveOptions { limits: limits.clone(), ..SolveOptions::new() };
+    let mut solver = seeded(options);
+    match solver.eval_query("any") {
+        Err(SolveError::LimitExceeded(report)) => {
+            assert_eq!(report.kind, LimitKind::StepBudget);
+            // The shared token accounted at least the budget's worth of
+            // re-evaluations before tripping.
+            assert!(limits.cancel.steps() >= 3, "{}", limits.cancel.steps());
         }
-        // The first trip latches the token, so every subsequent use of
-        // the same limits is cancelled immediately.
-        assert_eq!(limits.cancel.cancelled(), Some(LimitKind::StepBudget), "jobs {jobs}");
+        other => panic!("expected a step-budget trip, got {other:?}"),
     }
+    // The first trip latches the token, so every subsequent use of the
+    // same limits is cancelled immediately.
+    assert_eq!(limits.cancel.cancelled(), Some(LimitKind::StepBudget));
 }
 
 /// A node budget smaller than the live set trips `NodeBudget` even
@@ -95,8 +85,7 @@ fn tiny_node_budget_trips_after_forced_gc() {
 }
 
 /// Generous limits are invisible: verdict, per-state interpretation and
-/// re-evaluation counts are bit-identical to an ungoverned solve, at
-/// jobs 1 and 4.
+/// re-evaluation counts are bit-identical to an ungoverned solve.
 #[test]
 fn generous_limits_leave_results_bit_identical() {
     let baseline = {
@@ -105,22 +94,16 @@ fn generous_limits_leave_results_bit_identical() {
         let states = membership(&mut solver);
         (verdict, states, solver.stats().total_reevaluations())
     };
-    for jobs in [1usize, 4] {
-        let limits = ResourceLimits::default()
-            .with_step_budget(1_000_000)
-            .with_node_budget(1 << 24)
-            .with_timeout(std::time::Duration::from_secs(600));
-        let options = SolveOptions { jobs, limits, ..SolveOptions::new() };
-        let mut solver = seeded(options);
-        let verdict = solver.eval_query("any").expect("governed solve succeeds");
-        assert_eq!(verdict, baseline.0, "jobs {jobs}: verdict");
-        assert_eq!(membership(&mut solver), baseline.1, "jobs {jobs}: interpretation");
-        assert_eq!(
-            solver.stats().total_reevaluations(),
-            baseline.2,
-            "jobs {jobs}: re-evaluation counts"
-        );
-    }
+    let limits = ResourceLimits::default()
+        .with_step_budget(1_000_000)
+        .with_node_budget(1 << 24)
+        .with_timeout(std::time::Duration::from_secs(600));
+    let options = SolveOptions { limits, ..SolveOptions::new() };
+    let mut solver = seeded(options);
+    let verdict = solver.eval_query("any").expect("governed solve succeeds");
+    assert_eq!(verdict, baseline.0, "verdict");
+    assert_eq!(membership(&mut solver), baseline.1, "interpretation");
+    assert_eq!(solver.stats().total_reevaluations(), baseline.2, "re-evaluation counts");
 }
 
 /// `Both`'s interpretation as an explicit membership vector.
@@ -134,47 +117,4 @@ fn membership(solver: &mut Solver) -> Vec<bool> {
             !m.and(both, point).is_false()
         })
         .collect()
-}
-
-/// An injected panic in a pool worker is caught at the worker boundary:
-/// the error names the worker and stratum, the shared token is
-/// cancelled so peers stop at their next poll, and the process keeps
-/// running — the whole point of fault-isolated workers.
-#[test]
-fn injected_worker_panic_is_contained_and_cancels_peers() {
-    let limits = ResourceLimits::default();
-    let options = SolveOptions {
-        jobs: 4,
-        limits: limits.clone(),
-        fault: FaultInjection { panic_on_relation: Some("Bwd".into()) },
-        ..SolveOptions::new()
-    };
-    let mut solver = seeded(options);
-    match solver.eval_query("any") {
-        Err(SolveError::WorkerPanicked { worker, stratum, message }) => {
-            assert!(message.contains("injected fault"), "{message}");
-            assert!(worker < 4, "worker index {worker}");
-            let _ = stratum;
-        }
-        other => panic!("expected WorkerPanicked, got {other:?}"),
-    }
-    assert_eq!(
-        limits.cancel.cancelled(),
-        Some(LimitKind::Interrupted),
-        "the panicking worker must cancel its peers via the shared token"
-    );
-}
-
-/// The same injection at jobs 1 never fires (the hook lives on the pool
-/// worker path only), so sequential solves are unaffected by the
-/// test-only machinery.
-#[test]
-fn fault_injection_is_inert_without_the_pool() {
-    let options = SolveOptions {
-        jobs: 1,
-        fault: FaultInjection { panic_on_relation: Some("Bwd".into()) },
-        ..SolveOptions::new()
-    };
-    let mut solver = seeded(options);
-    assert!(solver.eval_query("any").expect("sequential solve succeeds"));
 }

@@ -109,8 +109,6 @@ fn stats_strategy() -> impl Strategy<Value = SolveStats> {
                 arena_bytes,
                 peak_arena_bytes,
                 disjuncts: disjuncts.into_iter().collect(),
-                jobs: (gcs % 4) + 1,
-                worker_wall_ms: vec![pause8 as f64 / 4.0; gcs % 3],
             }
         })
 }
@@ -138,9 +136,6 @@ proptest! {
         prop_assert_eq!(num(&v, "arena_nodes") as usize, stats.arena_nodes);
         prop_assert_eq!(num(&v, "arena_bytes") as usize, stats.arena_bytes);
         prop_assert_eq!(num(&v, "peak_arena_bytes") as usize, stats.peak_arena_bytes);
-        prop_assert_eq!(num(&v, "jobs") as usize, stats.jobs);
-        let walls = v.get("worker_wall_ms").and_then(Value::as_array).expect("worker_wall_ms");
-        prop_assert_eq!(walls.len(), stats.worker_wall_ms.len());
 
         let rels = v.get("relations").and_then(Value::as_array).expect("relations array");
         prop_assert_eq!(rels.len(), stats.relations.len());

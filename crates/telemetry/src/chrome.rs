@@ -36,11 +36,8 @@ fn write_attrs(w: &mut JsonWriter, attrs: &Attrs) {
 impl TraceData {
     /// Renders the trace as a Chrome trace-event JSON document.
     ///
-    /// `pid` is fixed at 1; `tid` is each record's own logical thread id
-    /// (1 = the coordinator, `2 + worker_index` for solve workers), so a
-    /// parallel run renders one track per worker. Counter samples stay on
-    /// tid 1 — the coordinator's registry absorbs worker metrics at wave
-    /// joins.
+    /// `pid` and `tid` are fixed at 1: a trace records one thread, so it
+    /// renders as one track.
     pub fn chrome_trace_json(&self) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
@@ -54,7 +51,7 @@ impl TraceData {
             w.field_u64("ts", s.t_start_us);
             w.field_u64("dur", s.dur_us());
             w.field_u64("pid", 1);
-            w.field_u64("tid", s.tid);
+            w.field_u64("tid", 1);
             if !s.attrs.is_empty() {
                 w.key("args");
                 write_attrs(&mut w, &s.attrs);
@@ -69,7 +66,7 @@ impl TraceData {
             w.field_str("s", "t");
             w.field_u64("ts", e.t_us);
             w.field_u64("pid", 1);
-            w.field_u64("tid", e.tid);
+            w.field_u64("tid", 1);
             if !e.attrs.is_empty() {
                 w.key("args");
                 write_attrs(&mut w, &e.attrs);

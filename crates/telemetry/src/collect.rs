@@ -13,11 +13,10 @@
 //!
 //! # Why thread-local
 //!
-//! The solver is single-threaded today, but the ROADMAP's parallel
-//! stratified solving shards work across per-worker BDD managers. A
-//! thread-local collector per worker needs no locks, and per-thread span
-//! streams are exactly what the Chrome trace format wants (`tid` per
-//! worker). [`install`]/[`take`] operate on the calling thread only.
+//! Every solve runs on one thread, so a thread-local collector needs no
+//! locks and records one well-nested span stream. [`install`]/[`take`]
+//! operate on the calling thread only; work on other threads records
+//! nothing.
 
 use crate::metrics::Registry;
 use std::cell::{Cell, RefCell};
@@ -116,11 +115,6 @@ pub struct SpanRecord {
     pub t_start_us: u64,
     pub t_end_us: u64,
     pub depth: usize,
-    /// Logical thread id of the recording collector: `1` for the main
-    /// collector, `2 + worker index` for per-worker collectors (see
-    /// [`install_worker`]). The Chrome trace export renders one track per
-    /// distinct tid.
-    pub tid: u64,
     pub attrs: Attrs,
 }
 
@@ -138,8 +132,6 @@ pub struct EventRecord {
     pub name: &'static str,
     /// Microseconds since the collector was installed.
     pub t_us: u64,
-    /// Logical thread id (see [`SpanRecord::tid`]).
-    pub tid: u64,
     pub attrs: Attrs,
 }
 
@@ -165,8 +157,6 @@ struct Progress {
 /// The per-thread recording state.
 struct Collector {
     epoch: Instant,
-    /// Logical thread id stamped on every record this collector emits.
-    tid: u64,
     spans: Vec<SpanRecord>,
     events: Vec<EventRecord>,
     depth: usize,
@@ -216,23 +206,9 @@ pub fn enabled() -> bool {
 /// previous one and discarding its records). Timestamps are relative to
 /// this moment.
 pub fn install() {
-    install_with(1, Instant::now());
-}
-
-/// Installs a collector on a worker thread, stamping `tid` on every record
-/// and measuring time from the coordinator's `epoch` (obtain it via
-/// [`epoch`] on the main thread) so worker spans line up with the main
-/// track in the exported trace. Use tids `2 + worker_index`; tid `1` is
-/// the main collector.
-pub fn install_worker(tid: u64, epoch: Instant) {
-    install_with(tid, epoch);
-}
-
-fn install_with(tid: u64, epoch: Instant) {
     COLLECTOR.with(|c| {
         *c.borrow_mut() = Some(Collector {
-            epoch,
-            tid,
+            epoch: Instant::now(),
             spans: Vec::new(),
             events: Vec::new(),
             depth: 0,
@@ -241,28 +217,6 @@ fn install_with(tid: u64, epoch: Instant) {
         });
     });
     ENABLED.with(|e| e.set(true));
-}
-
-/// The installed collector's epoch (the instant timestamps count from), or
-/// `None` when no collector is installed. Workers pass this to
-/// [`install_worker`] so all tracks share one clock.
-pub fn epoch() -> Option<Instant> {
-    with_collector(|c| c.epoch)
-}
-
-/// Merges a worker's [`TraceData`] into the calling thread's collector:
-/// spans and events are appended as-is (they carry their own `tid`),
-/// counters add, gauges overwrite, series extend. The progress heartbeat
-/// sees the merged totals, so aggregate counters like `solve.reevals`
-/// reflect every worker after a join. No-op when no collector is
-/// installed.
-pub fn absorb(data: TraceData) {
-    with_collector(|c| {
-        c.spans.extend(data.spans);
-        c.events.extend(data.events);
-        c.metrics.absorb(&data.metrics);
-        c.tick_progress();
-    });
 }
 
 /// Attaches a live-progress sink to the calling thread's collector: from
@@ -366,7 +320,6 @@ impl Drop for Span {
                 t_start_us: inner.t_start_us,
                 t_end_us,
                 depth: inner.depth,
-                tid: c.tid,
                 attrs: inner.attrs,
             });
             c.tick_progress();
@@ -385,7 +338,7 @@ pub fn event(phase: Phase, name: &'static str, attrs: impl FnOnce() -> Attrs) {
     with_collector(|c| {
         let t_us = c.now_us();
         let attrs = attrs();
-        c.events.push(EventRecord { phase, name, t_us, tid: c.tid, attrs });
+        c.events.push(EventRecord { phase, name, t_us, attrs });
         c.tick_progress();
     });
 }

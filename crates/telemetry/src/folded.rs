@@ -173,7 +173,6 @@ mod tests {
             t_start_us: start,
             t_end_us: end,
             depth,
-            tid: 1,
             attrs: Vec::new(),
         }
     }

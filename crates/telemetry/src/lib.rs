@@ -17,7 +17,7 @@
 //!    summary (`--profile`).
 //! 3. **Metrics** ([`Registry`]): named monotonic counters, gauges and
 //!    timestamped time series — the publication surface a future
-//!    `getafix serve` and per-worker parallel solvers will snapshot from.
+//!    `getafix serve` will snapshot from.
 //!    [`attach_progress`] taps the same registry for a throttled live
 //!    heartbeat (`--progress`), and [`metrics_snapshot`] clones it mid-run
 //!    for `--stats-json`.
@@ -55,9 +55,8 @@ mod chrome;
 mod profile;
 
 pub use collect::{
-    absorb, attach_progress, counter_add, enabled, epoch, event, gauge_set, install,
-    install_worker, metrics_snapshot, sample, span, take, AttrValue, Attrs, EventRecord, Phase,
-    Span, SpanRecord, TraceData,
+    attach_progress, counter_add, enabled, event, gauge_set, install, metrics_snapshot, sample,
+    span, take, AttrValue, Attrs, EventRecord, Phase, Span, SpanRecord, TraceData,
 };
 pub use folded::{parse_folded, rooted_weight};
 pub use metrics::{Registry, Sample};

@@ -2,12 +2,12 @@
 //! timestamped time series.
 //!
 //! [`Registry`] is a plain value type, deliberately independent of the
-//! thread-local collector: the `getafix serve` mode and per-worker
-//! parallel solving will own registries directly and publish snapshots
-//! from them, while today's CLI reaches the same registry through the
-//! collector's free functions ([`crate::counter_add`], [`crate::sample`],
-//! …). A snapshot is one [`Registry::to_json`] call — the export surface
-//! a scrape endpoint will serve verbatim.
+//! thread-local collector: a future `getafix serve` mode can own a
+//! registry directly and publish snapshots from it, while today's CLI
+//! reaches the same registry through the collector's free functions
+//! ([`crate::counter_add`], [`crate::sample`], …). A snapshot is one
+//! [`Registry::to_json`] call — the export surface a scrape endpoint
+//! will serve verbatim.
 //!
 //! Time series are what turn the solver's end-of-run aggregates into
 //! trajectories: the solver samples [`ManagerStats`]-derived values at
@@ -74,23 +74,6 @@ impl Registry {
     /// Iterates all time series, name-ordered.
     pub fn all_series(&self) -> impl Iterator<Item = (&'static str, &[Sample])> {
         self.series.iter().map(|(&n, s)| (n, s.as_slice()))
-    }
-
-    /// Merges another registry into this one: counters add, gauges
-    /// overwrite (last writer wins), series extend with the other's
-    /// points appended. This is the wave-join operation of parallel
-    /// solving — per-worker registries fold into the coordinator's so
-    /// heartbeats and `--stats-json` report fleet-wide totals.
-    pub fn absorb(&mut self, other: &Registry) {
-        for (&name, &v) in &other.counters {
-            self.counter_add(name, v);
-        }
-        for (&name, &v) in &other.gauges {
-            self.gauge_set(name, v);
-        }
-        for (&name, samples) in &other.series {
-            self.series.entry(name).or_default().extend_from_slice(samples);
-        }
     }
 
     /// Is there nothing recorded at all?

@@ -220,7 +220,6 @@ mod tests {
             t_start_us: start,
             t_end_us: end,
             depth,
-            tid: 1,
             attrs: Vec::new(),
         }
     }
@@ -237,7 +236,6 @@ mod tests {
                 phase: Phase::Bdd,
                 name: "gc",
                 t_us: 15,
-                tid: 1,
                 attrs: Vec::new(),
             }],
             ..TraceData::default()

@@ -35,7 +35,6 @@ fn reeval_span(s: &str, start: u64, end: u64) -> SpanRecord {
         t_start_us: start,
         t_end_us: end,
         depth: 0,
-        tid: 1,
         attrs: vec![("relation", AttrValue::Str(s.to_string()))],
     }
 }
@@ -101,7 +100,6 @@ proptest! {
             t_start_us: 0,
             t_end_us: 100,
             depth: 0,
-            tid: 1,
             attrs: Vec::new(),
         };
         let data = TraceData { spans: vec![inner, root], ..TraceData::default() };

@@ -322,10 +322,10 @@ proptest! {
     }
 
     /// Slice-then-solve ≡ solve: the pre-solve slicer preserves verdicts
-    /// on random programs — under both solver strategies and jobs ∈ {1, 4}
-    /// — a pruned target is confirmed unreachable by the explicit oracle,
-    /// and witnesses extracted on the *sliced* program still replay in the
-    /// sliced program's concrete semantics.
+    /// on random programs under both solver strategies, a pruned target is
+    /// confirmed unreachable by the explicit oracle, and witnesses
+    /// extracted on the *sliced* program still replay in the sliced
+    /// program's concrete semantics.
     #[test]
     fn slicing_preserves_verdicts_and_witnesses(p in program_strategy()) {
         let cfg = Cfg::build(&p).unwrap_or_else(|e| panic!("{e}\n{p}"));
@@ -339,20 +339,17 @@ proptest! {
             return Ok(());
         };
         for strategy in [SolverStrategy::Worklist, SolverStrategy::RoundRobin] {
-            for jobs in [1usize, 4] {
-                let options = SolveOptions { jobs, ..SolveOptions::with_strategy(strategy) };
-                let r = check_reachability_with(
-                    &sliced.cfg,
-                    &[new_target],
-                    Algorithm::EntryForwardOpt,
-                    options,
-                )
-                .unwrap_or_else(|e| panic!("{strategy} jobs={jobs}: {e}\n{p}"));
-                prop_assert_eq!(
-                    r.reachable, oracle,
-                    "{} jobs={}: sliced verdict diverged from the oracle\n{}", strategy, jobs, p
-                );
-            }
+            let r = check_reachability_with(
+                &sliced.cfg,
+                &[new_target],
+                Algorithm::EntryForwardOpt,
+                SolveOptions::with_strategy(strategy),
+            )
+            .unwrap_or_else(|e| panic!("{strategy}: {e}\n{p}"));
+            prop_assert_eq!(
+                r.reachable, oracle,
+                "{}: sliced verdict diverged from the oracle\n{}", strategy, p
+            );
             let witness =
                 sequential_witness(&sliced.cfg, &[new_target], SolveOptions::with_strategy(strategy))
                     .unwrap_or_else(|e| panic!("{strategy}: {e}\n{p}"));
