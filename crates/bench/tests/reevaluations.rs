@@ -5,9 +5,10 @@
 //! `EntryReach` split, and the concurrent `Reach` / `ReachCanon` split).
 
 use getafix_bench::{compare_strategies, regression_cases, terminator_cases};
+use getafix_boolprog::Cfg;
 use getafix_conc::{check_merged_with, merge};
-use getafix_core::Algorithm;
-use getafix_mucalc::{SolveOptions, Strategy};
+use getafix_core::{check_reachability_with, Algorithm};
+use getafix_mucalc::{SolveOptions, SolveStats, Strategy};
 use getafix_workloads::{adder_err_label, bluetooth, driver, DriverSpec};
 
 /// A small cross-section of the fig2 corpus: a few regression programs of
@@ -108,5 +109,61 @@ fn ef_opt_ordered_schedule_strictly_reduces() {
          got {} vs {}",
         cmp.worklist,
         cmp.round_robin
+    );
+}
+
+/// The worklist engine's exact work on one solve: total re-evaluations,
+/// ordered re-evaluations, and the sums over all disjuncts of
+/// recompilations and nodes built.
+fn exact_work(stats: &SolveStats) -> [u64; 4] {
+    [
+        stats.total_reevaluations() as u64,
+        stats.ordered_reevaluations as u64,
+        stats.disjuncts.values().map(|d| d.recompilations as u64).sum(),
+        stats.disjuncts.values().map(|d| d.nodes_built).sum(),
+    ]
+}
+
+#[test]
+fn worklist_work_is_pinned_exactly() {
+    // A refactor of the engine that keeps every schedule's sequence of
+    // BDD operations keeps these four counters bit for bit; one that
+    // recompiles an extra disjunct per re-evaluation, or re-evaluates a
+    // member nothing changed for, moves at least one of them.
+    let expected: [(Algorithm, [u64; 4]); 4] = [
+        (Algorithm::SummarySimple, [333, 0, 572, 27_607]),
+        (Algorithm::EntryForwardNaive, [332, 0, 1_340, 26_614]),
+        (Algorithm::EntryForward, [332, 0, 1_340, 26_614]),
+        (Algorithm::EntryForwardOpt, [1_491, 1_491, 2_328, 39_149]),
+    ];
+    let cases = sample_cases();
+    for (algo, want) in expected {
+        let mut got = [0u64; 4];
+        for case in &cases {
+            let cfg = Cfg::build(&case.program).expect("cfg");
+            let pc = cfg.label(&case.label).expect("label");
+            let r = check_reachability_with(
+                &cfg,
+                &[pc],
+                algo,
+                SolveOptions::with_strategy(Strategy::Worklist),
+            )
+            .unwrap_or_else(|e| panic!("{}: {e}", case.name));
+            for (g, w) in got.iter_mut().zip(exact_work(&r.stats)) {
+                *g += w;
+            }
+        }
+        assert_eq!(got, want, "{algo}: [reevals, ordered reevals, recompilations, nodes built]");
+    }
+
+    let merged = merge(&bluetooth(1, 1)).expect("merge");
+    let targets = vec![merged.cfg.label(&adder_err_label(0)).expect("ERR label")];
+    let wl =
+        check_merged_with(&merged, &targets, 2, SolveOptions::with_strategy(Strategy::Worklist))
+            .expect("worklist");
+    assert_eq!(
+        exact_work(&wl.stats),
+        [17, 0, 82, 21_162],
+        "bluetooth(1, 1) at 2 switches: [reevals, ordered reevals, recompilations, nodes built]"
     );
 }

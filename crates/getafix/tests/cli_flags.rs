@@ -1,15 +1,23 @@
 //! The CLI's flag contract, checked against the built binary: a `--flag`
-//! the verb does not read exits 2 and names the flag and the verb before
-//! any work starts, and every flag `getafix help` lists for a verb is
-//! accepted by that verb.
+//! the verb does not read, a repeated flag and a value flag without its
+//! value exit 2 and name the flag and the verb before any work starts,
+//! and every flag `getafix help` lists for a verb is accepted by that
+//! verb.
 
+use std::path::Path;
 use std::process::{Command, Output};
 
 const DOUBLE_LOCK: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/double_lock.bp");
 const HANDSHAKE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/handshake.cbp");
 
+/// Runs the binary in Cargo's temporary directory for this test target,
+/// so a flag mistaken for an output path creates its file there.
 fn getafix(args: &[&str]) -> Output {
-    Command::new(env!("CARGO_BIN_EXE_getafix")).args(args).output().expect("the binary runs")
+    Command::new(env!("CARGO_BIN_EXE_getafix"))
+        .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .output()
+        .expect("the binary runs")
 }
 
 /// The `getafix: …` error line (the usage text follows it on stderr).
@@ -19,24 +27,51 @@ fn error_line(out: &Output) -> String {
 
 #[test]
 fn unknown_flags_exit_2_naming_flag_and_verb() {
-    let cases: &[(&[&str], &str)] = &[
-        (&["check", DOUBLE_LOCK, "--label", "DOUBLE_LOCK", "--jobs", "2"], "--jobs"),
-        (&["check", DOUBLE_LOCK, "--label", "DOUBLE_LOCK", "--timout", "1"], "--timout"),
+    const UNKNOWN: &str = "unknown flag";
+    const REPEATED: &str = "repeated flag";
+    const NO_VALUE: &str = "missing value for flag";
+    let stray = Path::new(env!("CARGO_TARGET_TMPDIR")).join("--stats");
+    let _ = std::fs::remove_file(&stray);
+    let cases: &[(&[&str], &str, &str)] = &[
+        (&["check", DOUBLE_LOCK, "--label", "DOUBLE_LOCK", "--jobs", "2"], UNKNOWN, "--jobs"),
+        (&["check", DOUBLE_LOCK, "--label", "DOUBLE_LOCK", "--timout", "1"], UNKNOWN, "--timout"),
         (
             &["check-conc", HANDSHAKE, "--label", "t0__HIT", "--switches", "2", "--jobs", "2"],
+            UNKNOWN,
             "--jobs",
         ),
-        (&["inspect", DOUBLE_LOCK, "--jobs", "2"], "--jobs"),
-        (&["emit-mu", DOUBLE_LOCK, "--stats"], "--stats"),
+        (&["inspect", DOUBLE_LOCK, "--jobs", "2"], UNKNOWN, "--jobs"),
+        (&["emit-mu", DOUBLE_LOCK, "--stats"], UNKNOWN, "--stats"),
+        (
+            &["check", DOUBLE_LOCK, "--label", "DOUBLE_LOCK", "--trace-out", "--stats"],
+            NO_VALUE,
+            "--trace-out",
+        ),
+        (&["check", DOUBLE_LOCK, "--label", "DOUBLE_LOCK", "--strategy"], NO_VALUE, "--strategy"),
+        (
+            &[
+                "check",
+                DOUBLE_LOCK,
+                "--label",
+                "DOUBLE_LOCK",
+                "--strategy",
+                "worklist",
+                "--strategy",
+                "bogus",
+            ],
+            REPEATED,
+            "--strategy",
+        ),
     ];
-    for (args, flag) in cases {
+    for (args, problem, flag) in cases {
         let out = getafix(args);
         let line = error_line(&out);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {line}");
-        assert!(line.contains(&format!("unknown flag `{flag}`")), "{args:?}: {line}");
+        assert!(line.contains(&format!("{problem} `{flag}`")), "{args:?}: {line}");
         assert!(line.contains(&format!("`{}`", args[0])), "{args:?} must name the verb: {line}");
         assert!(out.stdout.is_empty(), "{args:?} ran before rejecting the flag");
     }
+    assert!(!stray.exists(), "`--trace-out --stats` wrote a trace to a file named `--stats`");
 }
 
 /// Every `--flag` the usage block of `getafix help` lists, per verb.

@@ -44,7 +44,7 @@ impl<'a> CompileCtx<'a> {
 
     /// As [`CompileCtx::new`], but resuming binder numbering at `offset` —
     /// for compiling a top-level disjunct in isolation (the worklist
-    /// engine's semi-naive path).
+    /// engine's disjunct-level recompilation).
     pub(crate) fn with_binder_offset(
         manager: &'a mut Manager,
         system: &'a System,

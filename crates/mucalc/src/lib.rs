@@ -11,11 +11,11 @@
 //!   *input* relations (the compiled program templates) and Boolean queries;
 //! * [`Solver`]: two evaluation [`Strategy`]s over the same equations —
 //!   the default demand-driven **worklist engine** (SCC stratification,
-//!   change-driven chaotic iteration, semi-naive disjunct propagation; see
-//!   `worklist.rs`/`deps.rs`) and the paper's `Evaluate(R, Eq)`
-//!   operational semantics (§3) as the **round-robin** reference, which
-//!   also gives meaning to **non-monotone** systems such as the optimized
-//!   entry-forward algorithm (§4.3);
+//!   change-driven iteration that recompiles only the disjuncts whose
+//!   reads changed; see `worklist.rs`/`deps.rs`) and the paper's
+//!   `Evaluate(R, Eq)` operational semantics (§3) as the **round-robin**
+//!   reference, which also gives meaning to **non-monotone** systems such
+//!   as the optimized entry-forward algorithm (§4.3);
 //! * a MUCKE-flavoured concrete syntax: [`parse_system`] and a
 //!   pretty-printer that round-trips with it.
 //!

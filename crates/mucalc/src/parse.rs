@@ -19,6 +19,9 @@
 //! A quantifier body extends as far right as possible (to the closing
 //! parenthesis or the end of the statement). Comments are `//` to end of
 //! line or `/* ... */`.
+//!
+//! Nesting — parentheses, negations, quantifier bodies, the right operand
+//! of `->` and struct field types — is bounded at [`MAX_NESTING`] levels.
 
 use crate::ast::{CmpOp, Formula, Term};
 use crate::system::{System, SystemBuilder, SystemError};
@@ -59,7 +62,7 @@ impl From<SystemError> for ParseError {
 /// mismatches).
 pub fn parse_system(src: &str) -> Result<System, ParseError> {
     let tokens = lex(src)?;
-    let mut p = Parser { tokens, pos: 0 };
+    let mut p = Parser { tokens, pos: 0, depth: 0 };
     let mut builder = System::builder();
     while !p.at_end() {
         p.parse_item(&mut builder)?;
@@ -259,12 +262,35 @@ fn lex(src: &str) -> Result<Vec<Spanned>, ParseError> {
     Ok(out)
 }
 
+/// Deepest nesting the parser accepts, the bound the `.bp` parser uses.
+/// Recursive descent turns input nesting into call-stack depth, so an
+/// unbounded parser overflows the stack on hostile input instead of
+/// returning an error. `emit-mu` output nests far less deep.
+const MAX_NESTING: usize = 100;
+
 struct Parser {
     tokens: Vec<Spanned>,
     pos: usize,
+    /// Current nesting depth; see [`Parser::nested`].
+    depth: usize,
 }
 
 impl Parser {
+    /// Runs `parse` one nesting level deeper, rejecting input nested past
+    /// [`MAX_NESTING`] levels.
+    fn nested<T>(
+        &mut self,
+        parse: impl FnOnce(&mut Self) -> Result<T, ParseError>,
+    ) -> Result<T, ParseError> {
+        if self.depth == MAX_NESTING {
+            return Err(self.err(format!("nesting deeper than {MAX_NESTING} levels")));
+        }
+        self.depth += 1;
+        let result = parse(self);
+        self.depth -= 1;
+        result
+    }
+
     fn at_end(&self) -> bool {
         self.pos >= self.tokens.len()
     }
@@ -384,7 +410,7 @@ impl Parser {
             loop {
                 let fname = self.expect_ident()?;
                 self.expect(&Tok::Colon)?;
-                let fty = self.parse_type()?;
+                let fty = self.nested(Self::parse_type)?;
                 fields.push((fname, fty));
                 if matches!(self.peek(), Some(Tok::Comma)) {
                     self.pos += 1;
@@ -420,7 +446,7 @@ impl Parser {
     }
 
     fn parse_formula(&mut self) -> Result<Formula, ParseError> {
-        self.parse_iff()
+        self.nested(Self::parse_iff)
     }
 
     fn parse_iff(&mut self) -> Result<Formula, ParseError> {
@@ -438,7 +464,7 @@ impl Parser {
         if matches!(self.peek(), Some(Tok::Arrow)) {
             self.pos += 1;
             // Right-associative.
-            let rhs = self.parse_implies()?;
+            let rhs = self.nested(Self::parse_implies)?;
             Ok(Formula::Implies(Box::new(lhs), Box::new(rhs)))
         } else {
             Ok(lhs)
@@ -466,7 +492,7 @@ impl Parser {
     fn parse_unary(&mut self) -> Result<Formula, ParseError> {
         if matches!(self.peek(), Some(Tok::Not)) {
             self.pos += 1;
-            let f = self.parse_unary()?;
+            let f = self.nested(Self::parse_unary)?;
             return Ok(Formula::Not(Box::new(f)));
         }
         if matches!(self.peek(), Some(Tok::Ident(s)) if s == "exists" || s == "forall") {

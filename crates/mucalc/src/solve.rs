@@ -23,19 +23,21 @@
 //!
 //! The default strategy (see `worklist.rs` for the engine and `deps.rs` for
 //! the dependency analysis) stratifies the system into SCCs of the
-//! relation-dependency graph and solves them dependencies-first:
+//! relation-dependency graph and solves them dependencies-first. One
+//! evaluation step serves every schedule: it recompiles only the top-level
+//! disjuncts never compiled or whose reads changed version since their
+//! last compilation.
 //!
-//! * non-recursive relations are evaluated **exactly once**;
-//! * monotone recursive components run chaotic iteration from a worklist,
-//!   re-evaluating a relation only when something it reads has changed, and
-//!   re-compiling only the top-level disjuncts that mention a changed
-//!   relation (semi-naive propagation);
+//! * monotone components run chaotic iteration from a worklist,
+//!   re-evaluating a relation only when something it reads has changed and
+//!   OR-accumulating the recompiled disjuncts; a non-recursive relation
+//!   reads nothing in its component, so it is evaluated **exactly once**;
 //! * non-monotone components fitting the §4.3 **frontier pattern**
 //!   ([`crate::DepGraph::ordered_plan`]) run an *ordered change-driven
-//!   schedule* that reproduces the nested §3 round sequence exactly while
-//!   recompiling only disjuncts whose reads changed; the rest are routed
-//!   to the nested §3 semantics above, with already-solved outer strata
-//!   memoized.
+//!   schedule* that reproduces the nested §3 round sequence exactly,
+//!   reusing the cached value of every disjunct whose reads did not
+//!   change; the rest are routed to the nested §3 semantics above, with
+//!   already-solved outer strata memoized.
 //!
 //! **When do the strategies agree?** On every component that is monotone
 //! (all intra-component applications positive), both compute the unique
@@ -122,7 +124,8 @@ pub enum Strategy {
     /// Kept as the executable reference the fast path is tested against.
     RoundRobin,
     /// Dependency-ordered worklist iteration (the default): SCC strata,
-    /// change-driven re-evaluation, semi-naive disjunct propagation.
+    /// change-driven re-evaluation that recompiles only the disjuncts whose
+    /// reads changed.
     /// Non-monotone frontier-pattern components run an ordered
     /// change-driven schedule (exact w.r.t. the reference rounds); other
     /// non-monotone components fall back to the round-robin semantics.
@@ -277,7 +280,7 @@ pub struct SccStats {
 
 impl SccStats {
     /// The schedule the worklist engine uses for this component:
-    /// `"once"` (non-recursive), `"chaotic"` (monotone semi-naive),
+    /// `"once"` (non-recursive), `"chaotic"` (monotone, accumulating),
     /// `"ordered"` (§4.3 frontier-pattern change-driven) or `"nested"`
     /// (the §3 reference fallback). `ordered` is only known after the
     /// component has been solved; before that, non-monotone recursive
@@ -296,7 +299,7 @@ impl SccStats {
 }
 
 /// Work attributed to one top-level disjunct of a relation body — the
-/// granularity the semi-naive engine recompiles at, hence the right unit
+/// granularity the worklist engine recompiles at, hence the right unit
 /// for answering "which part of which body is eating the solve".
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct DisjunctStats {
@@ -652,13 +655,13 @@ impl Solver {
     /// [`SolveOptions::record_provenance`]).
     ///
     /// Snapshots are ⊆-increasing and the last one equals the final
-    /// interpretation. The **rank property** witness extraction relies on:
+    /// interpretation; a relation that never leaves `⊥` records none. The **rank property** witness extraction relies on:
     /// a tuple first appearing in snapshot `i` is derivable (by one
     /// application of the relation's body) from tuples that already appear
     /// in snapshots `< i` — under the round-robin semantics because round
     /// `i` is computed from round `i - 1`'s value, under the worklist
     /// strategy for *single-member* monotone components because each
-    /// semi-naive delta is compiled against the previously recorded value,
+    /// accumulated delta is compiled against the previously recorded value,
     /// and under the ordered non-monotone schedule because it reproduces
     /// the reference round sequence exactly. (For multi-member monotone
     /// components the per-relation sequences are still increasing, but
@@ -747,31 +750,21 @@ impl Solver {
         self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(ms.peak_arena_bytes);
     }
 
-    /// Garbage-collects the node arena if it has outgrown the configured
-    /// threshold, keeping exactly the live roots: input relations,
-    /// memoized interpretations and provenance snapshots, plus the
-    /// *extra* handles a running stratum still needs — member
-    /// environments, per-disjunct cache values, domain constraints,
-    /// accumulated interpretations (none between strata). The extras are
-    /// remapped in place, which is what lets `gc_threshold` fire in the
-    /// middle of a long-running SCC instead of only at its boundary. The
-    /// allocation's lazily cached domain constraints are dropped (they
-    /// rebuild on demand and re-deduplicate by hash-consing). Returns
-    /// whether a collection happened.
-    pub(crate) fn maybe_gc_with(&mut self, extras: &mut [&mut Bdd]) -> bool {
-        let Some(threshold) = self.options.gc_threshold else { return false };
-        if self.manager.stats().nodes <= threshold {
-            return false;
-        }
-        self.force_gc_with(extras);
-        true
-    }
-
-    /// Unconditional collection with extra live roots — the threshold-gated
-    /// [`Solver::maybe_gc_with`] and the node-budget degradation ladder
-    /// ([`Solver::enforce_node_budget`]) both bottom out here. Computed
-    /// caches are dropped as part of the collection.
-    pub(crate) fn force_gc_with(&mut self, extras: &mut [&mut Bdd]) {
+    /// The solver's one safe point, entered when
+    /// [`Solver::arena_over_pressure`] says so: garbage-collects the node
+    /// arena, keeping exactly the live roots — input relations, memoized
+    /// interpretations and provenance snapshots, plus the *extra* handles
+    /// a running stratum still needs (its component state; none between
+    /// strata) — then holds the arena to
+    /// [`crate::ResourceLimits::node_budget`]. The extras are remapped in
+    /// place, which is what lets a collection fire in the middle of a
+    /// long-running component instead of only at its boundary. Computed
+    /// caches are dropped, and so are the allocation's lazily cached
+    /// domain constraints (they rebuild on demand and re-deduplicate by
+    /// hash-consing). Only if the *live* set itself still exceeds the
+    /// budget does it surface [`LimitKind::NodeBudget`], with peak-arena
+    /// diagnostics in the partial stats.
+    pub(crate) fn collect(&mut self, extras: &mut [&mut Bdd]) -> Result<(), SolveError> {
         let mut roots: Vec<Bdd> = Vec::new();
         roots.extend(self.inputs.values().copied());
         roots.extend(self.evaluated.values().copied());
@@ -796,6 +789,10 @@ impl Solver {
             telemetry::counter_add("solve.gcs", 1);
             telemetry::gauge_set("solve.gc_pause_ms", self.manager.stats().gc_pause_ms);
         }
+        if self.options.limits.node_budget.is_some_and(|b| self.manager.stats().nodes > b) {
+            return Err(self.limit_error(LimitKind::NodeBudget));
+        }
+        Ok(())
     }
 
     /// Builds the structured limit error for `kind`: cancels the shared
@@ -809,8 +806,8 @@ impl Solver {
     }
 
     /// One poll point: checks the shared token and the deadline. Called
-    /// per re-evaluation and per governance round — must stay cheap (an
-    /// atomic load; a clock read only when a deadline is configured).
+    /// at every stratum boundary — must stay cheap (an atomic load; a
+    /// clock read only when a deadline is configured).
     pub(crate) fn check_limits(&mut self) -> Result<(), SolveError> {
         match self.options.limits.poll() {
             Ok(()) => Ok(()),
@@ -818,10 +815,11 @@ impl Solver {
         }
     }
 
-    /// Accounts one step against the global budget, then polls. The step
-    /// counter lives in the shared token, so the budget bounds the *total*
-    /// work of everything run under the same limits (solve, witness
-    /// extraction, explicit refinement).
+    /// Accounts one step against the global budget, then polls — at every
+    /// pass and round of a fixpoint iteration. The step counter lives in
+    /// the shared token, so the budget bounds the *total* work of
+    /// everything run under the same limits (solve, witness extraction,
+    /// explicit refinement).
     pub(crate) fn note_step(&mut self) -> Result<(), SolveError> {
         match self.options.limits.note_steps(1) {
             Ok(()) => Ok(()),
@@ -829,44 +827,14 @@ impl Solver {
         }
     }
 
-    /// The mid-stratum governance round the worklist engine runs where it
-    /// used to only consider GC: poll the limits, do a threshold-gated
-    /// collection, then hold the arena to the node budget.
-    pub(crate) fn govern_with(&mut self, extras: &mut [&mut Bdd]) -> Result<(), SolveError> {
-        self.check_limits()?;
-        self.maybe_gc_with(extras);
-        self.enforce_node_budget(extras)
-    }
-
-    /// Cheap pre-check for mid-loop governance: is the arena over the GC
-    /// threshold or the node budget right now? One counter read — the
-    /// ordered schedule's inner fixpoint calls this every pass and only
-    /// pays for live-root collection when it answers `true`.
+    /// Is the arena over the GC threshold or the node budget right now?
+    /// One counter read: every worklist driver asks at each pass or round
+    /// boundary and only pays for [`Solver::collect`] when it answers
+    /// `true`.
     pub(crate) fn arena_over_pressure(&self) -> bool {
         let nodes = self.manager.stats().nodes;
         self.options.gc_threshold.is_some_and(|t| nodes > t)
             || self.options.limits.node_budget.is_some_and(|b| nodes > b)
-    }
-
-    /// Node-budget enforcement with graceful degradation: when the arena
-    /// exceeds [`crate::ResourceLimits::node_budget`], first force a
-    /// collection (dropping computed caches and dead intermediates), and
-    /// only if the *live* set still exceeds the budget surface
-    /// [`LimitKind::NodeBudget`] — with peak-arena diagnostics in the
-    /// partial stats.
-    pub(crate) fn enforce_node_budget(
-        &mut self,
-        extras: &mut [&mut Bdd],
-    ) -> Result<(), SolveError> {
-        let Some(budget) = self.options.limits.node_budget else { return Ok(()) };
-        if self.manager.stats().nodes <= budget {
-            return Ok(());
-        }
-        self.force_gc_with(extras);
-        if self.manager.stats().nodes <= budget {
-            return Ok(());
-        }
-        Err(self.limit_error(LimitKind::NodeBudget))
     }
 
     /// Attributes one body compilation of `name` to the statistics.
