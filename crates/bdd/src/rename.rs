@@ -141,8 +141,15 @@ impl Manager {
     /// `f`'s support — the common case under interleaved allocation. An
     /// order-scrambling map falls back to [`Manager::rename`] followed by
     /// [`Manager::and_exists`], so the result is identical either way.
+    /// With an empty cube there is nothing to fuse: the call is a plain
+    /// [`Manager::rename`] conjoined with `g`, and skips the map's
+    /// monotonicity check.
     pub fn rename_and_exists(&mut self, f: Bdd, map: &VarMap, g: Bdd, cube: Bdd) -> Bdd {
         debug_assert!(self.is_cube(cube), "rename_and_exists: last argument must be a cube");
+        if cube.is_true() {
+            let r = self.rename(f, map);
+            return self.and(r, g);
+        }
         if map.is_identity() {
             return self.and_exists(f, g, cube);
         }
@@ -377,6 +384,28 @@ mod tests {
         let renamed = m.rename(f, &map);
         let unfused = m.and_exists(renamed, g, cube);
         assert_eq!(fused, unfused);
+    }
+
+    #[test]
+    fn rename_and_exists_with_an_empty_cube_is_rename_and() {
+        // Nothing to quantify: the call is `rename(f) ∧ g`, for monotone
+        // and order-reversing maps alike, and a plain rename when g = ⊤.
+        let mut m = Manager::new();
+        let v = m.new_vars(5);
+        let f = {
+            let a = m.var(v[0]);
+            let b = m.nvar(v[1]);
+            m.and(a, b)
+        };
+        let g = m.var(v[4]);
+        for map in
+            [VarMap::new([(v[0], v[2]), (v[1], v[3])]), VarMap::new([(v[0], v[3]), (v[1], v[2])])]
+        {
+            let renamed = m.rename(f, &map);
+            let want = m.and(renamed, g);
+            assert_eq!(m.rename_and_exists(f, &map, g, Bdd::TRUE), want);
+            assert_eq!(m.rename_and_exists(f, &map, Bdd::TRUE, Bdd::TRUE), renamed);
+        }
     }
 
     #[test]

@@ -11,10 +11,13 @@
 //!
 //! ```text
 //! cargo run --release -p getafix-bench --bin bench-report \
-//!     [-- --out PATH] [--out-fig3 PATH] [--scale N] [--bits N] [--jobs N]
-//!     [--timeout SECS] [--compare BASELINE.json] [--compare-out PATH]
-//!     [--max-wall-regress R]
+//!     [-- --out PATH] [--out-fig3 PATH] [--out-bdd PATH] [--scale N] [--bits N]
+//!     [--jobs N] [--timeout SECS] [--compare BASELINE.json] [--compare-out PATH]
+//!     [--max-wall-regress R] [--bdd-smoke] [--skip-fig3]
 //! ```
+//!
+//! Any other flag, a stray argument, or a value flag given last exits 2
+//! with the argument named.
 //!
 //! `--timeout SECS` (env fallback `GETAFIX_TIMEOUT`) puts one wall-clock
 //! deadline over the whole run: every case of every workload shares the
@@ -69,8 +72,8 @@
 
 use getafix_bench::parallel::parallel_map;
 use getafix_bench::{
-    dead_baggage_cases, flag_value, jobs_flag, parse_flag, regression_cases, slam_cases,
-    terminator_cases, SeqCase,
+    check_flags, dead_baggage_cases, flag_value, jobs_flag, parse_flag, regression_cases,
+    slam_cases, terminator_cases, SeqCase,
 };
 use getafix_boolprog::analysis::{slice, AnalysisOptions};
 use getafix_boolprog::{parse_concurrent, Cfg, Pc};
@@ -429,6 +432,24 @@ fn fig3_report(jobs: usize, limits: &ResourceLimits) -> String {
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    check_flags(
+        "bench-report",
+        &args,
+        &[
+            ("--out", true),
+            ("--out-fig3", true),
+            ("--out-bdd", true),
+            ("--bdd-smoke", false),
+            ("--skip-fig3", false),
+            ("--scale", true),
+            ("--bits", true),
+            ("--jobs", true),
+            ("--timeout", true),
+            ("--compare", true),
+            ("--compare-out", true),
+            ("--max-wall-regress", true),
+        ],
+    );
     let out_path = flag_value(&args, "--out").unwrap_or("BENCH_fig2.json");
     let fig3_path = flag_value(&args, "--out-fig3").unwrap_or("BENCH_fig3.json");
     let bdd_path = flag_value(&args, "--out-bdd").unwrap_or("BENCH_bdd.json");

@@ -22,6 +22,27 @@ pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
 }
 
+/// Checks `args` against `bin`'s accepted flags, each given with whether
+/// it takes a value. An unknown flag, a stray argument that is no flag's
+/// value, or a value flag given last is reported by name and exits 2,
+/// before any benchmark work starts.
+pub fn check_flags(bin: &str, args: &[String], accepted: &[(&str, bool)]) {
+    let mut i = 0;
+    while i < args.len() {
+        let arg = &args[i];
+        let Some(&(_, takes_value)) = accepted.iter().find(|(name, _)| name == arg) else {
+            let names: Vec<&str> = accepted.iter().map(|(name, _)| *name).collect();
+            eprintln!("{bin}: unknown flag `{arg}` (accepted: {})", names.join(" "));
+            std::process::exit(2)
+        };
+        if takes_value && i + 1 == args.len() {
+            eprintln!("{bin}: {arg} needs a value");
+            std::process::exit(2)
+        }
+        i += if takes_value { 2 } else { 1 };
+    }
+}
+
 /// Parses the value of flag `name` for binary `bin`, `default` when the
 /// flag is absent. An unparsable value is reported with the flag named
 /// and exits 2, the usage-error code of every Getafix binary, rather

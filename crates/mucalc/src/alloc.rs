@@ -380,6 +380,13 @@ impl BinderCounter {
         self.next += 1;
         inst
     }
+
+    /// Moves past `n` binders without taking them: the compiler skipped a
+    /// subformula that binds `n` variables, and later binders must still
+    /// get the instances the plan gave them.
+    pub(crate) fn skip(&mut self, n: usize) {
+        self.next += n;
+    }
 }
 
 #[cfg(test)]

@@ -1,14 +1,53 @@
 //! Compilation of formulae to BDDs.
 //!
 //! Given the current interpretation of every relation, a formula compiles to
-//! a BDD over the variables of the instances in scope. Compilation mirrors
-//! the checker's traversal exactly, so binder sequence numbers line up with
-//! the allocation plan.
+//! a BDD over the variables of the instances in scope.
+//!
+//! # One relational product per quantified conjunction
+//!
+//! The image step of every fixpoint body has the shape
+//! `∃x̄. g₁ ∧ … ∧ gₙ`, typically `∃x. Reach(x) ∧ T(x, s)`. The compiler
+//! evaluates it as one relational product (Burch, Clarke, McMillan et al.)
+//! rather than renaming the whole relation onto `x̄`, conjoining that copy
+//! with each constraint and only then quantifying:
+//!
+//! * **Fuse.** The first conjunct that applies a *fixpoint* relation is
+//!   held back. Every other conjunct is conjoined, in order, with the
+//!   binders' domain into `rest`; the held-back application then ends in
+//!   one [`Manager::rename_and_exists`] call,
+//!   `∃(x̄ ∪ scratch). rename(stored) ∧ scratch_eqs ∧ rest`. A fixpoint
+//!   relation is the one to hold back because its interpretation changes
+//!   on every pass, so a renamed copy of it is never reused from the
+//!   rename cache, whereas an input's renamed copy is. A body with a
+//!   single conjunct is the `n = 1` case; an `∃` that applies no fixpoint
+//!   relation compiles its body and quantifies it with
+//!   [`Manager::and_exists`]. Every application, fused or plain, ends in
+//!   the same kernel call; a plain one passes `g = ⊤` and an empty cube.
+//!   Where the substitution does not preserve the variable order on the
+//!   relation's support — most Bluetooth image steps, whose binder
+//!   columns sit past other formals of the same channel — the kernel
+//!   renames first and then runs one `and_exists`, so the conjunction
+//!   with the renamed copy is still never built.
+//! * **Stop at ⊥.** Once a conjunction's accumulator is ⊥, the remaining
+//!   conjuncts are not compiled, and an `∃` whose `rest` is ⊥ returns ⊥
+//!   without touching the held-back relation. Skipping never hides an
+//!   error: every caller resolves each applied relation before it
+//!   compiles (a missing input is reported up front).
+//!
+//! # Binder numbering
+//!
+//! Every quantifier binder owns an instance that the allocation plan
+//! numbers in preorder (`alloc.rs`), and the compiler takes instances
+//! from a [`BinderCounter`] in the same order. Holding an application
+//! back never reorders binders — an application binds none — and a
+//! skipped conjunct advances the counter by its
+//! [`Formula::binder_count`], so every later binder still gets the
+//! instance the plan gave it.
 
 use crate::alloc::{eq_const, eq_vars, lt_const, lt_vars, Allocation, BinderCounter, Instance};
 use crate::ast::{CmpOp, Formula, Term};
 use crate::solve::SolveError;
-use crate::system::System;
+use crate::system::{RelationKind, System};
 use getafix_bdd::{Bdd, Manager, Var, VarMap};
 use std::collections::BTreeMap;
 
@@ -107,21 +146,12 @@ impl<'a> CompileCtx<'a> {
                 Ok(self.manager.var(vars[0]))
             }
             Formula::Cmp(a, op, b) => self.compile_cmp(a, *op, b),
-            Formula::App(name, args) => self.compile_app(name, args),
+            Formula::App(name, args) => self.compile_app(name, args, Bdd::TRUE, Bdd::TRUE),
             Formula::Not(g) => {
                 let x = self.compile(g)?;
                 Ok(self.manager.not(x))
             }
-            Formula::And(gs) => {
-                let mut acc = Bdd::TRUE;
-                for g in gs {
-                    // Binder numbering must visit every conjunct, so no
-                    // short-circuit skipping of subtrees with binders.
-                    let x = self.compile(g)?;
-                    acc = self.manager.and(acc, x);
-                }
-                Ok(acc)
-            }
+            Formula::And(gs) => self.conjoin(Bdd::TRUE, gs, None),
             Formula::Or(gs) => {
                 let mut acc = Bdd::FALSE;
                 for g in gs {
@@ -142,15 +172,16 @@ impl<'a> CompileCtx<'a> {
             }
             Formula::Exists(binders, g) => {
                 let (cube, domain) = self.enter_binders(binders)?;
-                let body = self.compile_quant_body(g, binders.len())?;
-                let r = self.manager.and_exists(domain, body, cube);
-                Ok(r)
+                let r = self.compile_exists(g, domain, cube);
+                self.leave_binders(binders.len());
+                r
             }
             Formula::Forall(binders, g) => {
                 // ∀x. φ  ≡  ¬∃x. domain(x) ∧ ¬φ
                 let (cube, domain) = self.enter_binders(binders)?;
-                let body = self.compile_quant_body(g, binders.len())?;
-                let nbody = self.manager.not(body);
+                let body = self.compile(g);
+                self.leave_binders(binders.len());
+                let nbody = self.manager.not(body?);
                 let e = self.manager.and_exists(domain, nbody, cube);
                 Ok(self.manager.not(e))
             }
@@ -176,12 +207,56 @@ impl<'a> CompileCtx<'a> {
         Ok((cube, domain))
     }
 
-    fn compile_quant_body(&mut self, g: &Formula, nbinders: usize) -> Result<Bdd, SolveError> {
-        let r = self.compile(g);
-        for _ in 0..nbinders {
-            self.scope.pop();
+    fn leave_binders(&mut self, nbinders: usize) {
+        self.scope.truncate(self.scope.len() - nbinders);
+    }
+
+    /// `acc ∧ gs[0] ∧ gs[1] ∧ …`, leaving out `gs[held]` and stopping at ⊥:
+    /// a conjunct after the accumulator turned ⊥ is not compiled, only
+    /// counted past in the binder numbering.
+    fn conjoin(
+        &mut self,
+        mut acc: Bdd,
+        gs: &[Formula],
+        held: Option<usize>,
+    ) -> Result<Bdd, SolveError> {
+        for (i, g) in gs.iter().enumerate() {
+            if Some(i) == held {
+                continue;
+            }
+            if acc.is_false() {
+                self.counter.skip(g.binder_count());
+                continue;
+            }
+            let x = self.compile(g)?;
+            acc = self.manager.and(acc, x);
         }
-        r
+        Ok(acc)
+    }
+
+    /// The body of `∃x̄. g` with the binders in scope: one relational
+    /// product that applies the first fixpoint relation among `g`'s
+    /// conjuncts last (see the module docs).
+    fn compile_exists(&mut self, g: &Formula, domain: Bdd, cube: Bdd) -> Result<Bdd, SolveError> {
+        let conjuncts = match g {
+            Formula::And(gs) => gs.as_slice(),
+            other => std::slice::from_ref(other),
+        };
+        let held = conjuncts.iter().position(|c| match c {
+            Formula::App(name, _) => {
+                self.system.relation(name).is_some_and(|r| r.kind == RelationKind::Fixpoint)
+            }
+            _ => false,
+        });
+        let Some(Formula::App(name, args)) = held.map(|k| &conjuncts[k]) else {
+            let body = self.conjoin(Bdd::TRUE, conjuncts, None)?;
+            return Ok(self.manager.and_exists(domain, body, cube));
+        };
+        let rest = self.conjoin(domain, conjuncts, held)?;
+        if rest.is_false() {
+            return Ok(Bdd::FALSE);
+        }
+        self.compile_app(name, args, rest, cube)
     }
 
     fn compile_cmp(&mut self, a: &Term, op: CmpOp, b: &Term) -> Result<Bdd, SolveError> {
@@ -252,10 +327,19 @@ impl<'a> CompileCtx<'a> {
         }
     }
 
-    /// Relation application: rename the stored interpretation from the
-    /// formals onto the argument variables. Duplicate argument targets are
-    /// routed through scratch columns.
-    fn compile_app(&mut self, name: &str, args: &[Term]) -> Result<Bdd, SolveError> {
+    /// Relation application `∃cube. name(args) ∧ g`: the stored
+    /// interpretation is renamed from the formals onto the argument
+    /// variables, conjoined with `g` and quantified over `cube`, in one
+    /// kernel call. Constant and duplicate arguments are routed through
+    /// scratch columns, whose equalities join `g` and whose variables join
+    /// `cube`. A plain application passes `g = ⊤` and an empty cube.
+    fn compile_app(
+        &mut self,
+        name: &str,
+        args: &[Term],
+        g: Bdd,
+        cube: Bdd,
+    ) -> Result<Bdd, SolveError> {
         let stored = *self
             .interp
             .get(name)
@@ -318,23 +402,20 @@ impl<'a> CompileCtx<'a> {
         }
 
         let map = VarMap::new(pairs);
-        if scratch_eqs.is_empty() {
-            return Ok(self.manager.rename(stored, &map));
-        }
-        let mut cube_vars = Vec::new();
+        let mut scratch_vars = Vec::new();
         let mut eqs = Bdd::TRUE;
         for (svars, target) in &scratch_eqs {
-            cube_vars.extend(svars.iter().copied());
+            scratch_vars.extend(svars.iter().copied());
             let eq = match target {
                 ScratchTarget::Vars(t) => eq_vars(self.manager, svars, t),
                 ScratchTarget::Const(v) => eq_const(self.manager, svars, *v),
             };
             eqs = self.manager.and(eqs, eq);
         }
-        let cube = self.manager.cube(&cube_vars);
-        // One fused image step: the renamed relation is never materialized
-        // before the scratch equalities shrink it.
-        Ok(self.manager.rename_and_exists(stored, &map, eqs, cube))
+        let g = self.manager.and(g, eqs);
+        let scratch_cube = self.manager.cube(&scratch_vars);
+        let cube = self.manager.and(cube, scratch_cube);
+        Ok(self.manager.rename_and_exists(stored, &map, g, cube))
     }
 
     fn take_scratch(

@@ -86,7 +86,7 @@ pub use solve::{
 };
 pub use system::{Query, RelationDef, RelationKind, System, SystemBuilder, SystemError};
 pub use topology::{check_depgraph_dot, depgraph_dot, depgraph_json};
-pub use types::{range_width, Leaf, Type, TypeError, TypeTable};
+pub use types::{range_width, Leaf, Type, TypeError, TypeTable, MAX_TYPE_BITS};
 
 // Re-export the substrate types users need to build input relations.
 pub use getafix_bdd::{Bdd, Manager, Var, VarMap};

@@ -355,11 +355,16 @@ impl Parser {
 
     fn parse_item(&mut self, builder: &mut SystemBuilder) -> Result<(), ParseError> {
         if self.eat_keyword("type") {
+            let (line, col) = self.here();
             let name = self.expect_ident()?;
             self.expect(&Tok::Eq)?;
             let ty = self.parse_type()?;
             self.expect(&Tok::Semi)?;
-            builder.declare_type(name, ty)?;
+            builder.declare_type(name, ty).map_err(|e| ParseError {
+                message: e.to_string(),
+                line,
+                col,
+            })?;
             Ok(())
         } else if self.eat_keyword("input") {
             let name = self.expect_ident()?;

@@ -73,6 +73,8 @@ pub enum TypeError {
     Degenerate(String),
     /// A struct has two fields with the same name.
     DuplicateField { ty: String, field: String },
+    /// A type wider than [`MAX_TYPE_BITS`] bits.
+    TooWide(String),
 }
 
 impl fmt::Display for TypeError {
@@ -84,6 +86,7 @@ impl fmt::Display for TypeError {
             TypeError::DuplicateField { ty, field } => {
                 write!(f, "duplicate field `{field}` in type `{ty}`")
             }
+            TypeError::TooWide(n) => write!(f, "type `{n}` is wider than {MAX_TYPE_BITS} bits"),
         }
     }
 }
@@ -104,6 +107,12 @@ pub struct Leaf {
     /// `Some(n)` when the leaf is a `range n` value (domain constraint).
     pub bound: Option<u64>,
 }
+
+/// The widest type [`TypeTable::declare`] accepts, in bits. Every bit of
+/// a type becomes one BDD variable per instance of it, so an unbounded
+/// width turns a one-line declaration into an allocation the solver cannot
+/// make. The widest shipped or benchmark system declares 66 bits.
+pub const MAX_TYPE_BITS: u32 = 1 << 14;
 
 /// The table of declared types.
 #[derive(Debug, Clone, Default)]
@@ -132,15 +141,20 @@ impl TypeTable {
     /// # Errors
     ///
     /// Returns [`TypeError::Duplicate`] if the name is taken,
-    /// [`TypeError::Unknown`] if `ty` references an undeclared name, and
+    /// [`TypeError::Unknown`] if `ty` references an undeclared name,
     /// [`TypeError::Degenerate`] for empty shapes (`range 0`, `bits 0`,
-    /// empty structs).
+    /// empty structs), and [`TypeError::TooWide`] for a type wider than
+    /// [`MAX_TYPE_BITS`].
     pub fn declare(&mut self, name: impl Into<String>, ty: Type) -> Result<(), TypeError> {
         let name = name.into();
         if self.decls.contains_key(&name) {
             return Err(TypeError::Duplicate(name));
         }
         self.validate(&name, &ty)?;
+        let mut bits = 0u64;
+        if !self.add_width(&ty, &mut bits) {
+            return Err(TypeError::TooWide(name));
+        }
         self.order.push(name.clone());
         self.decls.insert(name, ty);
         Ok(())
@@ -187,6 +201,22 @@ impl TypeTable {
                 Ok(())
             }
         }
+    }
+
+    /// Adds the width of the validated type `ty` to `bits`; `false` as soon
+    /// as the sum passes [`MAX_TYPE_BITS`]. Every leaf adds at least one
+    /// bit, so at most `MAX_TYPE_BITS + 1` leaves are visited.
+    fn add_width(&self, ty: &Type, bits: &mut u64) -> bool {
+        match ty {
+            Type::Bool => *bits += 1,
+            Type::Range(n) => *bits += u64::from(range_width(*n)),
+            Type::Bits(n) => *bits += u64::from(*n),
+            Type::Named(n) => return self.get(n).is_some_and(|t| self.add_width(t, bits)),
+            Type::Struct(fields) => {
+                return fields.iter().all(|(_, f)| self.add_width(f, bits));
+            }
+        }
+        *bits <= u64::from(MAX_TYPE_BITS)
     }
 
     /// Looks up a declared type.
@@ -378,6 +408,28 @@ mod tests {
         assert!(matches!(t.declare("Z", Type::Range(0)), Err(TypeError::Degenerate(_))));
         assert!(matches!(t.declare("W", Type::Bits(0)), Err(TypeError::Degenerate(_))));
         assert!(matches!(t.declare("S", Type::Struct(vec![])), Err(TypeError::Degenerate(_))));
+    }
+
+    #[test]
+    fn too_wide_rejected() {
+        let mut t = TypeTable::new();
+        t.declare("Max", Type::Bits(MAX_TYPE_BITS)).unwrap();
+        assert_eq!(t.declare("S", Type::Bits(4_000_000_000)), Err(TypeError::TooWide("S".into())));
+        let pair = Type::Struct(vec![("a".into(), Type::named("Max")), ("b".into(), Type::Bool)]);
+        assert_eq!(t.declare("Pair", pair), Err(TypeError::TooWide("Pair".into())));
+        // Doubling through named structs stops at the bound.
+        t.declare("T0", Type::Bits(64)).unwrap();
+        let mut last = 0;
+        for i in 1..20 {
+            let prev = Type::named(format!("T{}", i - 1));
+            let ty = Type::Struct(vec![("a".into(), prev.clone()), ("b".into(), prev)]);
+            if t.declare(format!("T{i}"), ty).is_err() {
+                break;
+            }
+            last = i;
+        }
+        assert_eq!(t.width(&Type::named(format!("T{last}"))).unwrap(), 64 << last);
+        assert!(64 << (last + 1) > MAX_TYPE_BITS);
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //! shape a truncated or hand-edited file actually has). The tests only
 //! parse: solving is out of scope here.
 
-use getafix_mucalc::{parse_system, ParseError};
+use getafix_mucalc::{
+    parse_system, ParseError, System, SystemError, Type, TypeError, MAX_TYPE_BITS,
+};
 use proptest::prelude::*;
 
 fn parse(src: &str) -> Result<(), ParseError> {
@@ -175,4 +177,23 @@ fn deep_nesting_is_a_parse_error() {
     // The bound is generous: moderately nested input still parses.
     let shallow = format!("{HEADER}query q := {}true{};", "(".repeat(50), ")".repeat(50));
     parse(&shallow).expect("50 nested parens parse");
+}
+
+/// A declared type's width is bounded: `bits 4000000000` used to parse and
+/// then abort the solver on a 48 GB variable allocation. It is now a
+/// positioned parse error, and the builder refuses it with a type error.
+#[test]
+fn overwide_type_is_a_positioned_error() {
+    let src = "type PC = range 15;\n  type S = bits 4000000000;\n";
+    let err = parse(src).expect_err("4e9 bits");
+    assert!(err.message.contains("wider than"), "{err}");
+    assert_eq!((err.line, err.col), (2, 8), "{err}");
+    let max = format!("type S = bits {MAX_TYPE_BITS};");
+    parse(&max).expect("the bound itself is accepted");
+
+    let mut b = System::builder();
+    assert!(matches!(
+        b.declare_type("S", Type::Bits(4_000_000_000)),
+        Err(SystemError::Types(TypeError::TooWide(n))) if n == "S"
+    ));
 }
