@@ -12,16 +12,12 @@
 //! cargo run --release -p getafix-bench --bin ablation_conc [-- --max-k K]
 //! ```
 
-use getafix_bench::run_fig3_config;
+use getafix_bench::{check_flags, parse_flag, run_fig3_config};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let max_k: usize = args
-        .iter()
-        .position(|a| a == "--max-k")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(5);
+    check_flags("ablation_conc", &args, &[("--max-k", true)]);
+    let max_k: usize = parse_flag("ablation_conc", &args, "--max-k", 5);
 
     println!("E6 — global-copy economy of the §5 formulation (Bluetooth, 2 adders + 2 stoppers)\n");
     let (merged, rows) = run_fig3_config(2, 2, max_k);

@@ -11,18 +11,15 @@
 //! cargo run --release -p getafix-bench --bin ablation_seq [-- --bits N]
 //! ```
 
+use getafix_bench::{check_flags, parse_flag};
 use getafix_boolprog::Cfg;
 use getafix_core::{check_reachability, Algorithm};
 use getafix_workloads::{driver, terminator, DeadStyle, DriverSpec, TerminatorVariant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let bits: usize = args
-        .iter()
-        .position(|a| a == "--bits")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(4);
+    check_flags("ablation_seq", &args, &[("--bits", true)]);
+    let bits: usize = parse_flag("ablation_seq", &args, "--bits", 4);
 
     println!(
         "E7 — return-clause rewrite (split vs naive), Terminator workloads, {bits}-bit counters\n"

@@ -10,18 +10,23 @@
 //! which engine wins where, and by what rough factor — is the result.
 
 use getafix_bench::{
-    print_fig2_header, print_fig2_row, regression_cases, run_fig2_row, slam_cases, terminator_cases,
+    check_flags, flag_value, parse_flag, print_fig2_header, print_fig2_row, regression_cases,
+    run_fig2_row, slam_cases, terminator_cases,
 };
 
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
-}
+/// The values `--suite` accepts.
+const SUITES: [&str; 4] = ["all", "regression", "slam", "terminator"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let suite = flag_value(&args, "--suite").unwrap_or_else(|| "all".into());
-    let scale: usize = flag_value(&args, "--scale").and_then(|s| s.parse().ok()).unwrap_or(1);
-    let bits: usize = flag_value(&args, "--bits").and_then(|s| s.parse().ok()).unwrap_or(4);
+    check_flags("fig2", &args, &[("--suite", true), ("--scale", true), ("--bits", true)]);
+    let suite = flag_value(&args, "--suite").unwrap_or("all");
+    if !SUITES.contains(&suite) {
+        eprintln!("fig2: unknown --suite `{suite}` (accepted: {})", SUITES.join(" "));
+        std::process::exit(2);
+    }
+    let scale: usize = parse_flag("fig2", &args, "--scale", 1);
+    let bits: usize = parse_flag("fig2", &args, "--bits", 4);
 
     println!("Figure 2 — sequential reachability (averages per suite)");
     println!("driver scale = {scale}, terminator counter bits = {bits}\n");

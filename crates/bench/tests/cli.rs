@@ -1,6 +1,7 @@
 //! The bench binaries refuse bad arguments — an unparsable numeric flag,
-//! an unknown flag, a stray argument, a value flag without its value —
-//! with exit 2 and the argument named, before any benchmark work starts.
+//! an unknown flag or `--suite`, a stray argument, a value flag without
+//! its value — with exit 2 and the argument named, before any benchmark
+//! work starts.
 
 use std::process::Command;
 
@@ -22,8 +23,15 @@ fn assert_rejected(cases: &[(&str, &[&str], &str)]) {
 #[test]
 fn unparsable_numeric_flags_exit_2() {
     let bench_report = env!("CARGO_BIN_EXE_bench-report");
+    let fig2 = env!("CARGO_BIN_EXE_fig2");
     let fig3 = env!("CARGO_BIN_EXE_fig3");
+    let ablation_seq = env!("CARGO_BIN_EXE_ablation_seq");
+    let ablation_conc = env!("CARGO_BIN_EXE_ablation_conc");
     assert_rejected(&[
+        (fig2, &["--scale", "abc"], "--scale"),
+        (fig2, &["--bits", "x"], "--bits"),
+        (ablation_seq, &["--bits", "abc"], "--bits"),
+        (ablation_conc, &["--max-k", "abc"], "--max-k"),
         (bench_report, &["--scale", "abc"], "--scale"),
         (bench_report, &["--bits", "abc"], "--bits"),
         (bench_report, &["--jobs", "many"], "--jobs"),
@@ -36,8 +44,17 @@ fn unparsable_numeric_flags_exit_2() {
 #[test]
 fn unknown_flags_and_stray_arguments_exit_2() {
     let bench_report = env!("CARGO_BIN_EXE_bench-report");
+    let fig2 = env!("CARGO_BIN_EXE_fig2");
     let fig3 = env!("CARGO_BIN_EXE_fig3");
+    let ablation_seq = env!("CARGO_BIN_EXE_ablation_seq");
+    let ablation_conc = env!("CARGO_BIN_EXE_ablation_conc");
     assert_rejected(&[
+        (fig2, &["--bogus"], "--bogus"),
+        (fig2, &["--suite", "bogus"], "unknown --suite `bogus` (accepted: all regression slam"),
+        (fig2, &["--suite"], "--suite"),
+        (ablation_seq, &["--bogus"], "--bogus"),
+        (ablation_conc, &["--bogus"], "--bogus"),
+        (ablation_conc, &["--max-k", "2", "stray"], "stray"),
         (bench_report, &["--bogus-flag"], "--bogus-flag"),
         (bench_report, &["--bdd-smoke", "--skip-fig2"], "--skip-fig2"),
         (bench_report, &["--scale", "1", "stray"], "stray"),

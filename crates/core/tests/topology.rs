@@ -66,10 +66,11 @@ fn topology_report_agrees_with_the_dep_graph() {
             // Ground truth, re-derived from the dependency graph itself:
             // member names per SCC and the SCC-level edge set.
             let deps = solver.deps();
+            let relations = solver.system().relations();
             let truth_members: Vec<BTreeSet<String>> = deps
                 .sccs()
                 .iter()
-                .map(|scc| scc.members.iter().map(|&i| deps.name(i).to_string()).collect())
+                .map(|scc| scc.members.iter().map(|&i| relations[i].name.clone()).collect())
                 .collect();
             let truth_edges: Vec<BTreeSet<usize>> = deps
                 .sccs()

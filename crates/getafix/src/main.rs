@@ -21,7 +21,7 @@
 //! value are errors (exit 2), never silently ignored.
 
 use getafix::boolprog::analysis::{lint as lint_cfg, slice as slice_cfg, AnalysisOptions};
-use getafix::boolprog::SliceStats;
+use getafix::boolprog::{ParseError, SliceStats};
 use getafix::conc::{slice_merged, ConcError, ConcLimits};
 use getafix::lint::{has_warnings, render_json, render_table};
 use getafix::prelude::*;
@@ -46,13 +46,16 @@ enum Outcome {
     /// A resource bound tripped — deadline, memory budget, or Ctrl-C —
     /// and the run stopped cooperatively with partial statistics (exit 3).
     ResourceExhausted,
+    /// `lint --deny` found a warning (exit 1, so CI can gate on a clean
+    /// corpus).
+    LintDenied,
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(Outcome::Unreachable) | Ok(Outcome::NoVerdict) => ExitCode::SUCCESS,
-        Ok(Outcome::Reachable) => ExitCode::from(1),
+        Ok(Outcome::Reachable) | Ok(Outcome::LintDenied) => ExitCode::from(1),
         Ok(Outcome::ResourceExhausted) => ExitCode::from(3),
         Err(msg) => {
             eprintln!("getafix: {msg}");
@@ -613,7 +616,8 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 let mut span = telemetry::span(Phase::Parse, "parse");
                 span.attr("file", path.as_str());
                 let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                let program = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
+                let program =
+                    parse_program(&src).map_err(|e| parse_error(path, &src, "check", e))?;
                 Cfg::build(&program).map_err(|e| e.to_string())?
             };
             // `--slice`: solve the verdict-preserving slice instead. The
@@ -668,7 +672,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             let algo = parse_algo(algo_name)?;
             let options = parse_solve_options(args)?;
             let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let program = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
+            let program = parse_program(&src).map_err(|e| parse_error(path, &src, "inspect", e))?;
             let cfg = Cfg::build(&program).map_err(|e| e.to_string())?;
             // A target label sharpens the statistics but is not needed for
             // the topology — the dependency graph is a property of the
@@ -714,7 +718,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
                 let mut span = telemetry::span(Phase::Parse, "parse");
                 span.attr("file", path.as_str());
                 let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-                parse_concurrent(&src).map_err(|e| format!("{path}: {e}"))?
+                parse_concurrent(&src).map_err(|e| parse_error(path, &src, "check-conc", e))?
             };
             let merged = merge(&conc).map_err(|e| e.to_string())?;
             let mut pc = merged.cfg.label(label).ok_or_else(|| format!("no label `{label}`"))?;
@@ -858,7 +862,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             // `--deny` maps warnings onto exit 1 so CI can gate on a clean
             // corpus; info findings never fail the run.
             Ok(if has_flag(args, "--deny") && has_warnings(&findings) {
-                Outcome::Reachable
+                Outcome::LintDenied
             } else {
                 Outcome::NoVerdict
             })
@@ -867,7 +871,7 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             let path = args.get(1).ok_or("missing input file")?;
             let algo = parse_algo(flag_value(args, "--algo").unwrap_or("ef-opt"))?;
             let src = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-            let program = parse_program(&src).map_err(|e| format!("{path}: {e}"))?;
+            let program = parse_program(&src).map_err(|e| parse_error(path, &src, "emit-mu", e))?;
             let cfg = Cfg::build(&program).map_err(|e| e.to_string())?;
             let system = emit_system(&cfg, algo).map_err(|e: AnalysisError| e.to_string())?;
             println!("{system}");
@@ -878,6 +882,25 @@ fn run(args: &[String]) -> Result<Outcome, String> {
             Ok(Outcome::NoVerdict)
         }
         other => Err(format!("unknown command `{other}`")),
+    }
+}
+
+/// The message for `verb`'s parse error `e` in file `path`. When `src`
+/// is a program of the other kind — concurrent for a sequential verb,
+/// sequential for `check-conc` — the positioned error is kept and the
+/// message adds which kind the file is and the verb that takes it.
+fn parse_error(path: &str, src: &str, verb: &str, e: ParseError) -> String {
+    let other = if verb == "check-conc" {
+        parse_program(src).is_ok().then_some(("sequential", "check"))
+    } else {
+        parse_concurrent(src).is_ok().then_some(("concurrent", "check-conc"))
+    };
+    match other {
+        Some((kind, right)) => format!(
+            "{path}: {e}; it is a {kind} program, which `getafix {right}` takes, \
+             not `getafix {verb}`"
+        ),
+        None => format!("{path}: {e}"),
     }
 }
 

@@ -2,13 +2,18 @@
 //! the verb does not read, a repeated flag and a value flag without its
 //! value exit 2 and name the flag and the verb before any work starts,
 //! and every flag `getafix help` lists for a verb is accepted by that
-//! verb.
+//! verb. Also the exit codes around them: a program of the wrong kind
+//! for its verb exits 2 naming the verb that takes it, and `lint --deny`
+//! exits 1 exactly when there is a warning.
 
 use std::path::Path;
 use std::process::{Command, Output};
 
 const DOUBLE_LOCK: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/double_lock.bp");
 const HANDSHAKE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/handshake.cbp");
+const DOUBLE_LOCK_BUG: &str =
+    concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/double_lock_bug.bp");
+const DEAD_CODE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/dead_code.bp");
 
 /// Runs the binary in Cargo's temporary directory for this test target,
 /// so a flag mistaken for an output path creates its file there.
@@ -109,5 +114,47 @@ fn every_flag_in_help_is_accepted_by_its_verb() {
         let out = getafix(&[&verb, "missing-input", &flag]);
         let line = error_line(&out);
         assert!(!line.contains("unknown flag"), "`{verb}` rejects its own `{flag}`: {line}");
+    }
+}
+
+/// A concurrent program given to a sequential verb, or a sequential one to
+/// `check-conc`, keeps its positioned parse error and exits 2; the message
+/// adds which kind of program the file is and the verb that takes it.
+#[test]
+fn a_program_of_the_other_kind_names_the_verb_that_takes_it() {
+    let concurrent = "it is a concurrent program, which `getafix check-conc` takes";
+    let sequential = "it is a sequential program, which `getafix check` takes";
+    let cases: &[(&[&str], &str)] = &[
+        (&["check", HANDSHAKE, "--label", "t0__HIT"], concurrent),
+        (&["inspect", HANDSHAKE], concurrent),
+        (&["emit-mu", HANDSHAKE], concurrent),
+        (&["check-conc", DOUBLE_LOCK, "--label", "DOUBLE_LOCK", "--switches", "2"], sequential),
+    ];
+    for (args, kind) in cases {
+        let out = getafix(args);
+        let line = error_line(&out);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {line}");
+        assert!(line.contains(": 1:1: "), "{args:?} must keep the positioned error: {line}");
+        assert!(line.contains(kind), "{args:?}: {line}");
+        assert!(line.contains(&format!("not `getafix {}`", args[0])), "{args:?}: {line}");
+    }
+}
+
+/// `lint --deny` exits 1 when a warning is found and 0 otherwise; without
+/// `--deny` findings never fail the run.
+#[test]
+fn lint_deny_exits_1_exactly_when_there_is_a_warning() {
+    let cases: &[(&[&str], i32)] = &[
+        (&["lint", DEAD_CODE, "--deny"], 1),
+        (&["lint", DEAD_CODE], 0),
+        (&["lint", DOUBLE_LOCK_BUG, "--deny"], 0),
+    ];
+    for (args, code) in cases {
+        let out = getafix(args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(*code), "{args:?}: {stdout}");
+        if args[1] == DEAD_CODE {
+            assert!(stdout.contains("5 warnings"), "{args:?}: {stdout}");
+        }
     }
 }

@@ -15,11 +15,20 @@
 //! This is the moral equivalent of the "allocation constraints" GETAFIX
 //! computes for MUCKE (§6.1 of the paper): variables that interact are
 //! placed together.
+//!
+//! Instances are numbered densely: first every relation's formals, in
+//! relation-id order ([`System::relation_id`]), then every body's binders —
+//! relation bodies by id, then query bodies — each body's in the preorder
+//! the compiler replays. So a relation's formals and a body's binders are
+//! consecutive runs of instance ids, and the compiler finds each by
+//! offset, without a name or an owner key. Names are looked up only at
+//! the public edge, [`Allocation::formal`].
 
 use crate::system::{System, SystemError};
 use crate::types::{Leaf, Type};
 use getafix_bdd::{Bdd, Manager, Var};
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use crate::ast::Formula;
 
@@ -70,23 +79,26 @@ impl Instance {
     }
 }
 
-/// Identifies who owns a binder sequence: a relation body or a query body.
-pub(crate) fn owner_rel(name: &str) -> String {
-    format!("rel:{name}")
-}
-
-pub(crate) fn owner_query(name: &str) -> String {
-    format!("query:{name}")
+/// The body a compilation takes its quantifier binders from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Body {
+    /// The defining body of the relation with this id.
+    Relation(usize),
+    /// The body of the query at this position in [`System::queries`].
+    Query(usize),
 }
 
 /// The complete variable allocation for a system.
 #[derive(Debug)]
 pub struct Allocation {
     instances: Vec<Instance>,
-    /// (relation name, param index) -> instance id.
-    formals: BTreeMap<(String, usize), usize>,
-    /// (owner, binder sequence number) -> instance id.
-    binders: BTreeMap<(String, usize), usize>,
+    /// Relation name -> relation id, for [`Allocation::formal`] only.
+    ids: BTreeMap<String, usize>,
+    /// Relation id -> the instance ids of its formals.
+    formals: Vec<Range<usize>>,
+    /// The instance id of each body's first binder: relation bodies by
+    /// id, then query bodies by position.
+    binders: Vec<usize>,
     /// channel -> scratch columns (each a `Vec<Var>` of the channel's width).
     scratch: BTreeMap<String, Vec<Vec<Var>>>,
     /// Per-instance domain constraints, built eagerly in [`Allocation::build`]
@@ -102,32 +114,29 @@ impl Allocation {
     /// Propagates type-flattening errors (which `System::build` should have
     /// already ruled out).
     pub fn build(manager: &mut Manager, system: &System) -> Result<Allocation, SystemError> {
-        let mut planner = Planner {
-            system,
-            instances: Vec::new(),
-            formals: BTreeMap::new(),
-            binders: BTreeMap::new(),
-        };
+        let mut planner = Planner { system, instances: Vec::new() };
 
         // 1. Relation formals.
+        let mut formals = Vec::with_capacity(system.relations().len());
         for rel in system.relations() {
-            for (i, (_, ty)) in rel.params.iter().enumerate() {
-                let id = planner.add_instance(ty)?;
-                planner.formals.insert((rel.name.clone(), i), id);
+            let start = planner.instances.len();
+            for (_, ty) in &rel.params {
+                planner.add_instance(ty)?;
             }
+            formals.push(start..planner.instances.len());
         }
         // 2. Quantifier binders, in the same preorder the compiler uses.
-        for rel in system.relations() {
-            if let Some(body) = &rel.body {
-                planner.scan_binders(&owner_rel(&rel.name), body)?;
+        let bodies = system.relations().iter().map(|r| r.body.as_ref());
+        let mut binders = Vec::new();
+        for body in bodies.chain(system.queries().iter().map(|q| Some(&q.body))) {
+            binders.push(planner.instances.len());
+            if let Some(body) = body {
+                planner.scan_binders(body)?;
             }
-        }
-        for q in system.queries() {
-            planner.scan_binders(&owner_query(&q.name), &q.body)?;
         }
 
         // 3. Group leaves by channel and hand out interleaved levels.
-        let Planner { instances: planned, formals, binders, .. } = planner;
+        let planned = planner.instances;
         // channel -> list of (instance id, leaf index)
         let mut channels: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
         let mut channel_order: Vec<String> = Vec::new();
@@ -179,7 +188,9 @@ impl Allocation {
             })
             .collect();
 
-        let mut alloc = Allocation { instances, formals, binders, scratch, domains: Vec::new() };
+        let ids = system.relations().iter().enumerate().map(|(i, r)| (r.name.clone(), i)).collect();
+        let mut alloc =
+            Allocation { instances, ids, formals, binders, scratch, domains: Vec::new() };
         alloc.rebuild_domains(manager);
         Ok(alloc)
     }
@@ -190,13 +201,38 @@ impl Allocation {
     ///
     /// Panics if the relation/parameter does not exist.
     pub fn formal(&self, rel: &str, i: usize) -> &Instance {
-        let id = self.formals[&(rel.to_string(), i)];
-        &self.instances[id]
+        self.formal_of(self.ids[rel], i)
     }
 
-    /// The instance for binder number `seq` of `owner`.
-    pub(crate) fn binder(&self, owner: &str, seq: usize) -> &Instance {
-        let id = self.binders[&(owner.to_string(), seq)];
+    /// [`Allocation::formal`] by relation id.
+    pub(crate) fn formal_of(&self, rel: usize, i: usize) -> &Instance {
+        let ids = &self.formals[rel];
+        assert!(i < ids.len(), "relation {rel} has no parameter {i}");
+        &self.instances[ids.start + i]
+    }
+
+    /// The conjunction of the domain constraints of relation `rel`'s
+    /// formals: conjoined into every value of the relation, it keeps the
+    /// interpretation canonical (no out-of-range junk tuples).
+    pub(crate) fn formals_domain(&self, manager: &mut Manager, rel: usize) -> Bdd {
+        let mut acc = Bdd::TRUE;
+        for id in self.formals[rel].clone() {
+            acc = manager.and(acc, self.domains[id]);
+        }
+        acc
+    }
+
+    /// The instance id of `body`'s first binder; the body's later binders
+    /// follow it consecutively.
+    pub(crate) fn first_binder(&self, body: Body) -> usize {
+        match body {
+            Body::Relation(rel) => self.binders[rel],
+            Body::Query(q) => self.binders[self.formals.len() + q],
+        }
+    }
+
+    /// The instance with id `id`.
+    pub(crate) fn instance(&self, id: usize) -> &Instance {
         &self.instances[id]
     }
 
@@ -315,77 +351,38 @@ struct Planner<'a> {
     system: &'a System,
     /// Planned instances: (type, flattened leaves).
     instances: Vec<(Type, Vec<Leaf>)>,
-    formals: BTreeMap<(String, usize), usize>,
-    binders: BTreeMap<(String, usize), usize>,
 }
 
 impl Planner<'_> {
-    fn add_instance(&mut self, ty: &Type) -> Result<usize, SystemError> {
+    fn add_instance(&mut self, ty: &Type) -> Result<(), SystemError> {
         let leaves = self.system.types().flatten(ty)?;
-        let id = self.instances.len();
         self.instances.push((ty.clone(), leaves));
-        Ok(id)
+        Ok(())
     }
 
-    /// Assigns binder sequence numbers in the exact preorder the compiler
-    /// will replay.
-    fn scan_binders(&mut self, owner: &str, f: &Formula) -> Result<(), SystemError> {
-        let mut seq = 0usize;
-        self.scan_rec(owner, f, &mut seq)
-    }
-
-    fn scan_rec(&mut self, owner: &str, f: &Formula, seq: &mut usize) -> Result<(), SystemError> {
+    /// Plans one instance per binder of `f`, in the exact preorder the
+    /// compiler will replay.
+    fn scan_binders(&mut self, f: &Formula) -> Result<(), SystemError> {
         match f {
             Formula::Const(_) | Formula::Atom(_) | Formula::Cmp(..) | Formula::App(..) => Ok(()),
-            Formula::Not(g) => self.scan_rec(owner, g, seq),
+            Formula::Not(g) => self.scan_binders(g),
             Formula::And(gs) | Formula::Or(gs) => {
                 for g in gs {
-                    self.scan_rec(owner, g, seq)?;
+                    self.scan_binders(g)?;
                 }
                 Ok(())
             }
             Formula::Implies(a, b) | Formula::Iff(a, b) => {
-                self.scan_rec(owner, a, seq)?;
-                self.scan_rec(owner, b, seq)
+                self.scan_binders(a)?;
+                self.scan_binders(b)
             }
             Formula::Exists(binders, g) | Formula::Forall(binders, g) => {
                 for (_, ty) in binders {
-                    let id = self.add_instance(ty)?;
-                    self.binders.insert((owner.to_string(), *seq), id);
-                    *seq += 1;
+                    self.add_instance(ty)?;
                 }
-                self.scan_rec(owner, g, seq)
+                self.scan_binders(g)
             }
         }
-    }
-}
-
-/// Re-export used by the solver to keep binder numbering in one place.
-#[derive(Debug)]
-pub(crate) struct BinderCounter {
-    owner: String,
-    next: usize,
-}
-
-impl BinderCounter {
-    /// A counter starting at binder sequence number `start` (0 for a whole
-    /// body; the disjunct's preorder offset when the worklist engine
-    /// compiles a top-level disjunct on its own).
-    pub(crate) fn new_at(owner: String, start: usize) -> Self {
-        BinderCounter { owner, next: start }
-    }
-
-    pub(crate) fn take<'a>(&mut self, alloc: &'a Allocation) -> &'a Instance {
-        let inst = alloc.binder(&self.owner, self.next);
-        self.next += 1;
-        inst
-    }
-
-    /// Moves past `n` binders without taking them: the compiler skipped a
-    /// subformula that binds `n` variables, and later binders must still
-    /// get the instances the plan gave them.
-    pub(crate) fn skip(&mut self, n: usize) {
-        self.next += n;
     }
 }
 

@@ -37,113 +37,96 @@
 //! # Binder numbering
 //!
 //! Every quantifier binder owns an instance that the allocation plan
-//! numbers in preorder (`alloc.rs`), and the compiler takes instances
-//! from a [`BinderCounter`] in the same order. Holding an application
-//! back never reorders binders — an application binds none — and a
-//! skipped conjunct advances the counter by its
-//! [`Formula::binder_count`], so every later binder still gets the
+//! numbers consecutively per body, in preorder (`alloc.rs`), and the
+//! compiler takes instances in the same order, starting at the body's
+//! first binder. Holding an application back never reorders binders — an
+//! application binds none — and a skipped conjunct advances the numbering
+//! by its [`Formula::binder_count`], so every later binder still gets the
 //! instance the plan gave it.
+//!
+//! # Borrowed, id-keyed lookups
+//!
+//! A context borrows everything it reads: the interpretation table is
+//! indexed by relation id ([`System::relation_id`]), and the scope maps
+//! each variable to an [`Instance`] borrowed from the [`Allocation`].
+//! Compiling a formula clones no instance and formats no name; only an
+//! error builds a string.
 
-use crate::alloc::{eq_const, eq_vars, lt_const, lt_vars, Allocation, BinderCounter, Instance};
+use crate::alloc::{eq_const, eq_vars, lt_const, lt_vars, Allocation, Body, Instance, LeafAlloc};
 use crate::ast::{CmpOp, Formula, Term};
 use crate::solve::SolveError;
 use crate::system::{RelationKind, System};
 use getafix_bdd::{Bdd, Manager, Var, VarMap};
-use std::collections::BTreeMap;
-
-/// One allocated leaf of a term: its BDD variables (LSB first) plus the
-/// `range` bound, if any.
-type TermLeaf = (Vec<Var>, Option<u64>);
 
 /// Compilation context: one formula body, one scope.
 pub(crate) struct CompileCtx<'a> {
     pub manager: &'a mut Manager,
-    pub system: &'a System,
-    pub alloc: &'a Allocation,
-    /// Interpretation of every relation that may be applied.
-    pub interp: &'a BTreeMap<String, Bdd>,
-    /// Binder numbering for the body being compiled.
-    pub counter: BinderCounter,
-    /// In-scope variables: name -> instance id (shadowing via later wins).
-    pub scope: Vec<(String, usize)>,
-    /// Instances by id (borrowed views created on demand).
-    pub instances: BTreeMap<usize, Instance>,
+    system: &'a System,
+    alloc: &'a Allocation,
+    /// Interpretation of every relation, by relation id; `None` where the
+    /// caller has none to give.
+    interp: &'a [Option<Bdd>],
+    /// Instance id of the next quantifier binder.
+    next_binder: usize,
+    /// In-scope variables, innermost last (a later entry shadows).
+    scope: Vec<(&'a str, &'a Instance)>,
 }
 
 impl<'a> CompileCtx<'a> {
+    /// A context compiling (part of) `body` against `interp`. A relation
+    /// body has its formals in scope; binder numbering starts
+    /// `binder_offset` binders into the body, which is how the worklist
+    /// engine compiles one top-level disjunct on its own.
     pub(crate) fn new(
         manager: &'a mut Manager,
         system: &'a System,
         alloc: &'a Allocation,
-        interp: &'a BTreeMap<String, Bdd>,
-        owner: String,
+        interp: &'a [Option<Bdd>],
+        body: Body,
+        binder_offset: usize,
     ) -> Self {
-        Self::with_binder_offset(manager, system, alloc, interp, owner, 0)
-    }
-
-    /// As [`CompileCtx::new`], but resuming binder numbering at `offset` —
-    /// for compiling a top-level disjunct in isolation (the worklist
-    /// engine's disjunct-level recompilation).
-    pub(crate) fn with_binder_offset(
-        manager: &'a mut Manager,
-        system: &'a System,
-        alloc: &'a Allocation,
-        interp: &'a BTreeMap<String, Bdd>,
-        owner: String,
-        offset: usize,
-    ) -> Self {
-        CompileCtx {
-            manager,
-            system,
-            alloc,
-            interp,
-            counter: BinderCounter::new_at(owner, offset),
-            scope: Vec::new(),
-            instances: BTreeMap::new(),
+        let mut scope = Vec::new();
+        if let Body::Relation(rel) = body {
+            for (i, (name, _)) in system.relations()[rel].params.iter().enumerate() {
+                scope.push((name.as_str(), alloc.formal_of(rel, i)));
+            }
         }
+        let next_binder = alloc.first_binder(body) + binder_offset;
+        CompileCtx { manager, system, alloc, interp, next_binder, scope }
     }
 
-    pub(crate) fn bind(&mut self, name: &str, inst: Instance) {
-        self.instances.insert(inst.id, inst.clone());
-        self.scope.push((name.to_string(), inst.id));
-    }
-
-    fn lookup(&self, name: &str) -> Result<&Instance, SolveError> {
-        let id = self
-            .scope
+    fn lookup(&self, name: &str) -> Result<&'a Instance, SolveError> {
+        self.scope
             .iter()
             .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, id)| *id)
-            .ok_or_else(|| SolveError::Internal(format!("unbound variable `{name}`")))?;
-        Ok(&self.instances[&id])
+            .find(|(n, _)| *n == name)
+            .map(|&(_, inst)| inst)
+            .ok_or_else(|| SolveError::Internal(format!("unbound variable `{name}`")))
     }
 
     /// The allocated leaves a term denotes, in flattening order.
-    fn term_leaves(&self, term: &Term) -> Result<Vec<TermLeaf>, SolveError> {
+    fn term_leaves(&self, term: &Term) -> Result<Vec<&'a LeafAlloc>, SolveError> {
         match term {
             Term::Int(_) => Err(SolveError::Internal("term_leaves on an integer".into())),
             Term::Var { name, path } => {
-                let inst = self.lookup(name)?;
-                let leaves = inst.leaves_under(path);
+                let leaves = self.lookup(name)?.leaves_under(path);
                 if leaves.is_empty() {
                     return Err(SolveError::Internal(format!(
                         "term `{term}` resolves to no leaves"
                     )));
                 }
-                Ok(leaves.into_iter().map(|l| (l.vars.clone(), l.leaf.bound)).collect())
+                Ok(leaves)
             }
         }
     }
 
     /// Compiles `f` to a BDD.
-    pub(crate) fn compile(&mut self, f: &Formula) -> Result<Bdd, SolveError> {
+    pub(crate) fn compile(&mut self, f: &'a Formula) -> Result<Bdd, SolveError> {
         match f {
             Formula::Const(b) => Ok(self.manager.constant(*b)),
             Formula::Atom(t) => {
                 let leaves = self.term_leaves(t)?;
-                let (vars, _) = &leaves[0];
-                Ok(self.manager.var(vars[0]))
+                Ok(self.manager.var(leaves[0].vars[0]))
             }
             Formula::Cmp(a, op, b) => self.compile_cmp(a, *op, b),
             Formula::App(name, args) => self.compile_app(name, args, Bdd::TRUE, Bdd::TRUE),
@@ -192,16 +175,16 @@ impl<'a> CompileCtx<'a> {
     /// conjunction of their domain constraints).
     fn enter_binders(
         &mut self,
-        binders: &[(String, crate::types::Type)],
+        binders: &'a [(String, crate::types::Type)],
     ) -> Result<(Bdd, Bdd), SolveError> {
         let mut vars = Vec::new();
         let mut domain = Bdd::TRUE;
         for (name, _) in binders {
-            let inst = self.counter.take(self.alloc).clone();
-            vars.extend(inst.all_vars());
-            let d = self.alloc.domain(&inst);
-            domain = self.manager.and(domain, d);
-            self.bind(name, inst);
+            let inst = self.alloc.instance(self.next_binder);
+            self.next_binder += 1;
+            vars.extend(inst.leaves.iter().flat_map(|l| l.vars.iter().copied()));
+            domain = self.manager.and(domain, self.alloc.domain(inst));
+            self.scope.push((name.as_str(), inst));
         }
         let cube = self.manager.cube(&vars);
         Ok((cube, domain))
@@ -217,7 +200,7 @@ impl<'a> CompileCtx<'a> {
     fn conjoin(
         &mut self,
         mut acc: Bdd,
-        gs: &[Formula],
+        gs: &'a [Formula],
         held: Option<usize>,
     ) -> Result<Bdd, SolveError> {
         for (i, g) in gs.iter().enumerate() {
@@ -225,7 +208,7 @@ impl<'a> CompileCtx<'a> {
                 continue;
             }
             if acc.is_false() {
-                self.counter.skip(g.binder_count());
+                self.next_binder += g.binder_count();
                 continue;
             }
             let x = self.compile(g)?;
@@ -237,7 +220,12 @@ impl<'a> CompileCtx<'a> {
     /// The body of `∃x̄. g` with the binders in scope: one relational
     /// product that applies the first fixpoint relation among `g`'s
     /// conjuncts last (see the module docs).
-    fn compile_exists(&mut self, g: &Formula, domain: Bdd, cube: Bdd) -> Result<Bdd, SolveError> {
+    fn compile_exists(
+        &mut self,
+        g: &'a Formula,
+        domain: Bdd,
+        cube: Bdd,
+    ) -> Result<Bdd, SolveError> {
         let conjuncts = match g {
             Formula::And(gs) => gs.as_slice(),
             other => std::slice::from_ref(other),
@@ -266,8 +254,7 @@ impl<'a> CompileCtx<'a> {
             }
             (Term::Int(v), t) | (t, Term::Int(v)) => {
                 // Scalar vs constant. For Lt/Le the orientation matters.
-                let leaves = self.term_leaves(t)?;
-                let (vars, _) = &leaves[0];
+                let vars = &self.term_leaves(t)?[0].vars;
                 match op {
                     CmpOp::Eq | CmpOp::Ne => eq_const(self.manager, vars, *v),
                     CmpOp::Lt | CmpOp::Le => {
@@ -287,16 +274,16 @@ impl<'a> CompileCtx<'a> {
                 match op {
                     CmpOp::Eq | CmpOp::Ne => {
                         let mut acc = Bdd::TRUE;
-                        for ((va, _), (vb, _)) in la.iter().zip(&lb) {
-                            let eq = eq_vars(self.manager, va, vb);
+                        for (a, b) in la.iter().zip(&lb) {
+                            let eq = eq_vars(self.manager, &a.vars, &b.vars);
                             acc = self.manager.and(acc, eq);
                         }
                         acc
                     }
-                    CmpOp::Lt => lt_vars(self.manager, &la[0].0, &lb[0].0),
+                    CmpOp::Lt => lt_vars(self.manager, &la[0].vars, &lb[0].vars),
                     CmpOp::Le => {
-                        let lt = lt_vars(self.manager, &la[0].0, &lb[0].0);
-                        let eq = eq_vars(self.manager, &la[0].0, &lb[0].0);
+                        let lt = lt_vars(self.manager, &la[0].vars, &lb[0].vars);
+                        let eq = eq_vars(self.manager, &la[0].vars, &lb[0].vars);
                         self.manager.or(lt, eq)
                     }
                 }
@@ -340,22 +327,19 @@ impl<'a> CompileCtx<'a> {
         g: Bdd,
         cube: Bdd,
     ) -> Result<Bdd, SolveError> {
-        let stored = *self
-            .interp
-            .get(name)
-            .ok_or_else(|| SolveError::MissingInterpretation(name.to_string()))?;
-        let nparams = self.system.relation(name).map(|r| r.params.len()).unwrap_or(0);
-        debug_assert_eq!(nparams, args.len());
+        let rel =
+            self.system.relation_id(name).ok_or_else(|| SolveError::Unknown(name.to_string()))?;
+        let stored =
+            self.interp[rel].ok_or_else(|| SolveError::MissingInterpretation(name.to_string()))?;
 
         let mut pairs: Vec<(Var, Var)> = Vec::new();
-        let mut used_targets: std::collections::HashSet<u32> = std::collections::HashSet::new();
-        // (scratch vars, target vars, target const) equalities to conjoin,
-        // and scratch vars to quantify away afterwards.
-        let mut scratch_eqs: Vec<(Vec<Var>, ScratchTarget)> = Vec::new();
-        let mut scratch_used: BTreeMap<String, usize> = BTreeMap::new();
+        // Scratch columns and what each must equal: conjoined into `g`,
+        // then quantified away with `cube`.
+        let mut scratch_eqs: Vec<(&'a [Var], ScratchTarget<'a>)> = Vec::new();
+        let mut scratch_used: Vec<&'a str> = Vec::new();
 
         for (i, arg) in args.iter().enumerate() {
-            let formal = self.alloc.formal(name, i).clone();
+            let formal = self.alloc.formal_of(rel, i);
             match arg {
                 Term::Int(v) => {
                     // Constant argument: constrain the formal's (single)
@@ -373,28 +357,28 @@ impl<'a> CompileCtx<'a> {
                             "arity shape mismatch applying `{name}`"
                         )));
                     }
-                    // Collision check across the whole argument.
+                    // Collision check across the whole argument: does it
+                    // reuse a variable an earlier argument is renamed onto?
+                    // (Scratch columns are never argument variables.)
                     let collides = arg_leaves
                         .iter()
-                        .flat_map(|(vs, _)| vs.iter())
-                        .any(|v| used_targets.contains(&v.level()));
+                        .flat_map(|l| l.vars.iter())
+                        .any(|v| pairs.iter().any(|(_, to)| to == v));
                     if collides {
-                        for (leaf, (tvars, _)) in formal.leaves.iter().zip(&arg_leaves) {
+                        for (leaf, target) in formal.leaves.iter().zip(&arg_leaves) {
                             let col = self.take_scratch(&leaf.leaf.channel, &mut scratch_used)?;
                             pairs.extend(leaf.vars.iter().copied().zip(col.iter().copied()));
-                            scratch_eqs.push((col, ScratchTarget::Vars(tvars.clone())));
+                            scratch_eqs.push((col, ScratchTarget::Vars(&target.vars)));
                         }
                     } else {
-                        for (leaf, (tvars, _)) in formal.leaves.iter().zip(&arg_leaves) {
-                            if leaf.vars.len() != tvars.len() {
+                        for (leaf, target) in formal.leaves.iter().zip(&arg_leaves) {
+                            if leaf.vars.len() != target.vars.len() {
                                 return Err(SolveError::Internal(format!(
                                     "width mismatch applying `{name}`"
                                 )));
                             }
-                            for (&from, &to) in leaf.vars.iter().zip(tvars) {
-                                used_targets.insert(to.level());
-                                pairs.push((from, to));
-                            }
+                            pairs
+                                .extend(leaf.vars.iter().copied().zip(target.vars.iter().copied()));
                         }
                     }
                 }
@@ -418,26 +402,27 @@ impl<'a> CompileCtx<'a> {
         Ok(self.manager.rename_and_exists(stored, &map, g, cube))
     }
 
+    /// The next unused scratch column of `channel`; `used` lists the
+    /// channel of every column this application has taken so far.
     fn take_scratch(
-        &mut self,
-        channel: &str,
-        used: &mut BTreeMap<String, usize>,
-    ) -> Result<Vec<Var>, SolveError> {
-        let idx = *used.get(channel).unwrap_or(&0);
+        &self,
+        channel: &'a str,
+        used: &mut Vec<&'a str>,
+    ) -> Result<&'a [Var], SolveError> {
+        let idx = used.iter().filter(|&&c| c == channel).count();
+        used.push(channel);
         let cols = self.alloc.scratch_columns(channel);
-        if idx >= cols.len() {
-            return Err(SolveError::Internal(format!(
+        cols.get(idx).map(Vec::as_slice).ok_or_else(|| {
+            SolveError::Internal(format!(
                 "out of scratch columns for channel `{channel}` \
                  (more than {} duplicate arguments in one application)",
                 cols.len()
-            )));
-        }
-        used.insert(channel.to_string(), idx + 1);
-        Ok(cols[idx].clone())
+            ))
+        })
     }
 }
 
-enum ScratchTarget {
-    Vars(Vec<Var>),
+enum ScratchTarget<'a> {
+    Vars(&'a [Var]),
     Const(u64),
 }

@@ -9,6 +9,14 @@
 //! fixed — the "dependency-ordered iteration over equation systems" of
 //! Kuncak–Leino, lifted from boolean equations to first-order relations.
 //!
+//! Relations are numbered by their [`System`] declaration index
+//! ([`System::relation_id`]), the one relation id the whole solver keys
+//! its tables by; input relations simply have no edges and no component.
+//! The numbering preserves the declaration order of the fixpoint
+//! relations, and Tarjan visits roots and successors in ascending id, so
+//! the components, their member order and every [`DepGraph::ordered_plan`]
+//! depend only on that relative order.
+//!
 //! Each SCC is additionally classified:
 //!
 //! * **recursive** — more than one member, or a self-application; a
@@ -26,7 +34,7 @@ use std::collections::{BTreeMap, BTreeSet};
 /// One strongly connected component of the relation-dependency graph.
 #[derive(Debug, Clone)]
 pub struct Scc {
-    /// Member relation indices (resolve with [`DepGraph::name`]).
+    /// Member relation ids, ascending.
     pub members: Vec<usize>,
     /// Does any member depend on a member (including itself)?
     pub recursive: bool,
@@ -58,13 +66,11 @@ pub struct OrderedPlan {
 }
 
 /// The relation-dependency graph of a [`System`], with its condensation.
+/// Every index is a relation id ([`System::relation_id`]).
 #[derive(Debug)]
 pub struct DepGraph {
-    /// Fixpoint relation names, in system declaration order.
-    names: Vec<String>,
-    /// Name → index in `names`.
-    index: BTreeMap<String, usize>,
-    /// `deps[i]`: indices of fixpoint relations applied in the body of `i`.
+    /// `deps[i]`: ids of the fixpoint relations applied in the body of `i`
+    /// (empty for an input relation).
     deps: Vec<BTreeSet<usize>>,
     /// `negative[i]`: the subset of `deps[i]` occurring under an odd number
     /// of negations in the body of `i`.
@@ -72,29 +78,24 @@ pub struct DepGraph {
     /// Components in topological order: every dependency of a component
     /// lives in an earlier (or the same) component.
     sccs: Vec<Scc>,
-    /// Relation index → index of its component in `sccs`.
-    scc_of: Vec<usize>,
+    /// Relation id → index of its component in `sccs` (`None` for inputs).
+    scc_of: Vec<Option<usize>>,
 }
 
 impl DepGraph {
     /// Extracts the dependency graph of `system`'s fixpoint relations.
     pub fn build(system: &System) -> DepGraph {
-        let mut names = Vec::new();
-        let mut index = BTreeMap::new();
-        for rel in system.relations() {
-            if rel.kind == RelationKind::Fixpoint {
-                index.insert(rel.name.clone(), names.len());
-                names.push(rel.name.clone());
-            }
-        }
-        let n = names.len();
+        let relations = system.relations();
+        let n = relations.len();
         let mut deps: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
         let mut negative: Vec<BTreeSet<usize>> = vec![BTreeSet::new(); n];
-        for (i, name) in names.iter().enumerate() {
-            let rel = system.relation(name).expect("indexed relation exists");
-            let body = rel.body.as_ref().expect("fixpoint relation has a body");
+        for (i, rel) in relations.iter().enumerate() {
+            let Some(body) = &rel.body else { continue };
             for applied in body.relations() {
-                if let Some(&j) = index.get(&applied) {
+                let j = system
+                    .relation_id(&applied)
+                    .expect("checked system applies declared relations");
+                if relations[j].kind == RelationKind::Fixpoint {
                     deps[i].insert(j);
                     if body.occurs_negatively(&applied) {
                         negative[i].insert(j);
@@ -103,7 +104,8 @@ impl DepGraph {
             }
         }
 
-        let (sccs_members, scc_of) = tarjan(n, &deps);
+        let fixpoints = (0..n).filter(|&i| relations[i].kind == RelationKind::Fixpoint);
+        let (sccs_members, scc_of) = tarjan(fixpoints, &deps);
         let sccs = sccs_members
             .into_iter()
             .map(|members| {
@@ -119,22 +121,7 @@ impl DepGraph {
             })
             .collect();
 
-        DepGraph { names, index, deps, negative, sccs, scc_of }
-    }
-
-    /// Number of fixpoint relations.
-    pub fn relation_count(&self) -> usize {
-        self.names.len()
-    }
-
-    /// The name of relation `i`.
-    pub fn name(&self, i: usize) -> &str {
-        &self.names[i]
-    }
-
-    /// The index of a fixpoint relation, if it is one.
-    pub fn relation_index(&self, name: &str) -> Option<usize> {
-        self.index.get(name).copied()
+        DepGraph { deps, negative, sccs, scc_of }
     }
 
     /// Direct fixpoint dependencies of relation `i`.
@@ -152,14 +139,13 @@ impl DepGraph {
         &self.sccs
     }
 
-    /// The component index of relation `i`.
+    /// The component index of fixpoint relation `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is an input relation: inputs belong to no component.
     pub fn scc_of(&self, i: usize) -> usize {
-        self.scc_of[i]
-    }
-
-    /// The component index of a fixpoint relation by name.
-    pub fn scc_of_name(&self, name: &str) -> Option<usize> {
-        self.relation_index(name).map(|i| self.scc_of(i))
+        self.scc_of[i].expect("input relations belong to no component")
     }
 
     /// Classifies component `scc` as an instance of the §4.3 **frontier
@@ -228,21 +214,26 @@ impl DepGraph {
     }
 }
 
-/// Iterative Tarjan SCC. Edges point from a relation to its dependencies,
-/// so components are emitted dependencies-first — already the evaluation
+/// Iterative Tarjan SCC over the nodes reachable from `roots`, visited in
+/// the order given. Edges point from a relation to its dependencies, so
+/// components are emitted dependencies-first — already the evaluation
 /// order the solver wants.
-fn tarjan(n: usize, deps: &[BTreeSet<usize>]) -> (Vec<Vec<usize>>, Vec<usize>) {
+fn tarjan(
+    roots: impl Iterator<Item = usize>,
+    deps: &[BTreeSet<usize>],
+) -> (Vec<Vec<usize>>, Vec<Option<usize>>) {
     const UNSET: usize = usize::MAX;
+    let n = deps.len();
     let mut indexes = vec![UNSET; n];
     let mut lowlink = vec![0usize; n];
     let mut on_stack = vec![false; n];
     let mut stack: Vec<usize> = Vec::new();
     let mut next_index = 0usize;
     let mut sccs: Vec<Vec<usize>> = Vec::new();
-    let mut scc_of = vec![UNSET; n];
+    let mut scc_of = vec![None; n];
 
     // Explicit DFS frames: (node, iterator position over deps).
-    for start in 0..n {
+    for start in roots {
         if indexes[start] != UNSET {
             continue;
         }
@@ -280,7 +271,7 @@ fn tarjan(n: usize, deps: &[BTreeSet<usize>]) -> (Vec<Vec<usize>>, Vec<usize>) {
                     loop {
                         let w = stack.pop().expect("tarjan stack nonempty");
                         on_stack[w] = false;
-                        scc_of[w] = sccs.len();
+                        scc_of[w] = Some(sccs.len());
                         members.push(w);
                         if w == v {
                             break;
@@ -300,13 +291,19 @@ mod tests {
     use super::*;
     use crate::parse::parse_system;
 
-    fn graph(src: &str) -> DepGraph {
-        DepGraph::build(&parse_system(src).unwrap())
+    fn graph(src: &str) -> (System, DepGraph) {
+        let sys = parse_system(src).unwrap();
+        let g = DepGraph::build(&sys);
+        (sys, g)
+    }
+
+    fn names<'s>(sys: &'s System, ids: &[usize]) -> Vec<&'s str> {
+        ids.iter().map(|&i| sys.relations()[i].name.as_str()).collect()
     }
 
     #[test]
     fn single_self_recursive_relation() {
-        let g = graph(
+        let (sys, g) = graph(
             r#"
             type S = range 4;
             input Init(s: S);
@@ -315,8 +312,8 @@ mod tests {
                 Init(u) | (exists x: S. Reach(x) & Trans(x, u));
             "#,
         );
-        assert_eq!(g.relation_count(), 1);
         assert_eq!(g.sccs().len(), 1);
+        assert_eq!(names(&sys, &g.sccs()[0].members), vec!["Reach"]);
         let scc = &g.sccs()[0];
         assert!(scc.recursive && scc.monotone);
         assert!(scc.external_deps.is_empty());
@@ -324,7 +321,7 @@ mod tests {
 
     #[test]
     fn stratified_chain_is_topologically_ordered() {
-        let g = graph(
+        let (sys, g) = graph(
             r#"
             type S = range 4;
             input I(s: S);
@@ -335,19 +332,20 @@ mod tests {
         );
         assert_eq!(g.sccs().len(), 3);
         // Dependencies first: A's component before B's before C's.
-        let pos = |name: &str| g.scc_of_name(name).unwrap();
+        let id = |name: &str| sys.relation_id(name).unwrap();
+        let pos = |name: &str| g.scc_of(id(name));
         assert!(pos("A") < pos("B"));
         assert!(pos("B") < pos("C"));
         // B is non-recursive; A and C are.
         assert!(!g.sccs()[pos("B")].recursive);
         assert!(g.sccs()[pos("A")].recursive);
         // C's component reads B from outside.
-        assert_eq!(g.sccs()[pos("C")].external_deps, vec![g.relation_index("B").unwrap()]);
+        assert_eq!(g.sccs()[pos("C")].external_deps, vec![id("B")]);
     }
 
     #[test]
     fn mutual_recursion_is_one_component() {
-        let g = graph(
+        let (_, g) = graph(
             r#"
             type N = range 4;
             input Zero(n: N);
@@ -364,7 +362,7 @@ mod tests {
 
     #[test]
     fn negative_intra_component_edge_is_nonmonotone() {
-        let g = graph(
+        let (sys, g) = graph(
             r#"
             type Fr = range 2;
             type S = range 4;
@@ -375,13 +373,13 @@ mod tests {
         );
         assert_eq!(g.sccs().len(), 1, "R and Frontier are mutually recursive");
         assert!(!g.sccs()[0].monotone);
-        let r = g.relation_index("Frontier").unwrap();
+        let r = sys.relation_id("Frontier").unwrap();
         assert_eq!(g.negative_deps(r).len(), 1);
     }
 
     #[test]
     fn negation_outside_the_component_keeps_monotonicity() {
-        let g = graph(
+        let (sys, g) = graph(
             r#"
             type S = range 4;
             input I(s: S);
@@ -390,9 +388,9 @@ mod tests {
             mu Dead(s: S) := Base(s);
             "#,
         );
-        let up = g.scc_of_name("Up").unwrap();
+        let up = g.scc_of(sys.relation_id("Up").unwrap());
         assert!(g.sccs()[up].monotone, "negation of an earlier stratum is fine");
-        let dead = g.scc_of_name("Dead").unwrap();
+        let dead = g.scc_of(sys.relation_id("Dead").unwrap());
         assert!(dead < up);
     }
 
@@ -400,7 +398,7 @@ mod tests {
     fn frontier_pattern_is_classified_and_ranked() {
         // The ef-opt shape: anchor R; Frontier/New form a DAG (New reads
         // Frontier) with a self-loop on New.
-        let g = graph(
+        let (sys, g) = graph(
             r#"
             type Fr = range 2;
             type S = range 4;
@@ -414,27 +412,25 @@ mod tests {
         );
         assert_eq!(g.sccs().len(), 1);
         assert!(!g.sccs()[0].monotone);
-        let r = g.relation_index("R").unwrap();
+        let r = sys.relation_id("R").unwrap();
         let plan = g.ordered_plan(0, r).expect("frontier pattern anchored at R");
         assert_eq!(plan.anchor, r);
         // Dependencies first: Frontier before New.
-        let names: Vec<&str> = plan.ranks.iter().map(|&i| g.name(i)).collect();
-        assert_eq!(names, vec!["Frontier", "New"]);
+        assert_eq!(names(&sys, &plan.ranks), vec!["Frontier", "New"]);
         assert_eq!(plan.self_recursive, vec![false, true]);
         // Anchored at Frontier the rest (R ↔ New through each other's
         // bodies? R reads New, New reads Frontier only) is still a DAG:
         // R → New is the only edge, so a plan exists there too.
-        let f = g.relation_index("Frontier").unwrap();
+        let f = sys.relation_id("Frontier").unwrap();
         let plan_f = g.ordered_plan(0, f).expect("anchored at Frontier");
-        let names_f: Vec<&str> = plan_f.ranks.iter().map(|&i| g.name(i)).collect();
-        assert_eq!(names_f, vec!["New", "R"]);
+        assert_eq!(names(&sys, &plan_f.ranks), vec!["New", "R"]);
     }
 
     #[test]
     fn mutually_recursive_satellites_defeat_the_pattern() {
         // Removing the anchor leaves A ↔ B mutually recursive: no ordered
         // plan, the nested reference semantics is the only meaning.
-        let g = graph(
+        let (sys, g) = graph(
             r#"
             type S = range 4;
             input I(s: S);
@@ -444,7 +440,7 @@ mod tests {
             "#,
         );
         assert_eq!(g.sccs().len(), 1);
-        let anchor = g.relation_index("Anchor").unwrap();
+        let anchor = sys.relation_id("Anchor").unwrap();
         assert!(g.ordered_plan(0, anchor).is_none());
         // A non-member anchor is rejected outright.
         assert!(g.ordered_plan(0, 99).is_none());
@@ -452,7 +448,7 @@ mod tests {
 
     #[test]
     fn transitive_deps_cover_the_cone() {
-        let g = graph(
+        let (sys, g) = graph(
             r#"
             type S = range 4;
             input I(s: S);
@@ -462,9 +458,8 @@ mod tests {
             mu Unrelated(s: S) := I(s);
             "#,
         );
-        let c = g.relation_index("C").unwrap();
-        let cone = g.transitive_deps(c);
+        let cone = g.transitive_deps(sys.relation_id("C").unwrap());
         assert_eq!(cone.len(), 3);
-        assert!(!cone.contains(&g.relation_index("Unrelated").unwrap()));
+        assert!(!cone.contains(&sys.relation_id("Unrelated").unwrap()));
     }
 }

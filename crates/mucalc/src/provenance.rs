@@ -119,7 +119,7 @@ impl Provenance {
 
     /// Records a post-change snapshot of `name`.
     pub(crate) fn note(&mut self, name: &str, value: Bdd) {
-        self.snapshots.entry(name.to_string()).or_default().push(value);
+        crate::solve::entry_mut(&mut self.snapshots, name, Vec::new).push(value);
         self.footprint.set(None);
     }
 

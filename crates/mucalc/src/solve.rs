@@ -37,7 +37,24 @@
 //!   schedule* that reproduces the nested §3 round sequence exactly,
 //!   reusing the cached value of every disjunct whose reads did not
 //!   change; the rest are routed to the nested §3 semantics above, with
-//!   already-solved outer strata memoized.
+//!   the already-solved outer strata frozen.
+//!
+//! # One relation numbering
+//!
+//! Inside the solver a relation is its [`System`] declaration index
+//! ([`System::relation_id`]). The dependency graph, the variable
+//! allocation, the value table, the compiler and the worklist component
+//! all key by it, so no relation name is looked up, cloned or formatted on
+//! the way to a compilation. Names stay at the public edge:
+//! [`Solver::set_input`], [`Solver::evaluate`], [`Solver::eval_query`],
+//! [`Allocation::formal`], the [`SolveStats`] keys and [`Provenance`].
+//!
+//! Both strategies run [`Solver::evaluate_nested`] against a *frozen
+//! environment*, a slice by relation id. Round-robin freezes the inputs
+//! only. The worklist engine's nested fallback freezes the whole value
+//! table minus the component's members: the inputs and the solved outer
+//! strata, which are final before the component starts, so the fallback
+//! reads them instead of re-deriving them every round.
 //!
 //! **When do the strategies agree?** On every component that is monotone
 //! (all intra-component applications positive), both compute the unique
@@ -51,17 +68,19 @@
 //! relation — or a disjunct — whose inputs did not change.
 //! [`SolveStats::total_reevaluations`] makes the difference measurable.
 
-use crate::alloc::{owner_query, owner_rel, Allocation};
+use crate::alloc::{Allocation, Body};
 use crate::compile::CompileCtx;
 use crate::deps::DepGraph;
 use crate::limits::{LimitKind, LimitReport, ResourceLimits};
 use crate::provenance::Provenance;
 use crate::system::{RelationKind, System, SystemError};
+use crate::worklist::Plan;
 use getafix_bdd::{Bdd, Manager};
 use getafix_telemetry::json::JsonWriter;
 use getafix_telemetry::{self as telemetry, Phase};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 use std::str::FromStr;
 
 /// Errors produced while solving.
@@ -543,6 +562,19 @@ impl SolveStats {
     }
 }
 
+/// The entry of `map` under `key`, inserted with `init()` when absent:
+/// the key is copied only on that first insert.
+pub(crate) fn entry_mut<'m, V>(
+    map: &'m mut BTreeMap<String, V>,
+    key: &str,
+    init: impl FnOnce() -> V,
+) -> &'m mut V {
+    if !map.contains_key(key) {
+        map.insert(key.to_string(), init());
+    }
+    map.get_mut(key).expect("inserted above")
+}
+
 /// The solver: owns the manager, the allocation and the interpretations.
 #[derive(Debug)]
 pub struct Solver {
@@ -550,9 +582,13 @@ pub struct Solver {
     pub(crate) system: System,
     pub(crate) alloc: Allocation,
     pub(crate) deps: DepGraph,
-    pub(crate) inputs: BTreeMap<String, Bdd>,
-    /// Memoized top-level (empty-frozen-environment) interpretations.
-    pub(crate) evaluated: BTreeMap<String, Bdd>,
+    /// The value table, by relation id ([`System::relation_id`]): each
+    /// input as supplied, each fixpoint relation's memoized top-level
+    /// interpretation once evaluated.
+    pub(crate) values: Vec<Option<Bdd>>,
+    /// Each fixpoint relation's compilation plan, by relation id, built
+    /// on first use ([`Solver::plan`]).
+    pub(crate) plans: Vec<Option<Rc<Plan>>>,
     pub(crate) options: SolveOptions,
     pub(crate) stats: SolveStats,
     /// Rank provenance of every top-level fixpoint evaluation (see
@@ -592,7 +628,7 @@ impl Solver {
             dep_sccs.sort_unstable();
             dep_sccs.dedup();
             stats.sccs.push(SccStats {
-                members: scc.members.iter().map(|&i| deps.name(i).to_string()).collect(),
+                members: scc.members.iter().map(|&i| system.relations()[i].name.clone()).collect(),
                 recursive: scc.recursive,
                 monotone: scc.monotone,
                 evaluations: 0,
@@ -601,13 +637,14 @@ impl Solver {
                 dep_sccs,
             });
         }
+        let n = system.relations().len();
         Ok(Solver {
             manager,
             system,
             alloc,
             deps,
-            inputs: BTreeMap::new(),
-            evaluated: BTreeMap::new(),
+            values: vec![None; n],
+            plans: vec![None; n],
             options,
             stats,
             provenance: Provenance::default(),
@@ -670,11 +707,17 @@ impl Solver {
         &self.provenance
     }
 
-    /// Pushes a provenance snapshot for `name` (no-op unless recording).
-    pub(crate) fn note_provenance(&mut self, name: &str, value: Bdd) {
+    /// Pushes a provenance snapshot for relation `rel` (no-op unless
+    /// recording).
+    pub(crate) fn note_provenance(&mut self, rel: usize, value: Bdd) {
         if self.options.record_provenance {
-            self.provenance.note(name, value);
+            self.provenance.note(&self.system.relations()[rel].name, value);
         }
+    }
+
+    /// The name of relation `rel`, for errors and telemetry.
+    pub(crate) fn name(&self, rel: usize) -> &str {
+        &self.system.relations()[rel].name
     }
 
     /// Supplies the interpretation of an input relation.
@@ -683,18 +726,21 @@ impl Solver {
     ///
     /// Returns [`SolveError::Unknown`] if `name` is not an input relation.
     pub fn set_input(&mut self, name: &str, bdd: Bdd) -> Result<(), SolveError> {
-        match self.system.relation(name) {
-            Some(rel) if rel.kind == RelationKind::Input => {
-                self.inputs.insert(name.to_string(), bdd);
-                // Interpretations downstream may change, and every
-                // recorded rank with them.
-                self.evaluated.clear();
-                self.provenance.clear();
-                Ok(())
-            }
-            Some(_) => Err(SolveError::System(format!("`{name}` is not an input relation"))),
-            None => Err(SolveError::Unknown(name.to_string())),
+        let rel =
+            self.system.relation_id(name).ok_or_else(|| SolveError::Unknown(name.to_string()))?;
+        if self.system.relations()[rel].kind != RelationKind::Input {
+            return Err(SolveError::System(format!("`{name}` is not an input relation")));
         }
+        // Interpretations downstream may change, and every recorded rank
+        // with them.
+        for (value, def) in self.values.iter_mut().zip(self.system.relations()) {
+            if def.kind == RelationKind::Fixpoint {
+                *value = None;
+            }
+        }
+        self.values[rel] = Some(bdd);
+        self.provenance.clear();
+        Ok(())
     }
 
     /// Evaluates relation `name` under the configured [`Strategy`] and
@@ -714,8 +760,13 @@ impl Solver {
     ///
     /// See [`SolveError`].
     pub fn evaluate(&mut self, name: &str) -> Result<Bdd, SolveError> {
-        if let Some(&b) = self.evaluated.get(name) {
+        let rel =
+            self.system.relation_id(name).ok_or_else(|| SolveError::Unknown(name.to_string()))?;
+        if let Some(b) = self.values[rel] {
             return Ok(b);
+        }
+        if self.system.relations()[rel].kind == RelationKind::Input {
+            return Err(SolveError::MissingInterpretation(name.to_string()));
         }
         let mut span = telemetry::span(Phase::Solve, "evaluate");
         if span.is_recording() {
@@ -724,12 +775,16 @@ impl Solver {
         }
         let b = match self.options.strategy {
             Strategy::RoundRobin => {
-                let frozen = BTreeMap::new();
-                self.evaluate_nested(name, &frozen, true, None)?
+                // The reference re-derives every fixpoint relation a body
+                // reaches: it freezes the inputs only.
+                let frozen: Vec<Option<Bdd>> = (self.values.iter().zip(self.system.relations()))
+                    .map(|(&v, def)| v.filter(|_| def.kind == RelationKind::Input))
+                    .collect();
+                self.evaluate_nested(rel, &frozen, true)?
             }
-            Strategy::Worklist => self.evaluate_worklist(name)?,
+            Strategy::Worklist => self.evaluate_worklist(rel)?,
         };
-        self.evaluated.insert(name.to_string(), b);
+        self.values[rel] = Some(b);
         if self.options.record_provenance {
             self.stats.provenance_nodes = self.provenance.node_footprint(&self.manager);
         }
@@ -752,10 +807,10 @@ impl Solver {
 
     /// The solver's one safe point, entered when
     /// [`Solver::arena_over_pressure`] says so: garbage-collects the node
-    /// arena, keeping exactly the live roots — input relations, memoized
-    /// interpretations and provenance snapshots, plus the *extra* handles
-    /// a running stratum still needs (its component state; none between
-    /// strata) — then holds the arena to
+    /// arena, keeping exactly the live roots — the value table (inputs and
+    /// memoized interpretations) and provenance snapshots, plus the
+    /// *extra* handles a running stratum still needs (its component state;
+    /// none between strata) — then holds the arena to
     /// [`crate::ResourceLimits::node_budget`]. The extras are remapped in
     /// place, which is what lets a collection fire in the middle of a
     /// long-running component instead of only at its boundary. Computed
@@ -765,17 +820,12 @@ impl Solver {
     /// budget does it surface [`LimitKind::NodeBudget`], with peak-arena
     /// diagnostics in the partial stats.
     pub(crate) fn collect(&mut self, extras: &mut [&mut Bdd]) -> Result<(), SolveError> {
-        let mut roots: Vec<Bdd> = Vec::new();
-        roots.extend(self.inputs.values().copied());
-        roots.extend(self.evaluated.values().copied());
+        let mut roots: Vec<Bdd> = self.values.iter().flatten().copied().collect();
         roots.extend(self.provenance.roots());
         roots.extend(extras.iter().map(|b| **b));
         let result = self.manager.gc(&roots);
         let mut remapped = result.roots.iter().copied();
-        for v in self.inputs.values_mut() {
-            *v = remapped.next().expect("gc root count mismatch");
-        }
-        for v in self.evaluated.values_mut() {
+        for v in self.values.iter_mut().flatten() {
             *v = remapped.next().expect("gc root count mismatch");
         }
         self.provenance.remap(remapped.by_ref());
@@ -837,93 +887,43 @@ impl Solver {
             || self.options.limits.node_budget.is_some_and(|b| nodes > b)
     }
 
-    /// Attributes one body compilation of `name` to the statistics.
-    pub(crate) fn note_reevaluation(&mut self, name: &str) {
-        let scc = self.deps.scc_of_name(name);
-        let entry = self.stats.relations.entry(name.to_string()).or_default();
+    /// The statistics entry of relation `rel`, created on first use.
+    pub(crate) fn relation_stats(&mut self, rel: usize) -> &mut RelationStats {
+        entry_mut(&mut self.stats.relations, &self.system.relations()[rel].name, Default::default)
+    }
+
+    /// Attributes one body compilation of fixpoint relation `rel` to the
+    /// statistics.
+    pub(crate) fn note_reevaluation(&mut self, rel: usize) {
+        let scc = self.deps.scc_of(rel);
+        let entry = self.relation_stats(rel);
         entry.reevaluations += 1;
-        entry.scc = scc;
-        if let Some(s) = scc {
-            self.stats.sccs[s].evaluations += 1;
-        }
+        entry.scc = Some(scc);
+        self.stats.sccs[scc].evaluations += 1;
         telemetry::counter_add("solve.reevals", 1);
     }
 
-    /// Attributes one disjunct compilation: `part` is the disjunct's index
-    /// among `name`'s top-level disjuncts, `nodes` the compiled result's
-    /// DAG size, `wall_us` the compile time. Always-on (the cost is a map
-    /// insert next to a BDD compilation) so `--profile` needs no re-run.
-    pub(crate) fn note_disjunct(
-        &mut self,
-        name: &str,
-        part: usize,
-        label: &str,
-        nodes: usize,
-        wall_us: u64,
-    ) {
-        let e = self.stats.disjuncts.entry(format!("{name}#{part}")).or_default();
-        if e.label.is_empty() {
-            e.label = label.to_string();
-        }
-        e.recompilations += 1;
-        e.nodes_built += nodes as u64;
-        e.peak_nodes = e.peak_nodes.max(nodes);
-        e.wall_us += wall_us;
-    }
-
-    /// The paper's `Evaluate(R, Eq)` with a frozen environment.
-    ///
-    /// `memo_outside`: when `Some(members)`, fixpoint relations *outside*
-    /// `members` are resolved from the memoized top-level interpretations
-    /// instead of being re-evaluated — the worklist strategy's non-monotone
-    /// fallback, where every outer stratum is already fixed. `None` gives
-    /// the exact seed semantics (round-robin), which re-derives everything.
+    /// The paper's `Evaluate(R, Eq)` for relation `rel`, under a frozen
+    /// environment indexed by relation id: a relation frozen there is
+    /// read, never re-derived. Round-robin freezes the inputs only, so
+    /// every fixpoint relation a body reaches is re-derived from scratch,
+    /// as §3 prescribes. The worklist engine's nested fallback also
+    /// freezes the solved outer strata: they are fixed before the
+    /// component starts, so re-deriving them could only repeat work.
     pub(crate) fn evaluate_nested(
         &mut self,
-        name: &str,
-        frozen: &BTreeMap<String, Bdd>,
+        rel: usize,
+        frozen: &[Option<Bdd>],
         top_level: bool,
-        memo_outside: Option<&BTreeSet<String>>,
     ) -> Result<Bdd, SolveError> {
-        if let Some(&b) = frozen.get(name) {
+        if let Some(b) = frozen[rel] {
             return Ok(b);
         }
-        let (body, param_names) = {
-            let rel =
-                self.system.relation(name).ok_or_else(|| SolveError::Unknown(name.to_string()))?;
-            if rel.kind == RelationKind::Input {
-                return self
-                    .inputs
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| SolveError::MissingInterpretation(name.to_string()));
-            }
-            if let Some(members) = memo_outside {
-                if !members.contains(name) {
-                    return self.evaluated.get(name).copied().ok_or_else(|| {
-                        SolveError::Internal(format!(
-                            "worklist fallback: outer stratum `{name}` not pre-evaluated"
-                        ))
-                    });
-                }
-            }
-            let body = rel.body.clone().expect("fixpoint relation has a body");
-            let names: Vec<String> = rel.params.iter().map(|(n, _)| n.clone()).collect();
-            (body, names)
-        };
-        let inner_relations = body.relations();
-
-        // Domain constraint of the formals, conjoined into each round so the
-        // interpretation stays canonical (no out-of-range junk tuples).
-        let mut formals_domain = Bdd::TRUE;
-        for i in 0..param_names.len() {
-            let inst = self.alloc.formal(name, i).clone();
-            let d = self.alloc.domain(&inst);
-            formals_domain = self.manager.and(formals_domain, d);
+        if self.system.relations()[rel].kind == RelationKind::Input {
+            return Err(SolveError::MissingInterpretation(self.name(rel).to_string()));
         }
-
-        let rel_name = name.to_string();
-        let nparams = param_names.len();
+        let plan = self.plan(rel);
+        let formals_domain = self.alloc.formals_domain(&mut self.manager, rel);
         let mut s = Bdd::FALSE;
         let mut iterations = 0usize;
         let mut peak_nodes = 0usize;
@@ -931,7 +931,7 @@ impl Solver {
             iterations += 1;
             if iterations > self.options.max_iterations {
                 return Err(SolveError::Diverged {
-                    relation: rel_name,
+                    relation: self.name(rel).to_string(),
                     bound: self.options.max_iterations,
                 });
             }
@@ -940,36 +940,31 @@ impl Solver {
             self.note_step()?;
             let mut round_span = top_level.then(|| {
                 let mut sp = telemetry::span(Phase::Solve, "round");
-                sp.attr("relation", rel_name.as_str());
+                sp.attr("relation", self.name(rel));
                 sp.attr("round", iterations);
                 sp
             });
-            let mut env = frozen.clone();
-            env.insert(rel_name.clone(), s);
+            let mut env = frozen.to_vec();
+            env[rel] = Some(s);
             // Evaluate every inner relation under the frozen environment.
             let mut interp = env.clone();
-            for r in &inner_relations {
-                if !interp.contains_key(r) {
-                    let v = self.evaluate_nested(r, &env, false, memo_outside)?;
-                    interp.insert(r.clone(), v);
+            for &r in &plan.reads {
+                if interp[r].is_none() {
+                    interp[r] = Some(self.evaluate_nested(r, &env, false)?);
                 }
             }
-            self.note_reevaluation(&rel_name);
-            let next = {
-                let mut ctx = CompileCtx::new(
-                    &mut self.manager,
-                    &self.system,
-                    &self.alloc,
-                    &interp,
-                    owner_rel(&rel_name),
-                );
-                for (i, pname) in param_names.iter().enumerate().take(nparams) {
-                    let inst = ctx.alloc.formal(&rel_name, i).clone();
-                    ctx.bind(pname, inst);
-                }
-                let raw = ctx.compile(&body)?;
-                ctx.manager.and(raw, formals_domain)
-            };
+            self.note_reevaluation(rel);
+            let body = self.system.relations()[rel].body.as_ref().expect("fixpoint body");
+            let raw = CompileCtx::new(
+                &mut self.manager,
+                &self.system,
+                &self.alloc,
+                &interp,
+                Body::Relation(rel),
+                0,
+            )
+            .compile(body)?;
+            let next = self.manager.and(raw, formals_domain);
             peak_nodes = peak_nodes.max(self.manager.node_count(next));
             if let Some(sp) = &mut round_span {
                 sp.attr("changed", next != s);
@@ -979,13 +974,14 @@ impl Solver {
             }
             s = next;
             if top_level {
-                self.note_provenance(name, s);
+                self.note_provenance(rel, s);
             }
         }
         if top_level {
-            let entry = self.stats.relations.entry(rel_name).or_default();
+            let final_nodes = self.manager.node_count(s);
+            let entry = self.relation_stats(rel);
             entry.iterations = iterations;
-            entry.final_nodes = self.manager.node_count(s);
+            entry.final_nodes = final_nodes;
             entry.peak_nodes = peak_nodes;
         }
         Ok(s)
@@ -1000,33 +996,25 @@ impl Solver {
     pub fn eval_query(&mut self, name: &str) -> Result<bool, SolveError> {
         let mut query_span = telemetry::span(Phase::Solve, "query");
         query_span.attr("query", name);
-        let q =
-            self.system.query(name).ok_or_else(|| SolveError::Unknown(name.to_string()))?.clone();
+        let q = (self.system.queries().iter().position(|q| q.name == name))
+            .ok_or_else(|| SolveError::Unknown(name.to_string()))?;
         // Evaluate every relation the query mentions — all of them BEFORE
-        // collecting handles: a later evaluation may garbage-collect the
-        // arena, and only the memo table (and provenance) are remapped. The
-        // memo table therefore is the one safe place to read handles from.
-        for r in q.body.relations() {
+        // compiling: a later evaluation may garbage-collect the arena, and
+        // only the value table (and provenance) are remapped. The table
+        // therefore is the one safe place to read handles from.
+        for r in self.system.queries()[q].body.relations() {
             self.evaluate(&r)?;
         }
-        let mut interp = BTreeMap::new();
-        for r in q.body.relations() {
-            let v = *self
-                .evaluated
-                .get(&r)
-                .ok_or_else(|| SolveError::Internal(format!("`{r}` evaluated but not memoized")))?;
-            interp.insert(r, v);
-        }
-        let result = {
-            let mut ctx = CompileCtx::new(
-                &mut self.manager,
-                &self.system,
-                &self.alloc,
-                &interp,
-                owner_query(&q.name),
-            );
-            ctx.compile(&q.body)?
-        };
+        let body = &self.system.queries()[q].body;
+        let result = CompileCtx::new(
+            &mut self.manager,
+            &self.system,
+            &self.alloc,
+            &self.values,
+            Body::Query(q),
+            0,
+        )
+        .compile(body)?;
         self.sync_manager_stats();
         if result.is_true() {
             Ok(true)
@@ -1037,9 +1025,11 @@ impl Solver {
         }
     }
 
-    /// Node count of the most recent interpretation of `name`, if evaluated.
+    /// Node count of the interpretation of `name`, if it has one: an
+    /// input once supplied, a fixpoint relation once evaluated.
     pub fn interpretation_nodes(&self, name: &str) -> Option<usize> {
-        self.evaluated.get(name).map(|&b| self.manager.node_count(b))
+        let b = self.values[self.system.relation_id(name)?]?;
+        Some(self.manager.node_count(b))
     }
 
     /// Number of satisfying tuples of the interpretation of `name`

@@ -116,6 +116,13 @@ impl System {
         self.by_name.get(name).map(|&i| &self.relations[i])
     }
 
+    /// The declaration index of relation `name`: its position in
+    /// [`System::relations`], and the one relation id the solver keys
+    /// every relation table by.
+    pub fn relation_id(&self, name: &str) -> Option<usize> {
+        self.by_name.get(name).copied()
+    }
+
     /// All queries in declaration order.
     pub fn queries(&self) -> &[Query] {
         &self.queries

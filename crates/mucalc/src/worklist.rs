@@ -9,16 +9,27 @@
 //! dependencies-first, and an already-solved stratum is read from the memo
 //! table, never re-derived.
 //!
+//! # One relation numbering
+//!
+//! Every table here is indexed by relation id, the [`crate::System`]
+//! declaration index ([`crate::System::relation_id`]) that the dependency
+//! graph, the allocation and the compiler use too; a name is read only
+//! for errors, statistics keys and telemetry. Each fixpoint relation gets
+//! its [`Plan`] once per solver, on first use: its top-level disjuncts by
+//! position in the body, with their binder offsets, the relations they
+//! read, their labels and their statistics keys.
+//!
 //! # One evaluation step
 //!
-//! A component solve keeps one working state ([`Component`]): every
-//! member's plan (its body split into top-level disjuncts), its current
-//! value, and a version that grows with every change of that value; per
-//! disjunct, the versions of the members it read when it was last
-//! compiled. The one evaluation step, [`Solver::eval_member`], recompiles
-//! exactly the disjuncts that were never compiled or whose read versions
-//! changed — a changed version is the dirty bit — and combines them in one
-//! of two ways, chosen by the component's monotonicity:
+//! A component solve keeps one working state ([`Component`]): one value
+//! vector by relation id holding the inputs, the solved outer strata and
+//! every member's current value; a clock that ticks with every change of
+//! a member's value, and per relation the tick of its last change; per
+//! disjunct, the tick it was last compiled at. The one evaluation step,
+//! [`Solver::eval_member`], recompiles exactly the disjuncts that were
+//! never compiled or that read a relation changed since — that is the
+//! dirty bit — and combines them in one of two ways, chosen by the
+//! component's monotonicity:
 //!
 //! * **Monotone: accumulate.** The step ORs the recompiled disjuncts into
 //!   the member's current value. This equals the OR of *all* disjuncts
@@ -30,7 +41,7 @@
 //!   value in body order, reusing the cached value of each disjunct whose
 //!   reads did not change. The cache is *exact*, with no monotonicity
 //!   assumption: a disjunct's value is a pure function of the
-//!   interpretations it reads, so equal read versions imply an equal value.
+//!   interpretations it reads, so unchanged reads imply an unchanged value.
 //!
 //! # Three drivers
 //!
@@ -59,36 +70,62 @@
 //! * **Nested**: a non-monotone component that does *not* fit the pattern
 //!   (mutual recursion among two non-anchor members) runs the nested §3
 //!   semantics verbatim ([`Solver::evaluate_nested`]), demand-driven per
-//!   requested root.
+//!   requested root. Its frozen environment is the value table minus the
+//!   component's members: the inputs and the solved outer strata. Those
+//!   strata are fixed before the component starts, so reading them is
+//!   exact, and it spares the reference's re-derivation of every outer
+//!   fixpoint in every round.
 //!
 //! Every pass and round boundary of a driver is a safe point: everything
 //! the next step reads is a root of the component state, so an arena over
 //! pressure is collected there and the state remapped in place.
 
-use crate::alloc::owner_rel;
+use crate::alloc::Body;
 use crate::ast::Formula;
 use crate::compile::CompileCtx;
 use crate::deps::OrderedPlan;
-use crate::solve::{SolveError, Solver};
+use crate::solve::{entry_mut, DisjunctStats, SolveError, Solver};
 use crate::system::RelationKind;
 use getafix_bdd::Bdd;
 use getafix_telemetry::{self as telemetry, Phase};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::rc::Rc;
 use std::time::Instant;
 
-/// One top-level disjunct of a member's body, with the metadata needed to
+/// The compilation plan of one fixpoint relation. It depends on the
+/// system alone, so [`Solver::plan`] builds it once per solver.
+#[derive(Debug)]
+pub(crate) struct Plan {
+    /// Every relation the body applies, by id, in first-occurrence order:
+    /// the order the nested reference derives them in.
+    pub(crate) reads: Vec<usize>,
+    /// The body's top-level disjuncts.
+    parts: Vec<Part>,
+}
+
+/// One top-level disjunct of a relation body, with the metadata needed to
 /// recompile it in isolation.
+#[derive(Debug)]
 struct Part {
-    formula: Formula,
-    /// Positions of the component members this disjunct applies.
+    /// Position among the body's top-level disjuncts ([`disjuncts`]).
+    index: usize,
+    /// Every relation the disjunct applies, by id.
     reads: Vec<usize>,
     /// Binder-numbering offset of the disjunct within the whole body.
     binder_offset: usize,
-    /// Position among the body's top-level disjuncts — the `#index` half
-    /// of the [`crate::DisjunctStats`] attribution key.
-    index: usize,
     /// Pretty-printed prefix of the formula, for the offenders table.
     label: String,
+    /// The [`crate::SolveStats::disjuncts`] key, `"Relation#index"`.
+    key: String,
+}
+
+/// The top-level disjuncts of a body: the operands of an `Or`, or the
+/// body itself.
+fn disjuncts(body: &Formula) -> &[Formula] {
+    match body {
+        Formula::Or(parts) => parts,
+        other => std::slice::from_ref(other),
+    }
 }
 
 /// Truncates a disjunct's pretty-printed formula to a table-friendly
@@ -106,87 +143,106 @@ fn part_label(formula: &Formula) -> String {
     out
 }
 
-/// The compilation plan of one component member.
-struct MemberPlan {
-    name: String,
-    param_names: Vec<String>,
-    parts: Vec<Part>,
-    formals_domain: Bdd,
-}
-
-/// One disjunct's last compilation: its value plus the version of every
-/// member it read, in [`Part::reads`] order.
+/// One disjunct's last compilation: its value and the clock it was
+/// compiled at.
+#[derive(Clone, Copy)]
 struct PartCache {
     value: Bdd,
-    read: Vec<u64>,
+    at: u64,
 }
 
-/// The working state of one component solve. Every `Vec` is indexed by
-/// member position: the order the driver lists the members in.
+/// The working state of one component solve. The per-member `Vec`s are
+/// indexed by member position, the order the driver lists the members
+/// in; `env` and `changed` by relation id.
 struct Component {
     /// The schedule running this solve, for telemetry.
     schedule: &'static str,
     /// Does [`Solver::eval_member`] accumulate (monotone) or recombine?
     monotone: bool,
-    plans: Vec<MemberPlan>,
+    /// Member relation ids.
+    members: Vec<usize>,
+    plans: Vec<Rc<Plan>>,
+    /// Per member: the conjunction of its formals' domains.
+    domains: Vec<Bdd>,
     /// The interpretation compilation reads: inputs and solved outer
-    /// strata, plus the current value of every member some body applies.
-    env: BTreeMap<String, Bdd>,
-    value: Vec<Bdd>,
-    version: Vec<u64>,
+    /// strata, plus every member's current value.
+    env: Vec<Option<Bdd>>,
+    /// The clock at each relation's last change (0: never changed).
+    changed: Vec<u64>,
+    /// Ticks once per change of a member's value.
+    clock: u64,
     /// Per member, per disjunct: the last compilation, if any.
     cache: Vec<Vec<Option<PartCache>>>,
 }
 
 impl Component {
-    /// Sets member `i`'s value. A change bumps its version, which marks
+    /// Member `i`'s current value.
+    fn value(&self, i: usize) -> Bdd {
+        self.env[self.members[i]].expect("member values are always set")
+    }
+
+    /// Sets member `i`'s value. A change ticks the clock, which marks
     /// every disjunct that read the old value stale.
     fn set(&mut self, i: usize, value: Bdd) {
-        if self.value[i] != value {
-            self.value[i] = value;
-            self.version[i] += 1;
-            if let Some(slot) = self.env.get_mut(&self.plans[i].name) {
-                *slot = value;
-            }
+        let rel = self.members[i];
+        if self.env[rel] != Some(value) {
+            self.env[rel] = Some(value);
+            self.clock += 1;
+            self.changed[rel] = self.clock;
         }
     }
 
+    /// The cached value of member `i`'s disjunct `p`, unless it was never
+    /// compiled or something it reads changed since.
+    fn cached(&self, i: usize, p: usize) -> Option<Bdd> {
+        let reads = &self.plans[i].parts[p].reads;
+        let fresh = |pc: &PartCache| reads.iter().all(|&r| self.changed[r] <= pc.at);
+        self.cache[i][p].filter(fresh).map(|pc| pc.value)
+    }
+
     /// Every handle the rest of the solve reads, for a collection to keep
-    /// alive and remap in place. Versions are untouched, so the cache
+    /// alive and remap in place. The clock is untouched, so the cache
     /// stays exact: a remap renames handles without changing which
     /// function they denote.
     fn roots(&mut self) -> Vec<&mut Bdd> {
-        let mut roots: Vec<&mut Bdd> = self.env.values_mut().collect();
-        roots.extend(self.value.iter_mut());
-        roots.extend(self.plans.iter_mut().map(|p| &mut p.formals_domain));
+        let mut roots: Vec<&mut Bdd> = self.env.iter_mut().flatten().collect();
+        roots.extend(self.domains.iter_mut());
         roots.extend(self.cache.iter_mut().flatten().flatten().map(|pc| &mut pc.value));
         roots
     }
 }
 
 impl Solver {
-    /// Worklist-strategy evaluation of `name` (see the module docs).
+    /// The plan of fixpoint relation `rel`, built on first use.
+    pub(crate) fn plan(&mut self, rel: usize) -> Rc<Plan> {
+        if let Some(plan) = &self.plans[rel] {
+            return Rc::clone(plan);
+        }
+        let system = &self.system;
+        let def = &system.relations()[rel];
+        let body = def.body.as_ref().expect("fixpoint relation has a body");
+        let ids = |f: &Formula| -> Vec<usize> {
+            f.relations().iter().filter_map(|r| system.relation_id(r)).collect()
+        };
+        let mut binder_offset = 0;
+        let mut parts = Vec::new();
+        for (index, f) in disjuncts(body).iter().enumerate() {
+            let (label, key) = (part_label(f), format!("{}#{index}", def.name));
+            parts.push(Part { index, reads: ids(f), binder_offset, label, key });
+            binder_offset += f.binder_count();
+        }
+        let plan = Rc::new(Plan { reads: ids(body), parts });
+        self.plans[rel] = Some(Rc::clone(&plan));
+        plan
+    }
+
+    /// Worklist-strategy evaluation of fixpoint relation `root` (see the
+    /// module docs).
     ///
     /// # Errors
     ///
     /// See [`SolveError`].
-    pub(crate) fn evaluate_worklist(&mut self, name: &str) -> Result<Bdd, SolveError> {
-        {
-            let rel =
-                self.system.relation(name).ok_or_else(|| SolveError::Unknown(name.to_string()))?;
-            if rel.kind == RelationKind::Input {
-                return self
-                    .inputs
-                    .get(name)
-                    .copied()
-                    .ok_or_else(|| SolveError::MissingInterpretation(name.to_string()));
-            }
-        }
-        let root = self
-            .deps
-            .relation_index(name)
-            .ok_or_else(|| SolveError::Internal(format!("`{name}` missing from dep graph")))?;
-
+    pub(crate) fn evaluate_worklist(&mut self, root: usize) -> Result<Bdd, SolveError> {
         // Demand: the cone of relations `root` transitively applies, grouped
         // into components. Component indices ascend in dependency order, so
         // iterating the set ascending solves dependencies first.
@@ -208,15 +264,14 @@ impl Solver {
         }
         let mut strata_done = 0usize;
         for idx in scc_order {
-            let roots = demanded.get(&idx).cloned().unwrap_or_default();
+            let roots = demanded.remove(&idx).unwrap_or_default();
             self.solve_stratum(idx, &roots)?;
             strata_done += 1;
             self.note_stratum_done(strata_done);
         }
-        self.evaluated
-            .get(name)
-            .copied()
-            .ok_or_else(|| SolveError::Internal(format!("`{name}` not solved by its component")))
+        self.values[root].ok_or_else(|| {
+            SolveError::Internal(format!("`{}` not solved by its component", self.name(root)))
+        })
     }
 
     /// One stratum of the worklist schedule: solve component `idx` (with a
@@ -273,7 +328,7 @@ impl Solver {
         // so it is monotone too.
         let scc = &self.deps.sccs()[idx];
         if scc.monotone {
-            if scc.members.iter().all(|&m| self.evaluated.contains_key(self.deps.name(m))) {
+            if scc.members.iter().all(|&m| self.values[m].is_some()) {
                 return Ok(());
             }
             return self.solve_scc_chaotic(idx);
@@ -281,28 +336,26 @@ impl Solver {
 
         // Non-monotone: per demanded root, run the ordered schedule when
         // the component fits the §4.3 frontier pattern with that root as
-        // the anchor; otherwise defer to the nested §3 semantics (outer
-        // strata resolve through the memo table either way). Only the
-        // root's value is memoized: other members' §3 meanings are
-        // anchored at *their own* top-level evaluation, so caching
-        // intermediates would change later answers.
+        // the anchor; otherwise defer to the nested §3 semantics, frozen
+        // over the value table minus the members. Only the root's value is
+        // memoized: other members' §3 meanings are anchored at *their own*
+        // top-level evaluation, so caching intermediates would change later
+        // answers.
         for &r in demanded {
-            let rname = self.deps.name(r).to_string();
-            if self.evaluated.contains_key(&rname) {
+            if self.values[r].is_some() {
                 continue;
             }
             let value = match self.deps.ordered_plan(idx, r) {
                 Some(plan) => self.solve_scc_ordered(idx, &plan)?,
                 None => {
-                    let members: BTreeSet<String> = self.deps.sccs()[idx]
-                        .members
-                        .iter()
-                        .map(|&m| self.deps.name(m).to_string())
-                        .collect();
-                    self.evaluate_nested(&rname, &BTreeMap::new(), true, Some(&members))?
+                    let mut frozen = self.values.clone();
+                    for &m in &self.deps.sccs()[idx].members {
+                        frozen[m] = None;
+                    }
+                    self.evaluate_nested(r, &frozen, true)?
                 }
             };
-            self.evaluated.insert(rname, value);
+            self.values[r] = Some(value);
         }
         Ok(())
     }
@@ -311,9 +364,8 @@ impl Solver {
     /// positions, starting with every member once; a member whose value
     /// changes re-queues every member that reads it.
     fn solve_scc_chaotic(&mut self, idx: usize) -> Result<(), SolveError> {
-        let members = self.deps.sccs()[idx].members.clone();
-        let mut st = self.component(idx, &members)?;
-        let n = members.len();
+        let mut st = self.component(idx, self.deps.sccs()[idx].members.clone())?;
+        let n = st.members.len();
         let mut queue: VecDeque<usize> = (0..n).collect();
         let mut queued = vec![true; n];
         let mut passes = vec![0usize; n];
@@ -323,18 +375,19 @@ impl Solver {
             passes[i] += 1;
             if passes[i] > self.options.max_iterations {
                 return Err(SolveError::Diverged {
-                    relation: st.plans[i].name.clone(),
+                    relation: self.name(st.members[i]).to_string(),
                     bound: self.options.max_iterations,
                 });
             }
             self.note_step()?;
             let next = self.eval_member(&mut st, i)?;
             peak[i] = peak[i].max(self.manager.node_count(next));
-            if next != st.value[i] {
+            if next != st.value(i) {
                 st.set(i, next);
-                self.note_provenance(&st.plans[i].name, next);
+                let rel = st.members[i];
+                self.note_provenance(rel, next);
                 for (j, q) in queued.iter_mut().enumerate() {
-                    if !*q && st.plans[j].parts.iter().any(|p| p.reads.contains(&i)) {
+                    if !*q && st.plans[j].parts.iter().any(|p| p.reads.contains(&rel)) {
                         *q = true;
                         queue.push_back(j);
                     }
@@ -344,9 +397,9 @@ impl Solver {
                 self.collect(&mut st.roots())?;
             }
         }
-        for (i, plan) in st.plans.iter().enumerate() {
-            self.record_relation(&plan.name, passes[i], st.value[i], peak[i]);
-            self.evaluated.insert(plan.name.clone(), st.value[i]);
+        for (i, &rel) in st.members.iter().enumerate() {
+            self.record_relation(rel, passes[i], st.value(i), peak[i]);
+            self.values[rel] = Some(st.value(i));
         }
         Ok(())
     }
@@ -364,7 +417,7 @@ impl Solver {
     fn solve_scc_ordered(&mut self, idx: usize, plan: &OrderedPlan) -> Result<Bdd, SolveError> {
         let mut members = plan.ranks.clone();
         members.push(plan.anchor);
-        let mut st = self.component(idx, &members)?;
+        let mut st = self.component(idx, members)?;
         let a = plan.ranks.len();
         let bound = self.options.max_iterations;
         let mut rounds = 0usize;
@@ -372,13 +425,16 @@ impl Solver {
         loop {
             rounds += 1;
             if rounds > bound {
-                return Err(SolveError::Diverged { relation: st.plans[a].name.clone(), bound });
+                return Err(SolveError::Diverged {
+                    relation: self.name(plan.anchor).to_string(),
+                    bound,
+                });
             }
             self.note_step()?;
             let reevals_before = self.stats.ordered_reevaluations;
             let mut round_span = telemetry::span(Phase::Solve, "round");
             if round_span.is_recording() {
-                round_span.attr("anchor", st.plans[a].name.as_str());
+                round_span.attr("anchor", self.name(plan.anchor));
                 round_span.attr("round", rounds);
                 round_span.attr("schedule", "ordered");
             }
@@ -401,13 +457,13 @@ impl Solver {
                     passes += 1;
                     if passes > bound {
                         return Err(SolveError::Diverged {
-                            relation: st.plans[i].name.clone(),
+                            relation: self.name(st.members[i]).to_string(),
                             bound,
                         });
                     }
                     self.note_step()?;
                     let next = self.eval_member(&mut st, i)?;
-                    if next == st.value[i] {
+                    if next == st.value(i) {
                         break;
                     }
                     st.set(i, next);
@@ -420,209 +476,163 @@ impl Solver {
             peak_nodes = peak_nodes.max(self.manager.node_count(next));
             if round_span.is_recording() {
                 round_span.attr("reevals", self.stats.ordered_reevaluations - reevals_before);
-                round_span.attr("changed", next != st.value[a]);
+                round_span.attr("changed", next != st.value(a));
             }
             drop(round_span);
-            if next == st.value[a] {
+            if next == st.value(a) {
                 break;
             }
             st.set(a, next);
-            self.note_provenance(&st.plans[a].name, next);
+            self.note_provenance(plan.anchor, next);
             if self.arena_over_pressure() {
                 self.collect(&mut st.roots())?;
             }
         }
 
         self.stats.sccs[idx].ordered = true;
-        self.record_relation(&st.plans[a].name, rounds, st.value[a], peak_nodes);
-        Ok(st.value[a])
+        self.record_relation(plan.anchor, rounds, st.value(a), peak_nodes);
+        Ok(st.value(a))
     }
 
     /// The one evaluation step: recompiles exactly the disjuncts of member
-    /// `i` that were never compiled or whose read versions changed, and
+    /// `i` that were never compiled or whose reads changed since, and
     /// returns the member's next value — accumulated in a monotone
     /// component, recombined otherwise (see the module docs). Counts a
     /// re-evaluation when it recompiled anything.
     fn eval_member(&mut self, st: &mut Component, i: usize) -> Result<Bdd, SolveError> {
+        let rel = st.members[i];
         let mut span = telemetry::span(Phase::Solve, "reeval");
         if span.is_recording() {
-            span.attr("relation", st.plans[i].name.as_str());
+            span.attr("relation", self.name(rel));
             span.attr("schedule", st.schedule);
         }
-        let plan = &st.plans[i];
         let mut acc = Bdd::FALSE;
         let mut recompiled = false;
-        for (p, part) in plan.parts.iter().enumerate() {
-            let cached = st.cache[i][p]
-                .as_ref()
-                .filter(|pc| pc.read.iter().eq(part.reads.iter().map(|&j| &st.version[j])))
-                .map(|pc| pc.value);
-            let value = match cached {
+        for (p, part) in st.plans[i].parts.iter().enumerate() {
+            let value = match st.cached(i, p) {
                 Some(_) if st.monotone => continue,
                 Some(value) => value,
                 None => {
                     recompiled = true;
-                    let raw = self.compile_part(plan, part, &st.env)?;
-                    let value = self.manager.and(raw, plan.formals_domain);
+                    let raw = self.compile_part(rel, part, &st.env)?;
+                    let value = self.manager.and(raw, st.domains[i]);
                     // An accumulating step never reads a cached value
-                    // back, so its cache keeps the versions only and pins
-                    // no nodes.
-                    st.cache[i][p] = Some(PartCache {
-                        value: if st.monotone { Bdd::FALSE } else { value },
-                        read: part.reads.iter().map(|&j| st.version[j]).collect(),
-                    });
+                    // back, so its cache keeps the clock only and pins no
+                    // nodes.
+                    let value_kept = if st.monotone { Bdd::FALSE } else { value };
+                    st.cache[i][p] = Some(PartCache { value: value_kept, at: st.clock });
                     value
                 }
             };
             acc = self.manager.or(acc, value);
         }
         if recompiled {
-            self.note_reevaluation(&plan.name);
+            self.note_reevaluation(rel);
             if !st.monotone {
                 self.stats.ordered_reevaluations += 1;
             }
         }
-        let next = if st.monotone { self.manager.or(st.value[i], acc) } else { acc };
+        let current = st.value(i);
+        let next = if st.monotone { self.manager.or(current, acc) } else { acc };
         span.attr("recompiled", recompiled);
-        span.attr("changed", next != st.value[i]);
+        span.attr("changed", next != current);
         Ok(next)
     }
 
     /// The working state of a solve of component `idx` over `members`
-    /// (dependency-graph indices, in the order the driver lists them).
-    fn component(&mut self, idx: usize, members: &[usize]) -> Result<Component, SolveError> {
-        let names: Vec<String> = members.iter().map(|&m| self.deps.name(m).to_string()).collect();
-        let plans: Vec<MemberPlan> =
-            names.iter().map(|m| self.member_plan(m, &names)).collect::<Result<_, _>>()?;
-        let env = self.component_env(&names)?;
+    /// (relation ids, in the order the driver lists them).
+    fn component(&mut self, idx: usize, members: Vec<usize>) -> Result<Component, SolveError> {
+        let plans: Vec<Rc<Plan>> = members.iter().map(|&m| self.plan(m)).collect();
+        let domains =
+            members.iter().map(|&m| self.alloc.formals_domain(&mut self.manager, m)).collect();
+        let env = self.component_env(&members, &plans)?;
         let monotone = self.deps.sccs()[idx].monotone;
-        let cache = plans.iter().map(|p| p.parts.iter().map(|_| None).collect()).collect();
+        let cache = plans.iter().map(|p| vec![None; p.parts.len()]).collect();
         Ok(Component {
             schedule: if monotone { self.stats.sccs[idx].schedule() } else { "ordered" },
             monotone,
+            members,
             plans,
+            domains,
+            changed: vec![0; env.len()],
             env,
-            value: vec![Bdd::FALSE; names.len()],
-            version: vec![0; names.len()],
+            clock: 0,
             cache,
         })
     }
 
-    /// Builds the compilation plan of one member: top-level disjuncts with
-    /// their binder offsets and the positions of the `members` they read.
-    fn member_plan(&mut self, name: &str, members: &[String]) -> Result<MemberPlan, SolveError> {
-        let (body, param_names) = {
-            let rel =
-                self.system.relation(name).ok_or_else(|| SolveError::Unknown(name.to_string()))?;
-            let body = rel
-                .body
-                .clone()
-                .ok_or_else(|| SolveError::Internal(format!("`{name}` has no body to plan")))?;
-            let params: Vec<String> = rel.params.iter().map(|(n, _)| n.clone()).collect();
-            (body, params)
-        };
-        let raw_parts: Vec<Formula> = match body {
-            Formula::Or(parts) => parts,
-            other => vec![other],
-        };
-        let mut parts = Vec::with_capacity(raw_parts.len());
-        let mut offset = 0usize;
-        for (index, f) in raw_parts.into_iter().enumerate() {
-            let reads =
-                f.relations().iter().filter_map(|r| members.iter().position(|m| m == r)).collect();
-            let binders = f.binder_count();
-            let label = part_label(&f);
-            parts.push(Part { formula: f, reads, binder_offset: offset, index, label });
-            offset += binders;
+    /// The evaluation environment of a component: the value table (inputs
+    /// and solved outer strata) with `⊥` for every member. Everything the
+    /// members apply is checked up front, so a missing input is reported
+    /// before any compilation — the ⊥ stop in `compile.rs` relies on it —
+    /// and an unsolved outer stratum is caught as the stratification bug
+    /// it would be. The first missing name in name order is reported.
+    fn component_env(
+        &self,
+        members: &[usize],
+        plans: &[Rc<Plan>],
+    ) -> Result<Vec<Option<Bdd>>, SolveError> {
+        let mut env = self.values.clone();
+        for &m in members {
+            env[m] = Some(Bdd::FALSE);
         }
-        let mut formals_domain = Bdd::TRUE;
-        for i in 0..param_names.len() {
-            let inst = self.alloc.formal(name, i).clone();
-            let d = self.alloc.domain(&inst);
-            formals_domain = self.manager.and(formals_domain, d);
-        }
-        Ok(MemberPlan { name: name.to_string(), param_names, parts, formals_domain })
-    }
-
-    /// The evaluation environment of a component: inputs and already-solved
-    /// outer strata for everything the members' bodies apply, plus `⊥` for
-    /// the members themselves.
-    fn component_env(&mut self, members: &[String]) -> Result<BTreeMap<String, Bdd>, SolveError> {
-        let mut applied: BTreeSet<String> = BTreeSet::new();
-        for m in members {
-            let rel = self.system.relation(m).ok_or_else(|| SolveError::Unknown(m.clone()))?;
-            if let Some(body) = &rel.body {
-                applied.extend(body.relations());
-            }
-        }
-        let mut env = BTreeMap::new();
-        for r in applied {
-            if members.contains(&r) {
-                env.insert(r, Bdd::FALSE);
-                continue;
-            }
-            let rel = self.system.relation(&r).ok_or_else(|| SolveError::Unknown(r.clone()))?;
-            let value = match rel.kind {
-                RelationKind::Input => self
-                    .inputs
-                    .get(&r)
-                    .copied()
-                    .ok_or_else(|| SolveError::MissingInterpretation(r.clone()))?,
-                RelationKind::Fixpoint => self.evaluated.get(&r).copied().ok_or_else(|| {
-                    SolveError::Internal(format!(
-                        "stratification violated: `{r}` read before being solved"
-                    ))
-                })?,
-            };
-            env.insert(r, value);
+        let missing = (plans.iter().flat_map(|p| &p.reads))
+            .filter(|&&r| env[r].is_none())
+            .min_by_key(|&&r| self.name(r));
+        if let Some(&r) = missing {
+            let name = self.name(r).to_string();
+            return Err(match self.system.relations()[r].kind {
+                RelationKind::Input => SolveError::MissingInterpretation(name),
+                RelationKind::Fixpoint => SolveError::Internal(format!(
+                    "stratification violated: `{name}` read before being solved"
+                )),
+            });
         }
         Ok(env)
     }
 
     /// Writes a solved member's statistics: the passes (or rounds) it
     /// took, and the final and peak sizes of its interpretation.
-    fn record_relation(&mut self, name: &str, iterations: usize, value: Bdd, peak_nodes: usize) {
+    fn record_relation(&mut self, rel: usize, iterations: usize, value: Bdd, peak_nodes: usize) {
         let final_nodes = self.manager.node_count(value);
-        let entry = self.stats.relations.entry(name.to_string()).or_default();
+        let entry = self.relation_stats(rel);
         entry.iterations = iterations;
         entry.final_nodes = final_nodes;
         entry.peak_nodes = entry.peak_nodes.max(peak_nodes);
     }
 
-    /// Compiles one disjunct of `plan` under `interp`, with the binder
-    /// numbering resumed at the disjunct's offset.
+    /// Compiles one disjunct of relation `rel` under `env`, with the
+    /// binder numbering resumed at the disjunct's offset, and attributes
+    /// the work to the disjunct. Every disjunct compilation in every
+    /// schedule funnels through here, so this one call site is the whole
+    /// attribution story; it costs a map lookup next to a BDD
+    /// compilation, so it is always on and `--profile` needs no re-run.
     fn compile_part(
         &mut self,
-        plan: &MemberPlan,
+        rel: usize,
         part: &Part,
-        interp: &BTreeMap<String, Bdd>,
+        env: &[Option<Bdd>],
     ) -> Result<Bdd, SolveError> {
         let compile_start = Instant::now();
-        let raw = {
-            let mut ctx = CompileCtx::with_binder_offset(
-                &mut self.manager,
-                &self.system,
-                &self.alloc,
-                interp,
-                owner_rel(&plan.name),
-                part.binder_offset,
-            );
-            for i in 0..plan.param_names.len() {
-                let inst = ctx.alloc.formal(&plan.name, i).clone();
-                ctx.bind(&plan.param_names[i], inst);
-            }
-            ctx.compile(&part.formula)?
-        };
-        // Every disjunct compilation in every schedule funnels through
-        // here, so this one call site is the whole attribution story.
+        let body = self.system.relations()[rel].body.as_ref().expect("fixpoint body");
+        let raw = CompileCtx::new(
+            &mut self.manager,
+            &self.system,
+            &self.alloc,
+            env,
+            Body::Relation(rel),
+            part.binder_offset,
+        )
+        .compile(&disjuncts(body)[part.index])?;
         let nodes = self.manager.node_count(raw);
-        self.note_disjunct(
-            &plan.name,
-            part.index,
-            &part.label,
-            nodes,
-            compile_start.elapsed().as_micros() as u64,
-        );
+        let stats = entry_mut(&mut self.stats.disjuncts, &part.key, || DisjunctStats {
+            label: part.label.clone(),
+            ..DisjunctStats::default()
+        });
+        stats.recompilations += 1;
+        stats.nodes_built += nodes as u64;
+        stats.peak_nodes = stats.peak_nodes.max(nodes);
+        stats.wall_us += compile_start.elapsed().as_micros() as u64;
         Ok(raw)
     }
 }

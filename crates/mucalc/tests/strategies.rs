@@ -594,7 +594,7 @@ proptest! {
         // The system really contains a non-monotone SCC.
         {
             let g = wl.deps();
-            let scc = g.scc_of_name("F").expect("F is a fixpoint relation");
+            let scc = g.scc_of(wl.system().relation_id("F").expect("F is declared"));
             prop_assert!(!g.sccs()[scc].monotone, "F's component must be non-monotone");
         }
         let mut all_ok = true;
@@ -625,4 +625,71 @@ proptest! {
             );
         }
     }
+}
+
+// --- the nested fallback over a solved stratum ----------------------------
+
+/// A non-monotone component that defeats the ordered plan (`A ↔ B` are
+/// mutually recursive once the anchor is removed) and reads the solved
+/// monotone stratum `Base` from every member.
+const NESTED_OVER_BASE: &str = r#"
+    type S = range 6;
+    input I(s: S);
+    input E(s: S, t: S);
+    mu Base(s: S) := I(s) | (exists x: S. Base(x) & E(x, s));
+    mu Anchor(s: S) := Base(s) | A(s) | (Anchor(s) & !B(s));
+    mu A(s: S) := B(s) | Anchor(s) | (exists x: S. Base(x) & E(x, s) & s = 5);
+    mu B(s: S) := A(s) & Base(s);
+    query q := exists s: S. Anchor(s) & !B(s);
+"#;
+
+fn nested_over_base_solver(strategy: SolveStrategy) -> Solver {
+    let system = getafix_mucalc::parse_system(NESTED_OVER_BASE).unwrap();
+    let mut solver = Solver::with_options(system, SolveOptions::with_strategy(strategy)).unwrap();
+    let init = {
+        let vars = solver.alloc().formal("I", 0).all_vars();
+        encode(solver.manager(), &vars, &[0], 6)
+    };
+    solver.set_input("I", init).unwrap();
+    let edges = {
+        let s = solver.alloc().formal("E", 0).all_vars();
+        let t = solver.alloc().formal("E", 1).all_vars();
+        let m = solver.manager();
+        let mut acc = Bdd::FALSE;
+        for (a, c) in [(0, 1), (1, 2), (2, 3), (4, 5)] {
+            let fa = eq_const(m, &s, a);
+            let fc = eq_const(m, &t, c);
+            let e = m.and(fa, fc);
+            acc = m.or(acc, e);
+        }
+        acc
+    };
+    solver.set_input("E", edges).unwrap();
+    solver
+}
+
+/// The worklist engine's nested fallback reads an already-solved outer
+/// stratum from its frozen environment instead of re-deriving it: after
+/// `Anchor` is solved, `Base` has taken exactly the re-evaluations it
+/// takes on its own. Every member, `Base` and the query still agree with
+/// the round-robin reference, tuple by tuple.
+#[test]
+fn nested_fallback_reads_solved_strata_from_the_frozen_environment() {
+    let mut solo = nested_over_base_solver(SolveStrategy::Worklist);
+    solo.evaluate("Base").unwrap();
+    let base_alone = solo.stats().relations["Base"].reevaluations;
+
+    let mut wl = nested_over_base_solver(SolveStrategy::Worklist);
+    wl.evaluate("Anchor").unwrap();
+    let scc = wl.stats().relations["Anchor"].scc.expect("Anchor has a component");
+    assert_eq!(wl.stats().sccs[scc].schedule(), "nested");
+    assert_eq!(wl.stats().relations["Base"].reevaluations, base_alone);
+
+    let mut rr = nested_over_base_solver(SolveStrategy::RoundRobin);
+    for name in ["Anchor", "A", "B", "Base"] {
+        let got = nm_membership(&mut wl, name, 6);
+        assert_eq!(got, nm_membership(&mut rr, name, 6), "interpretation of {name}");
+    }
+    assert_eq!(wl.eval_query("q").unwrap(), rr.eval_query("q").unwrap());
+    assert_eq!(wl.stats().relations["Base"].reevaluations, base_alone);
 }
