@@ -12,12 +12,10 @@
 //! cargo run --release -p getafix-bench --bin ablation_conc [-- --max-k K]
 //! ```
 
-use getafix_bench::{check_flags, parse_flag, run_fig3_config};
+use getafix_bench::{run_fig3_config, CLI};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags("ablation_conc", &args, &[("--max-k", true)]);
-    let max_k: usize = parse_flag("ablation_conc", &args, "--max-k", 5);
+    let max_k: usize = CLI.parse_env("ablation_conc").value("--max-k").unwrap_or(5);
 
     println!("E6 — global-copy economy of the §5 formulation (Bluetooth, 2 adders + 2 stoppers)\n");
     let (merged, rows) = run_fig3_config(2, 2, max_k);

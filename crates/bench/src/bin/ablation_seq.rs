@@ -11,15 +11,13 @@
 //! cargo run --release -p getafix-bench --bin ablation_seq [-- --bits N]
 //! ```
 
-use getafix_bench::{check_flags, parse_flag};
+use getafix_bench::CLI;
 use getafix_boolprog::Cfg;
 use getafix_core::{check_reachability, Algorithm};
 use getafix_workloads::{driver, terminator, DeadStyle, DriverSpec, TerminatorVariant};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags("ablation_seq", &args, &[("--bits", true)]);
-    let bits: usize = parse_flag("ablation_seq", &args, "--bits", 4);
+    let bits: usize = CLI.parse_env("ablation_seq").value("--bits").unwrap_or(4);
 
     println!(
         "E7 — return-clause rewrite (split vs naive), Terminator workloads, {bits}-bit counters\n"

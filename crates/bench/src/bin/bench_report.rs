@@ -16,7 +16,7 @@
 //!     [--max-wall-regress R] [--bdd-smoke] [--skip-fig3]
 //! ```
 //!
-//! Any other flag, a stray argument, or a value flag given last exits 2
+//! The whole command line is checked before any work: a mistake exits 2
 //! with the argument named.
 //!
 //! `--timeout SECS` (env fallback `GETAFIX_TIMEOUT`) puts one wall-clock
@@ -37,8 +37,7 @@
 //! re-evaluation counts and the strategy guard are bit-identical at any
 //! job count — only wall times change. The effective count is recorded
 //! as a top-level `jobs` field (the baseline comparison matches
-//! workloads by name/algorithm and ignores it). An unparsable `--jobs`,
-//! `--scale`, `--bits` or `--max-wall-regress` exits 2.
+//! workloads by name/algorithm and ignores it).
 //!
 //! The JSON is emitted through [`getafix_telemetry::json::JsonWriter`]
 //! (the workspace builds offline, without serde; the telemetry crate's
@@ -70,10 +69,10 @@
 //! `dead-baggage` workload asserts a *strict* reduction in both variables
 //! and re-evaluations on every run.
 
-use getafix_bench::parallel::parallel_map;
+use getafix::cli;
+use getafix_bench::parallel::{parallel_map, resolve_jobs};
 use getafix_bench::{
-    check_flags, dead_baggage_cases, flag_value, jobs_flag, parse_flag, regression_cases,
-    slam_cases, terminator_cases, SeqCase,
+    dead_baggage_cases, regression_cases, slam_cases, terminator_cases, SeqCase, CLI,
 };
 use getafix_boolprog::analysis::{slice, AnalysisOptions};
 use getafix_boolprog::{parse_concurrent, Cfg, Pc};
@@ -86,26 +85,6 @@ use getafix_mucalc::{ResourceLimits, SolveError, SolveOptions, SolveStats, Strat
 use getafix_telemetry::json::JsonWriter;
 use getafix_witness::{concurrent_witness_from, WitnessError};
 use std::time::Instant;
-
-/// Builds the run-wide resource limits from `--timeout SECS` (env
-/// fallback `GETAFIX_TIMEOUT`). Every case receives a clone of the
-/// returned value, so the whole run shares one absolute deadline and one
-/// cancellation token: the first trip stops every in-flight solve.
-fn parse_limits(args: &[String]) -> ResourceLimits {
-    let mut limits = ResourceLimits::default();
-    let timeout = flag_value(args, "--timeout")
-        .map(str::to_string)
-        .or_else(|| std::env::var("GETAFIX_TIMEOUT").ok());
-    if let Some(s) = timeout {
-        let secs: f64 = s.trim().parse().unwrap_or_else(|e| panic!("--timeout: {e}"));
-        assert!(
-            secs.is_finite() && secs > 0.0,
-            "--timeout: the deadline must be a positive number of seconds"
-        );
-        limits = limits.with_timeout(std::time::Duration::from_secs_f64(secs));
-    }
-    limits
-}
 
 /// Terminates the run on a tripped resource limit with the documented
 /// exit code 3 — distinct from a panic (broken benchmark, nonzero abort)
@@ -431,34 +410,23 @@ fn fig3_report(jobs: usize, limits: &ResourceLimits) -> String {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags(
-        "bench-report",
-        &args,
-        &[
-            ("--out", true),
-            ("--out-fig3", true),
-            ("--out-bdd", true),
-            ("--bdd-smoke", false),
-            ("--skip-fig3", false),
-            ("--scale", true),
-            ("--bits", true),
-            ("--jobs", true),
-            ("--timeout", true),
-            ("--compare", true),
-            ("--compare-out", true),
-            ("--max-wall-regress", true),
-        ],
-    );
-    let out_path = flag_value(&args, "--out").unwrap_or("BENCH_fig2.json");
-    let fig3_path = flag_value(&args, "--out-fig3").unwrap_or("BENCH_fig3.json");
-    let bdd_path = flag_value(&args, "--out-bdd").unwrap_or("BENCH_bdd.json");
-    let bdd_smoke = args.iter().any(|a| a == "--bdd-smoke");
-    let scale: usize = parse_flag("bench-report", &args, "--scale", 1);
-    let bits: usize = parse_flag("bench-report", &args, "--bits", 3);
-    let jobs = jobs_flag("bench-report", &args);
-    let max_ratio: f64 = parse_flag("bench-report", &args, "--max-wall-regress", 1.25);
-    let limits = parse_limits(&args);
+    let args = CLI.parse_env("bench-report");
+    let out_path = args.text("--out").unwrap_or("BENCH_fig2.json");
+    let fig3_path = args.text("--out-fig3").unwrap_or("BENCH_fig3.json");
+    let bdd_path = args.text("--out-bdd").unwrap_or("BENCH_bdd.json");
+    let bdd_smoke = args.has("--bdd-smoke");
+    let scale: usize = args.value("--scale").unwrap_or(1);
+    let bits: usize = args.value("--bits").unwrap_or(3);
+    let jobs = resolve_jobs(args.value("--jobs").unwrap_or(1));
+    let max_ratio: f64 = args.value("--max-wall-regress").unwrap_or(1.25);
+    // Every case receives a clone of these limits, so the whole run shares
+    // one absolute deadline and one cancellation token: the first trip
+    // stops every in-flight solve.
+    let limits = ResourceLimits::default();
+    let limits = match cli::timeout(&args).unwrap_or_else(|e| CLI.exit_usage("bench-report", e)) {
+        Some(deadline) => limits.with_timeout(deadline),
+        None => limits,
+    };
 
     // Kernel microbenches first: they are fast, self-contained and make a
     // kernel regression visible even when a later (solver-level) group
@@ -582,13 +550,13 @@ fn main() {
     eprintln!("wrote {out_path}");
 
     // Baseline comparison: table + artifact + the wall-clock gate.
-    if let Some(baseline_path) = flag_value(&args, "--compare") {
+    if let Some(baseline_path) = args.text("--compare") {
         let baseline = std::fs::read_to_string(baseline_path)
             .unwrap_or_else(|e| panic!("--compare {baseline_path}: {e}"));
         let cmp = getafix_bench::compare::compare_fig2(&baseline, &json)
             .unwrap_or_else(|e| panic!("--compare: {e}"));
         eprint!("{}", cmp.render());
-        let compare_out = flag_value(&args, "--compare-out").unwrap_or("BENCH_compare.json");
+        let compare_out = args.text("--compare-out").unwrap_or("BENCH_compare.json");
         let mut doc = cmp.to_json();
         doc.push('\n');
         std::fs::write(compare_out, doc).unwrap_or_else(|e| panic!("{compare_out}: {e}"));
@@ -598,7 +566,7 @@ fn main() {
 
     // `--skip-fig3` leaves the previous fig3 report untouched — handy when
     // iterating on the sequential kernel/scheduler only.
-    if !args.iter().any(|a| a == "--skip-fig3") {
+    if !args.has("--skip-fig3") {
         let fig3 = fig3_report(jobs, &limits);
         std::fs::write(fig3_path, &fig3).unwrap_or_else(|e| panic!("{fig3_path}: {e}"));
         eprintln!("wrote {fig3_path}");

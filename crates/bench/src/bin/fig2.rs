@@ -10,23 +10,15 @@
 //! which engine wins where, and by what rough factor — is the result.
 
 use getafix_bench::{
-    check_flags, flag_value, parse_flag, print_fig2_header, print_fig2_row, regression_cases,
-    run_fig2_row, slam_cases, terminator_cases,
+    print_fig2_header, print_fig2_row, regression_cases, run_fig2_row, slam_cases,
+    terminator_cases, CLI,
 };
 
-/// The values `--suite` accepts.
-const SUITES: [&str; 4] = ["all", "regression", "slam", "terminator"];
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags("fig2", &args, &[("--suite", true), ("--scale", true), ("--bits", true)]);
-    let suite = flag_value(&args, "--suite").unwrap_or("all");
-    if !SUITES.contains(&suite) {
-        eprintln!("fig2: unknown --suite `{suite}` (accepted: {})", SUITES.join(" "));
-        std::process::exit(2);
-    }
-    let scale: usize = parse_flag("fig2", &args, "--scale", 1);
-    let bits: usize = parse_flag("fig2", &args, "--bits", 4);
+    let args = CLI.parse_env("fig2");
+    let suite = args.text("--suite").unwrap_or("all");
+    let scale: usize = args.value("--scale").unwrap_or(1);
+    let bits: usize = args.value("--bits").unwrap_or(4);
 
     println!("Figure 2 — sequential reachability (averages per suite)");
     println!("driver scale = {scale}, terminator counter bits = {bits}\n");

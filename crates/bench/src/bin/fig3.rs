@@ -9,17 +9,15 @@
 //! `--jobs N` (default 1; 0 = all cores) fans the independent switch-bound
 //! solves of each configuration across threads — every bound owns a
 //! private BDD manager, so the table is identical at any job count, only
-//! faster. An unparsable `--max-k` or `--jobs`, any other flag, a stray
-//! argument, or a value flag given last exits 2.
+//! faster.
 
-use getafix_bench::{check_flags, jobs_flag, parse_flag, run_fig3_config_jobs};
+use getafix_bench::{run_fig3_config_jobs, CLI};
 use getafix_workloads::FIGURE3_CONFIGS;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    check_flags("fig3", &args, &[("--max-k", true), ("--jobs", true)]);
-    let max_k: usize = parse_flag("fig3", &args, "--max-k", 6);
-    let jobs = jobs_flag("fig3", &args);
+    let args = CLI.parse_env("fig3");
+    let max_k: usize = args.value("--max-k").unwrap_or(6);
+    let jobs = args.value("--jobs").unwrap_or(1);
 
     println!("Figure 3 — Bluetooth driver, bounded context-switching reachability\n");
     println!("{:<9} {:<10} {:<14} {:<10} Time", "Context", "Reachable", "Reach set", "BDD");

@@ -6,6 +6,7 @@ pub mod bdd_kernel;
 pub mod compare;
 pub mod parallel;
 
+use getafix::cli::{self, Flag, Spec, Value::*};
 use getafix_bebop::bebop_reachable;
 use getafix_boolprog::{Cfg, Pc, Program};
 use getafix_conc::{check_merged, merge, Merged};
@@ -13,56 +14,35 @@ use getafix_core::{check_reachability, check_reachability_with, Algorithm};
 use getafix_mucalc::{SolveOptions, Strategy};
 use getafix_pds::{poststar, prestar};
 use getafix_workloads as workloads;
-use std::fmt::Display;
-use std::str::FromStr;
 use std::time::Duration;
 
-/// The value following the first `name` in `args`, if any.
-pub fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).map(String::as_str)
-}
+/// The values `fig2 --suite` accepts.
+pub const SUITES: [&str; 4] = ["all", "regression", "slam", "terminator"];
+/// The flags only `bench-report` reads.
+const REPORT: &[&str] = &["bench-report"];
 
-/// Checks `args` against `bin`'s accepted flags, each given with whether
-/// it takes a value. An unknown flag, a stray argument that is no flag's
-/// value, or a value flag given last is reported by name and exits 2,
-/// before any benchmark work starts.
-pub fn check_flags(bin: &str, args: &[String], accepted: &[(&str, bool)]) {
-    let mut i = 0;
-    while i < args.len() {
-        let arg = &args[i];
-        let Some(&(_, takes_value)) = accepted.iter().find(|(name, _)| name == arg) else {
-            let names: Vec<&str> = accepted.iter().map(|(name, _)| *name).collect();
-            eprintln!("{bin}: unknown flag `{arg}` (accepted: {})", names.join(" "));
-            std::process::exit(2)
-        };
-        if takes_value && i + 1 == args.len() {
-            eprintln!("{bin}: {arg} needs a value");
-            std::process::exit(2)
-        }
-        i += if takes_value { 2 } else { 1 };
-    }
-}
-
-/// Parses the value of flag `name` for binary `bin`, `default` when the
-/// flag is absent. An unparsable value is reported with the flag named
-/// and exits 2, the usage-error code of every Getafix binary, rather
-/// than falling back to the default.
-pub fn parse_flag<T: FromStr>(bin: &str, args: &[String], name: &str, default: T) -> T
-where
-    T::Err: Display,
-{
-    let Some(v) = flag_value(args, name) else { return default };
-    v.parse().unwrap_or_else(|e| {
-        eprintln!("{bin}: {name} `{v}`: {e}");
-        std::process::exit(2)
-    })
-}
-
-/// The `--jobs N` of `bench-report` and `fig3`: how many threads whole
-/// cases fan out across (default 1, `0` = all available parallelism).
-pub fn jobs_flag(bin: &str, args: &[String]) -> usize {
-    parallel::resolve_jobs(parse_flag(bin, args, "--jobs", 1))
-}
+/// The command-line contract of the benchmark binaries, each a command
+/// of its own that parses with [`Spec::parse_env`].
+pub static CLI: Spec = Spec {
+    program: None,
+    commands: &["bench-report", "fig2", "fig3", "ablation_seq", "ablation_conc"],
+    flags: &[
+        Flag::new("--out", Takes("PATH", cli::text), REPORT),
+        Flag::new("--out-fig3", Takes("PATH", cli::text), REPORT),
+        Flag::new("--out-bdd", Takes("PATH", cli::text), REPORT),
+        Flag::new("--suite", OneOf("SUITE", &SUITES), &["fig2"]),
+        Flag::new("--scale", Takes("N", cli::whole), &["bench-report", "fig2"]),
+        Flag::new("--bits", Takes("N", cli::whole), &["bench-report", "fig2", "ablation_seq"]),
+        Flag::new("--max-k", Takes("K", cli::whole), &["fig3", "ablation_conc"]),
+        Flag::new("--jobs", Takes("N", cli::whole), &["bench-report", "fig3"]),
+        Flag::new("--timeout", Takes("SECS", cli::positive), REPORT),
+        Flag::new("--compare", Takes("BASELINE.json", cli::text), REPORT),
+        Flag::new("--compare-out", Takes("PATH", cli::text), REPORT),
+        Flag::new("--max-wall-regress", Takes("R", cli::positive), REPORT),
+        Flag::new("--bdd-smoke", Switch, REPORT),
+        Flag::new("--skip-fig3", Switch, REPORT),
+    ],
+};
 
 /// One Figure 2 row (possibly aggregated over a sub-suite).
 #[derive(Debug, Clone, Default)]

@@ -42,6 +42,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+pub mod cli;
 pub mod lint;
 
 pub use getafix_bdd as bdd;

@@ -15,7 +15,7 @@ use std::fmt::Write as _;
 const HIST_BOUNDS_US: [u64; 5] = [10, 100, 1_000, 10_000, 100_000];
 
 /// Aggregate of one `(phase, name)` span group.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq, Eq)]
 struct Group {
     count: usize,
     total_us: u64,
@@ -103,20 +103,18 @@ impl TraceData {
     /// Per-`(phase, name)` totals with self time (duration minus direct
     /// children), sorted by descending self time.
     fn span_groups(&self) -> Vec<(String, Group)> {
-        // Direct-children total per span: match children by containment at
-        // depth + 1. Spans are completion-ordered; index them by start.
+        // Spans are recorded as they close, so a span's children close
+        // after its previous sibling and before it: one pass, with the
+        // durations closed at each depth since that depth's parent last
+        // took them, gives every span its direct-children total.
+        let mut closed_us: Vec<u64> = Vec::new();
         let mut groups: BTreeMap<String, Group> = BTreeMap::new();
         for s in &self.spans {
-            let child_us: u64 = self
-                .spans
-                .iter()
-                .filter(|c| {
-                    c.depth == s.depth + 1
-                        && c.t_start_us >= s.t_start_us
-                        && c.t_end_us <= s.t_end_us
-                })
-                .map(|c| c.dur_us())
-                .sum();
+            if closed_us.len() < s.depth + 2 {
+                closed_us.resize(s.depth + 2, 0);
+            }
+            let child_us = std::mem::take(&mut closed_us[s.depth + 1]);
+            closed_us[s.depth] += s.dur_us();
             let g = groups.entry(format!("{}/{}", s.phase, s.name)).or_default();
             g.count += 1;
             g.total_us += s.dur_us();
@@ -212,6 +210,7 @@ impl TraceData {
 mod tests {
     use super::*;
     use crate::collect::{EventRecord, Phase};
+    use proptest::prelude::*;
 
     fn span(name: &'static str, start: u64, end: u64, depth: usize) -> SpanRecord {
         SpanRecord {
@@ -325,5 +324,67 @@ mod tests {
         assert!(summary.contains("solve/reeval"), "{summary}");
         assert!(summary.contains("re-eval latency"), "{summary}");
         assert!(summary.contains("Reach"), "{summary}");
+    }
+
+    /// The span groups by interval containment: a span's direct children
+    /// are the spans one level deeper inside its interval. Quadratic, so
+    /// only the oracle for [`TraceData::span_groups`].
+    fn groups_by_containment(data: &TraceData) -> BTreeMap<String, Group> {
+        let mut groups: BTreeMap<String, Group> = BTreeMap::new();
+        for s in &data.spans {
+            let child_us: u64 = data
+                .spans
+                .iter()
+                .filter(|c| {
+                    c.depth == s.depth + 1
+                        && c.t_start_us >= s.t_start_us
+                        && c.t_end_us <= s.t_end_us
+                })
+                .map(|c| c.dur_us())
+                .sum();
+            let g = groups.entry(format!("{}/{}", s.phase, s.name)).or_default();
+            g.count += 1;
+            g.total_us += s.dur_us();
+            g.self_us += s.dur_us().saturating_sub(child_us);
+        }
+        groups
+    }
+
+    /// A well-formed span forest in completion order, from a script of
+    /// opens (0), closes (1) and idle ticks (2); the spans still open at
+    /// the end close in order. Every step advances the clock, so no two
+    /// span boundaries share a timestamp.
+    fn forest(script: &[usize]) -> TraceData {
+        const NAMES: [&str; 3] = ["eval", "reeval", "gc"];
+        let mut open: Vec<(&'static str, u64)> = Vec::new();
+        let mut spans = Vec::new();
+        let mut t = 0;
+        for &op in script.iter().chain(std::iter::repeat_n(&1, script.len())) {
+            t += 1;
+            match op {
+                0 => open.push((NAMES[t as usize % NAMES.len()], t)),
+                1 => {
+                    if let Some((name, start)) = open.pop() {
+                        spans.push(span(name, start, t, open.len()));
+                    }
+                }
+                _ => {}
+            }
+        }
+        TraceData { spans, ..TraceData::default() }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The one-pass span groups equal the containment oracle's
+        /// counts, totals and self times on random span forests.
+        #[test]
+        fn span_groups_match_containment(script in prop::collection::vec(0usize..3, 0..120)) {
+            let data = forest(&script);
+            data.check_well_formed().expect("the script builds a forest");
+            let one_pass: BTreeMap<String, Group> = data.span_groups().into_iter().collect();
+            prop_assert_eq!(one_pass, groups_by_containment(&data));
+        }
     }
 }
