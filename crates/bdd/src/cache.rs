@@ -22,73 +22,37 @@
 //! and every slot stamped with an older generation reads as empty. This
 //! makes [`Caches::clear`] O(1) — important now that GC can run in the
 //! middle of a long stratum.
+//!
+//! # Fixed sizes
+//!
+//! Every table has one size, a constant below, as a log₂ slot count. It
+//! is allocated at that size on first use and never grows; managers that
+//! never touch an operation never pay for its table, and the full set
+//! totals a few MiB. The committed `BENCH_bdd.json` pins the kernel
+//! counters these sizes produce.
 
 use crate::manager::{Bdd, Var};
 use crate::table::hash_node;
 
-/// Sizing knobs for the computed tables, as log₂ slot counts.
-///
-/// Set at [`crate::Manager`] construction ([`crate::Manager::with_config`]);
-/// each table is allocated lazily at its configured size on first use and
-/// never grows — a bigger table trades memory for fewer collision
-/// evictions. The defaults total a few MiB when fully populated; managers
-/// that never touch an operation never pay for its table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CacheConfig {
-    /// log₂ slots of the conjunction cache (disjunction is derived from it
-    /// via complement edges, negation is free).
-    pub and_bits: u32,
-    /// log₂ slots of the exclusive-or cache.
-    pub xor_bits: u32,
-    /// log₂ slots of the if-then-else cache.
-    pub ite_bits: u32,
-    /// log₂ slots of the existential-quantification cache.
-    pub exists_bits: u32,
-    /// log₂ slots of the fused `∃·∧` relational-product cache.
-    pub and_exists_bits: u32,
-    /// log₂ slots of the variable-renaming cache.
-    pub rename_bits: u32,
-    /// log₂ slots of the fused `∃·(rename ∧ ·)` image cache.
-    pub rename_and_exists_bits: u32,
-    /// log₂ slots of the single-variable restriction cache.
-    pub restrict_bits: u32,
-    /// log₂ slots of the cube-cofactor ([`crate::Manager::restrict_cube`])
-    /// cache.
-    pub cofactor_bits: u32,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            and_bits: 14,
-            xor_bits: 12,
-            ite_bits: 12,
-            exists_bits: 13,
-            and_exists_bits: 15,
-            rename_bits: 12,
-            rename_and_exists_bits: 15,
-            restrict_bits: 12,
-            cofactor_bits: 12,
-        }
-    }
-}
-
-impl CacheConfig {
-    /// A configuration giving every table `bits` log₂ slots.
-    pub fn uniform(bits: u32) -> CacheConfig {
-        CacheConfig {
-            and_bits: bits,
-            xor_bits: bits,
-            ite_bits: bits,
-            exists_bits: bits,
-            and_exists_bits: bits,
-            rename_bits: bits,
-            rename_and_exists_bits: bits,
-            restrict_bits: bits,
-            cofactor_bits: bits,
-        }
-    }
-}
+/// The conjunction cache (disjunction is derived from it via complement
+/// edges, negation is free).
+const AND_BITS: u32 = 14;
+/// The exclusive-or cache.
+const XOR_BITS: u32 = 12;
+/// The if-then-else cache.
+const ITE_BITS: u32 = 12;
+/// The existential-quantification cache.
+const EXISTS_BITS: u32 = 13;
+/// The fused `∃·∧` relational-product cache.
+const AND_EXISTS_BITS: u32 = 15;
+/// The variable-renaming cache.
+const RENAME_BITS: u32 = 12;
+/// The fused `∃·(rename ∧ ·)` image cache.
+const RENAME_AND_EXISTS_BITS: u32 = 15;
+/// The single-variable restriction cache.
+const RESTRICT_BITS: u32 = 12;
+/// The cube-cofactor ([`crate::Manager::restrict_cube`]) cache.
+const COFACTOR_BITS: u32 = 12;
 
 /// A two-key direct-mapped entry.
 #[derive(Debug, Clone, Copy, Default)]
@@ -132,8 +96,6 @@ pub(crate) struct Caches {
     rename_and_exists: Vec<Slot4>,
     restrict: Vec<Slot2>,
     cofactor: Vec<Slot2>,
-    /// Table sizes; consulted when a table is first written to.
-    config: CacheConfig,
     /// Current generation; slots stamped with anything else are empty.
     /// Starts at 1 so zero-initialized slots read as empty.
     gen: u32,
@@ -162,7 +124,7 @@ impl Caches {
     /// short-lived managers (one per solved case in a differential or
     /// bench sweep) never pay for zeroing slots an operation mix does not
     /// touch.
-    pub(crate) fn new(config: CacheConfig) -> Caches {
+    pub(crate) fn new() -> Caches {
         Caches {
             and: Vec::new(),
             xor: Vec::new(),
@@ -173,7 +135,6 @@ impl Caches {
             rename_and_exists: Vec::new(),
             restrict: Vec::new(),
             cofactor: Vec::new(),
-            config,
             gen: 1,
             hits: 0,
             misses: 0,
@@ -292,7 +253,7 @@ impl Caches {
 
     #[inline]
     pub(crate) fn and_put(&mut self, f: Bdd, g: Bdd, r: Bdd) {
-        Self::put2(&mut self.and, self.config.and_bits, self.gen, f.0, g.0, r.0);
+        Self::put2(&mut self.and, AND_BITS, self.gen, f.0, g.0, r.0);
     }
 
     #[inline]
@@ -303,7 +264,7 @@ impl Caches {
 
     #[inline]
     pub(crate) fn xor_put(&mut self, f: Bdd, g: Bdd, r: Bdd) {
-        Self::put2(&mut self.xor, self.config.xor_bits, self.gen, f.0, g.0, r.0);
+        Self::put2(&mut self.xor, XOR_BITS, self.gen, f.0, g.0, r.0);
     }
 
     #[inline]
@@ -314,7 +275,7 @@ impl Caches {
 
     #[inline]
     pub(crate) fn ite_put(&mut self, f: Bdd, g: Bdd, h: Bdd, r: Bdd) {
-        Self::put3(&mut self.ite, self.config.ite_bits, self.gen, f.0, g.0, h.0, r.0);
+        Self::put3(&mut self.ite, ITE_BITS, self.gen, f.0, g.0, h.0, r.0);
     }
 
     #[inline]
@@ -325,7 +286,7 @@ impl Caches {
 
     #[inline]
     pub(crate) fn exists_put(&mut self, f: Bdd, cube: Bdd, r: Bdd) {
-        Self::put2(&mut self.exists, self.config.exists_bits, self.gen, f.0, cube.0, r.0);
+        Self::put2(&mut self.exists, EXISTS_BITS, self.gen, f.0, cube.0, r.0);
     }
 
     #[inline]
@@ -336,15 +297,7 @@ impl Caches {
 
     #[inline]
     pub(crate) fn and_exists_put(&mut self, f: Bdd, g: Bdd, cube: Bdd, r: Bdd) {
-        Self::put3(
-            &mut self.and_exists,
-            self.config.and_exists_bits,
-            self.gen,
-            f.0,
-            g.0,
-            cube.0,
-            r.0,
-        );
+        Self::put3(&mut self.and_exists, AND_EXISTS_BITS, self.gen, f.0, g.0, cube.0, r.0);
     }
 
     #[inline]
@@ -355,7 +308,7 @@ impl Caches {
 
     #[inline]
     pub(crate) fn rename_put(&mut self, f: Bdd, map_id: u32, r: Bdd) {
-        Self::put2(&mut self.rename, self.config.rename_bits, self.gen, f.0, map_id, r.0);
+        Self::put2(&mut self.rename, RENAME_BITS, self.gen, f.0, map_id, r.0);
     }
 
     #[inline]
@@ -374,7 +327,7 @@ impl Caches {
     pub(crate) fn rename_and_exists_put(&mut self, f: Bdd, map_id: u32, g: Bdd, cube: Bdd, r: Bdd) {
         Self::put4(
             &mut self.rename_and_exists,
-            self.config.rename_and_exists_bits,
+            RENAME_AND_EXISTS_BITS,
             self.gen,
             (f.0, map_id, g.0, cube.0),
             r.0,
@@ -391,7 +344,7 @@ impl Caches {
     #[inline]
     pub(crate) fn restrict_put(&mut self, f: Bdd, v: Var, value: bool, r: Bdd) {
         let key = (v.0 << 1) | u32::from(value);
-        Self::put2(&mut self.restrict, self.config.restrict_bits, self.gen, f.0, key, r.0);
+        Self::put2(&mut self.restrict, RESTRICT_BITS, self.gen, f.0, key, r.0);
     }
 
     #[inline]
@@ -402,6 +355,6 @@ impl Caches {
 
     #[inline]
     pub(crate) fn cofactor_put(&mut self, f: Bdd, cube: Bdd, r: Bdd) {
-        Self::put2(&mut self.cofactor, self.config.cofactor_bits, self.gen, f.0, cube.0, r.0);
+        Self::put2(&mut self.cofactor, COFACTOR_BITS, self.gen, f.0, cube.0, r.0);
     }
 }

@@ -66,6 +66,7 @@ impl Manager {
         self.unique.rebuild(&self.nodes);
         self.caches.clear();
         self.stats.gcs += 1;
+        self.stats.gc_reclaimed_nodes += (nodes_before - nodes_after) as u64;
 
         let pause_ms = pause_start.elapsed().as_secs_f64() * 1e3;
         self.stats.gc_pause_ms += pause_ms;

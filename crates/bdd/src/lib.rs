@@ -22,7 +22,7 @@
 //!   never stops the world (pre-size it with [`Manager::with_capacity`]),
 //! * **lossy computed tables** memoize `ite`, conjunction, quantification
 //!   and relational products: fixed-size direct-mapped arrays
-//!   (overwrite-on-collision, sized by [`CacheConfig`]) whose entries are
+//!   (overwrite-on-collision, of fixed sizes) whose entries are
 //!   invalidated in O(1) by a generation counter. Lossiness is sound
 //!   because canonicity makes keys exact — an evicted entry costs a
 //!   recomputation, never a wrong answer (see the `cache` module docs),
@@ -61,7 +61,6 @@ mod quant;
 mod rename;
 mod table;
 
-pub use cache::CacheConfig;
 pub use explore::CubeIter;
 pub use gc::GcResult;
 pub use manager::{Bdd, Manager, ManagerStats, Var};

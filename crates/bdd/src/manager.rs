@@ -22,7 +22,7 @@
 //! stored edge — so traversal code sees ordinary Shannon cofactors and
 //! never needs to know about the encoding.
 
-use crate::cache::{CacheConfig, Caches};
+use crate::cache::Caches;
 use crate::explore::VisitSet;
 use crate::hasher::FxHashMap;
 use crate::table::UniqueTable;
@@ -133,6 +133,8 @@ pub struct ManagerStats {
     pub cache_misses: u64,
     /// Number of garbage collections performed.
     pub gcs: u64,
+    /// Total nodes reclaimed by those collections.
+    pub gc_reclaimed_nodes: u64,
     /// Total wall-clock time spent inside [`Manager::gc`] pauses, in
     /// milliseconds (always measured; one `Instant` pair per collection).
     pub gc_pause_ms: f64,
@@ -183,30 +185,19 @@ impl Default for Manager {
 impl Manager {
     /// Creates an empty manager with just the terminal node.
     pub fn new() -> Self {
-        Self::with_capacity_and_config(0, CacheConfig::default())
+        Self::with_capacity(0)
     }
 
     /// Creates a manager whose arena and unique table are pre-sized for
     /// roughly `nodes` nodes, avoiding early growth/rehash churn on
     /// workloads with a known scale.
     pub fn with_capacity(nodes: usize) -> Self {
-        Self::with_capacity_and_config(nodes, CacheConfig::default())
-    }
-
-    /// Creates a manager with explicitly sized computed tables.
-    pub fn with_config(config: CacheConfig) -> Self {
-        Self::with_capacity_and_config(0, config)
-    }
-
-    /// Creates a manager with both a node-capacity hint and explicit
-    /// computed-table sizes.
-    pub fn with_capacity_and_config(nodes: usize, config: CacheConfig) -> Self {
         let mut arena = Vec::with_capacity(nodes.saturating_add(1));
         arena.push(Node { var: TERMINAL_LEVEL, lo: 0, hi: 0 });
         let mut m = Manager {
             nodes: arena,
             unique: UniqueTable::with_node_capacity(nodes),
-            caches: Caches::new(config),
+            caches: Caches::new(),
             num_vars: 0,
             stats: ManagerStats { nodes: 1, peak_nodes: 1, ..ManagerStats::default() },
             map_registry: crate::rename::MapRegistry::default(),

@@ -18,8 +18,8 @@ use getafix::prelude::*;
 use getafix::witness::{concurrent_trace_from_schedule, WitnessError};
 use getafix_core::AnalysisError;
 use getafix_mucalc::{
-    depgraph_dot, depgraph_json, install_sigint_cancel, LimitReport, ResourceLimits, SolveError,
-    SolveOptions, SolveStats, Strategy,
+    depgraph_dot, depgraph_json, install_sigint_cancel, LimitKind, LimitReport, ResourceLimits,
+    SolveError, SolveOptions, SolveStats, Strategy,
 };
 use getafix_telemetry::{self as telemetry, Phase};
 use std::process::ExitCode;
@@ -76,8 +76,6 @@ const REQUIRED: &str = "the parse rejects a command line without a required flag
 const RUN: &[&str] = &["check", "check-conc"];
 /// The commands that run the fixed-point solver.
 const SOLVE: &[&str] = &["check", "check-conc", "inspect"];
-/// The flags that record telemetry.
-const TELEMETRY: [&str; 4] = ["--trace-out", "--profile", "--progress", "--diag-out"];
 
 /// The `getafix` command-line contract. A new flag is one row here plus
 /// its prose in [`HELP`].
@@ -157,26 +155,29 @@ STRAT: worklist (default) | round-robin   -- fixed-point solver scheduling strat
          need unbounded recursion degrade to the round-level schedule. Verdict and
          witness come from ONE solve: the trace is onion-peeled from the verdict
          solver's rank provenance (for ef/ef-naive this drops the early-termination
-         clause, same verdict; `simple` falls back to a dedicated witness solve)
+         clause, same verdict). `simple` and the baselines take the witness from a
+         second, ef-opt solve, peeled the same way under the same limits
 --stats-json: print the full solver statistics as machine-readable JSON
          (re-evaluations, ordered-schedule work, provenance memory, GC reclaim);
-         when a telemetry collector is active (--trace-out/--profile/--progress/
-         --diag-out) a `metrics` object with the live counters/gauges is embedded
---trace-out FILE: record spans, events and kernel metrics across the whole run
-         (parse, encode, strata, SCC rounds, re-evaluations, GC pauses, witness
+         the same fields whether or not telemetry is recorded
+--trace-out FILE: record spans, events and kernel time series across the whole
+         run (parse, encode, strata, SCC rounds, re-evaluations, GC pauses, witness
          extraction) and write them as Chrome trace-event JSON — load the file in
-         https://ui.perfetto.dev or about:tracing to see the span tree over time
---profile: print a human summary of the same recording: top spans by self time,
-         a per-relation re-evaluation latency histogram, event counts and the
-         \"top offenders\" table — the disjuncts doing the most recompilation work
+         https://ui.perfetto.dev or about:tracing to see the span tree over time;
+         written even when the run fails
+--profile: print a human summary of the run: top spans by self time, a
+         per-relation re-evaluation latency histogram, event counts and the
+         \"top offenders\" table — the disjuncts doing the most recompilation work.
+         Spans are added up as they close, so memory stays flat however long the
+         run; printed even when the run fails
 --progress: print a throttled heartbeat to stderr while the solve runs
-         (stratum k/N, re-evaluations, arena bytes, GC pauses) — cheap enough to
-         leave on for long runs; the observed solve does bit-identical work
+         (stratum k/N, re-evaluations, arena bytes, GC pauses), rendered by the
+         solver from its own counters — cheap enough to leave on for long runs,
+         with flat memory; the observed solve does bit-identical work
 --diag-out DIR: write the whole diagnostics bundle in one shot — trace.json
          (Chrome trace), flamegraph.folded (inferno/speedscope folded stacks),
          depgraph.dot + depgraph.json (solve topology), stats.json (solver
-         statistics with the metrics registry embedded) and manifest.json
-         (tool version, platform, argv)
+         statistics) and manifest.json (tool version, platform, argv)
 lint:    parse the program and report the pre-solve analysis as findings — dead
          procedures, never-read globals/locals/parameters, unreachable
          statements, statically infeasible branches, and asserts that never or
@@ -233,12 +234,14 @@ fn parse(argv: &[String]) -> Result<(Args, SolveOptions), Usage> {
 }
 
 /// Takes the recording, if one was installed, and emits the requested
-/// outputs. The trace file is written even on a reachable verdict (exit
-/// code 1) — the span tree is most interesting exactly when the solver
-/// did real work. `stats` is the final solver statistics when the run
-/// produced them (formula algorithms; `None` for the hand-coded baselines
-/// and for a target the slice pruned).
-fn finish_telemetry(args: &Args, stats: Option<&SolveStats>) -> Result<(), String> {
+/// outputs. It runs on every exit path of a check: the trace file is
+/// written and the profile printed on a reachable verdict (exit code 1)
+/// and on a failed run too — the span tree is most interesting exactly
+/// when the solver did real work. `stats` is the final solver statistics
+/// when the run produced them (formula algorithms; `None` for the
+/// hand-coded baselines, for a target the slice pruned and for a run that
+/// `failed`).
+fn finish_telemetry(args: &Args, stats: Option<&SolveStats>, failed: bool) -> Result<(), String> {
     let Some(data) = telemetry::take() else { return Ok(()) };
     if let Some(path) = args.text("--trace-out") {
         std::fs::write(path, data.chrome_trace_json())
@@ -256,10 +259,13 @@ fn finish_telemetry(args: &Args, stats: Option<&SolveStats>) -> Result<(), Strin
         }
     }
     if let Some(dir) = args.text("--diag-out") {
-        let stats = stats.ok_or(
+        let stats = stats.ok_or(if failed {
+            "--diag-out includes the solve topology and solver statistics, but the run failed \
+             before the solver produced them"
+        } else {
             "--diag-out includes the solve topology and solver statistics, but no solve ran: \
-             the pre-solve slice decided the verdict",
-        )?;
+             the pre-solve slice decided the verdict"
+        })?;
         write_diag_bundle(dir, &data, stats)?;
     }
     Ok(())
@@ -281,7 +287,7 @@ fn write_diag_bundle(
     write("flamegraph.folded", data.folded_stacks())?;
     write("depgraph.dot", depgraph_dot(stats))?;
     write("depgraph.json", depgraph_json(stats))?;
-    write("stats.json", stats.to_json_with_metrics(Some(&data.metrics)))?;
+    write("stats.json", stats.to_json())?;
     write("manifest.json", manifest_json())?;
     eprintln!("diagnostics bundle written to {}", dir.display());
     Ok(())
@@ -317,12 +323,7 @@ fn emit_stats(args: &Args, stats: &SolveStats, limits: &ResourceLimits) {
         print_limits_line(limits);
     }
     if args.has("--stats-json") {
-        // With a live collector the metrics registry rides along; with
-        // none the document is byte-identical to previous releases.
-        match telemetry::metrics_snapshot() {
-            Some(reg) => println!("{}", stats.to_json_with_metrics(Some(&reg))),
-            None => println!("{}", stats.to_json()),
-        }
+        println!("{}", stats.to_json());
     }
 }
 
@@ -412,6 +413,23 @@ fn print_limits_line(limits: &ResourceLimits) {
          steps used {}, tripped: {tripped}",
         limits.cancel.steps()
     );
+}
+
+/// The exit-3 surface of a witness step that a resource limit stopped
+/// after the verdict line was printed: the stop line, then the verdict
+/// run's statistics.
+fn stopped(
+    step: &str,
+    kind: LimitKind,
+    args: &Args,
+    stats: Option<SolveStats>,
+    limits: &ResourceLimits,
+) -> (Outcome, Option<SolveStats>) {
+    println!("resource-limit: {step} stopped ({kind})");
+    if let Some(stats) = &stats {
+        emit_stats(args, stats, limits);
+    }
+    (Outcome::ResourceExhausted, stats)
 }
 
 /// The exit-3 surface shared by `check` and `check-conc`: the
@@ -505,23 +523,32 @@ fn run(args: &Args, options: SolveOptions) -> Result<Outcome, String> {
             // line says `interrupted`, partial stats print, exit is 3.
             install_sigint_cancel(&options.limits.cancel);
             // The collector goes in before parsing so the Parse span lands
-            // in the recording; `--progress` attaches the heartbeat sink,
-            // throttled to one line per half second.
-            if TELEMETRY.iter().any(|f| args.has(f)) {
+            // in the recording. Only the exports keep raw records; the
+            // profile and the heartbeat need the summary alone. `--progress`
+            // attaches the heartbeat sink, throttled to one line per half
+            // second.
+            if args.has("--trace-out") || args.has("--diag-out") {
                 telemetry::install();
-                if args.has("--progress") {
-                    telemetry::attach_progress(std::time::Duration::from_millis(500), |line| {
-                        eprintln!("{line}");
-                    });
-                }
+            } else if args.has("--profile") || args.has("--progress") {
+                telemetry::install_summary();
             }
-            let (outcome, stats) = if args.command == "check" {
-                check(path, args, options)?
+            if args.has("--progress") {
+                telemetry::attach_progress(std::time::Duration::from_millis(500), |line| {
+                    eprintln!("{line}");
+                });
+            }
+            let result = if args.command == "check" {
+                check(path, args, options)
             } else {
-                check_conc(path, args, options)?
+                check_conc(path, args, options)
             };
-            finish_telemetry(args, stats.as_ref())?;
-            Ok(outcome)
+            let stats = result.as_ref().ok().and_then(|(_, stats)| stats.as_ref());
+            let finished = finish_telemetry(args, stats, result.is_err());
+            match (result, finished) {
+                (Ok((outcome, _)), Ok(())) => Ok(outcome),
+                (Err(e), Ok(())) | (Ok(_), Err(e)) => Err(e),
+                (Err(run), Err(telemetry)) => Err(format!("{run}\ngetafix: {telemetry}")),
+            }
         }
         "inspect" => {
             let algo = parse_algo(args.text("--algo").unwrap_or("ef-opt"))?;
@@ -679,122 +706,85 @@ fn check(
     // and for threading governance into witness extraction.
     let limits = options.limits.clone();
     let trace = args.has("--trace");
+    let witness_options = options.clone();
 
     // The single-solve trace path: for trace-capable formula algorithms
     // the verdict solver records provenance and the witness is peeled
     // straight out of it — exactly one solve answers "reachable?" and
-    // "why?". (`simple` and the baselines fall through to the legacy
-    // two-solve extraction below.)
-    if trace && !BASELINES.contains(&algo) {
-        let a = parse_algo(algo)?;
-        if let Some(mut solver) =
+    // "why?". `simple` and the baselines answer the verdict their own way
+    // and peel the witness from an ef-opt trace solver afterwards.
+    let mut trace_solver = match parse_algo(algo) {
+        Ok(a) if trace => {
             build_trace_solver_with(cfg, &[pc], a, options.clone()).map_err(|e| e.to_string())?
-        {
-            let strategy = options.strategy;
-            let t0 = std::time::Instant::now();
-            let reachable = match solver.eval_query("reach") {
-                Ok(r) => r,
-                Err(SolveError::LimitExceeded(report)) => {
-                    return Ok(report_limit(&format!("`{label}`"), &report, args, &limits));
-                }
-                Err(e) => return Err(e.to_string()),
-            };
-            let solve_time = t0.elapsed();
-            let stats = solver.stats().clone();
-            println!(
-                "{}: `{label}` ({algo}) — {} re-evals ({strategy}), \
-                 provenance {} nodes, solve {:.3}s [single-solve trace]",
-                if reachable { "REACHABLE" } else { "unreachable" },
-                stats.total_reevaluations(),
-                stats.provenance_nodes,
-                solve_time.as_secs_f64(),
-            );
-            if reachable {
-                // Extraction runs under the same limits as the solve: the
-                // onion-peel and path-BFS loops poll the shared token.
-                let wl = WitnessLimits { resources: limits.clone(), ..WitnessLimits::default() };
-                let t = match sequential_witness_from(&mut solver, cfg, &[pc], wl) {
-                    Ok(t) => t.ok_or("witness extraction disagreed with the verdict")?,
-                    Err(WitnessError::ResourceLimit(kind)) => {
-                        println!("resource-limit: witness extraction stopped ({kind})");
-                        emit_stats(args, &stats, &limits);
-                        return Ok((Outcome::ResourceExhausted, Some(stats)));
-                    }
-                    Err(e) => return Err(e.to_string()),
-                };
-                println!();
-                println!("trace ({} steps, replay-validated):", t.steps.len());
-                print!("{}", t.render(cfg));
-            }
-            emit_stats(args, &stats, &limits);
-            let outcome = if reachable { Outcome::Reachable } else { Outcome::Unreachable };
-            return Ok((outcome, Some(stats)));
         }
-    }
-
-    let mut solver_stats = None;
-    let witness_options = options.clone();
-    let (reachable, detail) = match algo {
-        "bebop" => {
-            let r = bebop_reachable(cfg, &[pc]).map_err(|e| e.to_string())?;
-            (
-                r.reachable,
-                format!(
+        _ => None,
+    };
+    let (reachable, detail, solver_stats) = if let Some(solver) = &mut trace_solver {
+        let t0 = std::time::Instant::now();
+        let reachable = match solver.eval_query("reach") {
+            Ok(r) => r,
+            Err(SolveError::LimitExceeded(report)) => {
+                return Ok(report_limit(&format!("`{label}`"), &report, args, &limits));
+            }
+            Err(e) => return Err(e.to_string()),
+        };
+        let stats = solver.stats().clone();
+        let detail = format!(
+            "{} re-evals ({}), provenance {} nodes, solve {:.3}s [single-solve trace]",
+            stats.total_reevaluations(),
+            options.strategy,
+            stats.provenance_nodes,
+            t0.elapsed().as_secs_f64(),
+        );
+        (reachable, detail, Some(stats))
+    } else {
+        match algo {
+            "bebop" => {
+                let r = bebop_reachable(cfg, &[pc]).map_err(|e| e.to_string())?;
+                let detail = format!(
                     "{} nodes, {} steps, {:.3}s",
                     r.set_nodes,
                     r.iterations,
                     r.time.as_secs_f64()
-                ),
-            )
-        }
-        "moped-fwd" => {
-            let r = poststar(cfg, &[pc]).map_err(|e| e.to_string())?;
-            (
-                r.reachable,
-                format!(
+                );
+                (r.reachable, detail, None)
+            }
+            "moped-fwd" | "moped-bwd" => {
+                let run = if algo == "moped-fwd" { poststar } else { prestar };
+                let r = run(cfg, &[pc]).map_err(|e| e.to_string())?;
+                let detail = format!(
                     "{} nodes, {} rounds, {:.3}s",
                     r.set_nodes,
                     r.iterations,
                     r.time.as_secs_f64()
-                ),
-            )
-        }
-        "moped-bwd" => {
-            let r = prestar(cfg, &[pc]).map_err(|e| e.to_string())?;
-            (
-                r.reachable,
-                format!(
-                    "{} nodes, {} rounds, {:.3}s",
-                    r.set_nodes,
+                );
+                (r.reachable, detail, None)
+            }
+            "oracle" => {
+                let r = explicit_reachable(cfg, &[pc], 50_000_000).map_err(|e| e.to_string())?;
+                (r.reachable, format!("{} path edges", r.path_edges), None)
+            }
+            formula => {
+                let a = parse_algo(formula)?;
+                let strategy = options.strategy;
+                let r = match check_reachability_with(cfg, &[pc], a, options) {
+                    Ok(r) => r,
+                    Err(AnalysisError::ResourceLimit(report)) => {
+                        return Ok(report_limit(&format!("`{label}`"), &report, args, &limits));
+                    }
+                    Err(e) => return Err(e.to_string()),
+                };
+                let detail = format!(
+                    "{} summary nodes, {} iterations, {} re-evals ({strategy}), encode {:.3}s, \
+                     solve {:.3}s",
+                    r.summary_nodes,
                     r.iterations,
-                    r.time.as_secs_f64()
-                ),
-            )
-        }
-        "oracle" => {
-            let r = explicit_reachable(cfg, &[pc], 50_000_000).map_err(|e| e.to_string())?;
-            (r.reachable, format!("{} path edges", r.path_edges))
-        }
-        formula => {
-            let a = parse_algo(formula)?;
-            let strategy = options.strategy;
-            let r = match check_reachability_with(cfg, &[pc], a, options) {
-                Ok(r) => r,
-                Err(AnalysisError::ResourceLimit(report)) => {
-                    return Ok(report_limit(&format!("`{label}`"), &report, args, &limits));
-                }
-                Err(e) => return Err(e.to_string()),
-            };
-            let line = format!(
-                "{} summary nodes, {} iterations, {} re-evals ({strategy}), encode {:.3}s, solve {:.3}s",
-                r.summary_nodes,
-                r.iterations,
-                r.reevaluations,
-                r.encode_time.as_secs_f64(),
-                r.solve_time.as_secs_f64()
-            );
-            solver_stats = Some(r.stats);
-            (r.reachable, line)
+                    r.reevaluations,
+                    r.encode_time.as_secs_f64(),
+                    r.solve_time.as_secs_f64()
+                );
+                (r.reachable, detail, Some(r.stats))
+            }
         }
     };
     println!(
@@ -802,13 +792,26 @@ fn check(
         if reachable { "REACHABLE" } else { "unreachable" }
     );
     if trace && reachable {
-        // Legacy fallback (baselines and `simple`): the witness engine
-        // solves its own entry-forward system, so the trace is available
-        // whichever algorithm produced the verdict; it is replay-validated
-        // in the concrete interpreter before printing.
-        let t = sequential_witness(cfg, &[pc], witness_options)
-            .map_err(|e| e.to_string())?
-            .ok_or("witness extraction disagreed with the verdict")?;
+        // One extraction for every algorithm, under the solve's limits:
+        // the onion-peel and path-BFS loops poll the shared token. The
+        // witness is replay-validated in the concrete interpreter before
+        // printing.
+        let mut solver = match trace_solver {
+            Some(solver) => solver,
+            None => {
+                build_trace_solver_with(cfg, &[pc], Algorithm::EntryForwardOpt, witness_options)
+                    .map_err(|e| e.to_string())?
+                    .ok_or("ef-opt has no trace-capable system")?
+            }
+        };
+        let wl = WitnessLimits { resources: limits.clone(), ..WitnessLimits::default() };
+        let t = match sequential_witness_from(&mut solver, cfg, &[pc], wl) {
+            Ok(t) => t.ok_or("witness extraction disagreed with the verdict")?,
+            Err(WitnessError::ResourceLimit(kind)) => {
+                return Ok(stopped("witness extraction", kind, args, solver_stats, &limits));
+            }
+            Err(e) => return Err(e.to_string()),
+        };
         println!();
         println!("trace ({} steps, replay-validated):", t.steps.len());
         print!("{}", t.render(cfg));
@@ -885,9 +888,7 @@ fn check_conc(
         let schedule = match concurrent_witness_from(&mut solver, &merged, &[pc], switches) {
             Ok(s) => s.ok_or("witness extraction disagreed with the verdict")?,
             Err(WitnessError::ResourceLimit(kind)) => {
-                println!("resource-limit: witness extraction stopped ({kind})");
-                emit_stats(args, &r.stats, &limits);
-                return Ok((Outcome::ResourceExhausted, Some(r.stats)));
+                return Ok(stopped("witness extraction", kind, args, Some(r.stats), &limits));
             }
             Err(e) => return Err(e.to_string()),
         };
@@ -921,9 +922,7 @@ fn check_conc(
                 print!("{}", schedule.render(&merged.cfg));
             }
             Err(WitnessError::ResourceLimit(kind)) => {
-                println!("resource-limit: statement refinement stopped ({kind})");
-                emit_stats(args, &r.stats, &limits);
-                return Ok((Outcome::ResourceExhausted, Some(r.stats)));
+                return Ok(stopped("statement refinement", kind, args, Some(r.stats), &limits));
             }
             Err(e) => return Err(e.to_string()),
         }

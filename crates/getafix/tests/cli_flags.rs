@@ -5,8 +5,10 @@
 //! missing argument and a bad value exit 2 naming the token and the
 //! command before any work starts, and only such usage errors print the
 //! usage. Also the exit codes around them: a program of the wrong kind
-//! for its verb exits 2 naming the verb that takes it, and `lint --deny`
-//! exits 1 exactly when there is a warning.
+//! for its verb exits 2 naming the verb that takes it, `lint --deny`
+//! exits 1 exactly when there is a warning, and `check --trace` on `simple`
+//! or a baseline exits 1 with a witness, or 3 when a deadline stops its
+//! extraction.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -416,4 +418,28 @@ fn lint_deny_exits_1_exactly_when_there_is_a_warning() {
             assert!(stdout.contains("5 warnings"), "{args:?}: {stdout}");
         }
     }
+}
+
+/// `simple` and the baselines take their witness from an ef-opt trace
+/// solve: a reachable verdict exits 1 with a replayed trace, and an
+/// expired deadline stops the extraction with exit 3, as on the
+/// single-solve path, instead of failing the run.
+#[test]
+fn check_trace_on_simple_and_baselines_exits_1_or_3() {
+    for algo in ["bebop", "simple"] {
+        let args = ["check", DOUBLE_LOCK_BUG, "--label", "DOUBLE_LOCK", "--algo", algo, "--trace"];
+        let out = getafix(&args);
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert_eq!(out.status.code(), Some(1), "{algo}: {stdout}{}", error_line(&out));
+        assert!(stdout.contains("REACHABLE") && stdout.contains("replay-validated"), "{stdout}");
+    }
+    let out = Command::new(env!("CARGO_BIN_EXE_getafix"))
+        .args(["check", DOUBLE_LOCK_BUG, "--label", "DOUBLE_LOCK", "--algo", "bebop", "--trace"])
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .env("GETAFIX_TIMEOUT", "0.000001")
+        .output()
+        .expect("the binary runs");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "{stdout}{}", error_line(&out));
+    assert!(stdout.contains("resource-limit:"), "{stdout}");
 }

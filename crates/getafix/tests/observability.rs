@@ -21,16 +21,16 @@ const HANDSHAKE: &str = include_str!("../../../examples/handshake.cbp");
 /// One sequential check of the quickstart program under `strategy`,
 /// returning its statistics.
 fn run_quickstart(strategy: Strategy) -> getafix::mucalc::SolveStats {
+    run_quickstart_with(SolveOptions::with_strategy(strategy))
+}
+
+/// One sequential check of the quickstart program under `options`.
+fn run_quickstart_with(options: SolveOptions) -> getafix::mucalc::SolveStats {
     let program = parse_program(QUICKSTART).expect("quickstart parses");
     let cfg = Cfg::build(&program).expect("quickstart builds");
     let pc = cfg.label("DOUBLE_LOCK").expect("label exists");
-    let r = check_reachability_with(
-        &cfg,
-        &[pc],
-        Algorithm::EntryForwardOpt,
-        SolveOptions::with_strategy(strategy),
-    )
-    .expect("check succeeds");
+    let r = check_reachability_with(&cfg, &[pc], Algorithm::EntryForwardOpt, options)
+        .expect("check succeeds");
     assert!(r.reachable, "the quickstart bug is reachable");
     r.stats
 }
@@ -209,26 +209,116 @@ fn progress_sink_does_not_perturb_the_solve() {
     }
 }
 
-/// The `--stats-json` metrics embedding: with a collector installed the
-/// document grows a `metrics` object carrying the live registry; without
-/// one, `to_json` stays metrics-free — old consumers see the old schema.
+/// The stratum position and re-evaluation figure of one `--progress`
+/// line, after checking the line's format: `[{secs:6.1}s]`, then optional
+/// ` stratum k/n`, then ` · `-separated sections, each optional but in
+/// this order: `N re-evals`, `arena X.Y MiB` and `gc N (X.Y ms)`. Absent
+/// re-evals are 0.
+fn parse_heartbeat(line: &str) -> (Option<(usize, usize)>, usize) {
+    let (time, rest) = line.split_once("s]").unwrap_or_else(|| panic!("no time: {line:?}"));
+    let time = time.strip_prefix('[').unwrap_or_else(|| panic!("no `[`: {line:?}"));
+    assert_eq!(time.len(), 6, "time not 6 wide: {line:?}");
+    time.trim().parse::<f64>().unwrap_or_else(|e| panic!("time {time:?}: {e}"));
+    let mut sections = rest.split(" · ");
+    let head = sections.next().unwrap_or_default();
+    let stratum = head.strip_prefix(" stratum ").map(|position| {
+        let (done, total) = position.split_once('/').expect("stratum k/n");
+        let (done, total): (usize, usize) = (done.parse().unwrap(), total.parse().unwrap());
+        // A beat is offered inside a stratum, which is not done yet.
+        assert!(done < total, "{line:?}");
+        (done, total)
+    });
+    assert!(stratum.is_some() || head.is_empty(), "unexpected head in {line:?}");
+    let decimal = |s: &str| {
+        let (whole, tenths) = s.split_once('.').unwrap_or_else(|| panic!("{s:?} in {line:?}"));
+        assert!(
+            tenths.len() == 1 && (whole.to_owned() + tenths).parse::<u64>().is_ok(),
+            "{line:?}"
+        );
+    };
+    let (mut reevals, mut order) = (0, 0);
+    for section in sections {
+        let rank = if let Some(n) = section.strip_suffix(" re-evals") {
+            reevals = n.parse().unwrap_or_else(|e| panic!("re-evals {n:?}: {e}"));
+            1
+        } else if let Some(mib) = section.strip_prefix("arena ") {
+            decimal(mib.strip_suffix(" MiB").expect("MiB"));
+            2
+        } else if let Some(gc) = section.strip_prefix("gc ") {
+            let (n, pause) = gc.split_once(" (").expect("gc N (X ms)");
+            n.parse::<u64>().unwrap_or_else(|e| panic!("gc count {n:?}: {e}"));
+            decimal(pause.strip_suffix(" ms)").expect("ms)"));
+            3
+        } else {
+            panic!("unknown section {section:?} in {line:?}")
+        };
+        assert!(rank > order, "sections out of order in {line:?}");
+        order = rank;
+    }
+    (stratum, reevals)
+}
+
+/// The lines a zero-interval progress sink receives while `run` runs,
+/// and what `run` returned.
+fn beats<T>(run: impl FnOnce() -> T) -> (Vec<String>, T) {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    telemetry::install_summary();
+    let lines: Rc<RefCell<Vec<String>>> = Rc::default();
+    let sink = Rc::clone(&lines);
+    assert!(telemetry::attach_progress(std::time::Duration::ZERO, move |l| {
+        sink.borrow_mut().push(l.to_string());
+    }));
+    let out = run();
+    telemetry::take().expect("collector was installed");
+    let lines = lines.borrow().clone();
+    (lines, out)
+}
+
+/// The heartbeat the solver renders at its poll point: with a
+/// zero-interval sink every step beats, every line has the documented
+/// format, and its re-evaluation figure starts at 0, never decreases and
+/// never exceeds the solve's final total. Collecting at every boundary
+/// (worklist only) brings the GC section in, and the handshake's cone of
+/// several strata shows them counted as they finish.
 #[test]
-fn stats_json_embeds_the_metrics_registry() {
-    telemetry::install();
-    let stats = run_quickstart(Strategy::Worklist);
-    let snapshot = telemetry::metrics_snapshot().expect("collector installed");
-    telemetry::take();
+fn heartbeat_reevals_grow_up_to_the_final_total() {
+    for strategy in [Strategy::Worklist, Strategy::RoundRobin] {
+        let options =
+            SolveOptions { gc_threshold: Some(0), ..SolveOptions::with_strategy(strategy) };
+        let (lines, stats) = beats(|| run_quickstart_with(options));
+        assert!(!lines.is_empty(), "{strategy}: the heartbeat never fired");
+        let parsed: Vec<_> = lines.iter().map(|l| parse_heartbeat(l)).collect();
+        let reevals: Vec<usize> = parsed.iter().map(|&(_, r)| r).collect();
+        assert_eq!(reevals[0], 0, "{strategy}: the first step comes before any re-evaluation");
+        assert!(reevals.windows(2).all(|w| w[0] <= w[1]), "{strategy}: {reevals:?}");
+        let last = *reevals.last().expect("beats");
+        assert!(last > 0 && last <= stats.total_reevaluations(), "{strategy}: {last}");
+        let worklist = strategy == Strategy::Worklist;
+        assert!(parsed.iter().all(|(s, _)| s.is_some() == worklist), "{strategy}: {lines:?}");
+        assert_eq!(lines.iter().any(|l| l.contains(" · gc ")), worklist, "{strategy}: {lines:?}");
+    }
+    let (lines, ()) = beats(|| run_handshake(Strategy::Worklist));
+    let done = lines.iter().filter_map(|l| parse_heartbeat(l).0).map(|(done, _)| done);
+    assert!(done.max() > Some(0), "no stratum finished: {lines:?}");
+}
 
-    let plain = telemetry::json::parse(&stats.to_json()).expect("parses");
-    assert!(plain.get("metrics").is_none(), "metrics must be opt-in");
-
-    let embedded = telemetry::json::parse(&stats.to_json_with_metrics(Some(&snapshot)))
-        .expect("embedded document parses");
-    let metrics = embedded.get("metrics").expect("metrics object present");
-    let reevals = metrics
-        .get("counters")
-        .and_then(|c| c.get("solve.reevals"))
-        .and_then(Value::as_f64)
-        .expect("solve.reevals counter");
-    assert_eq!(reevals as usize, stats.total_reevaluations());
+/// One accounting path: the solver's GC counters are copies of the
+/// kernel's, which does the collecting, after a solve that collects at
+/// every boundary.
+#[test]
+fn solve_stats_gc_counters_are_the_kernels() {
+    let program = parse_program(QUICKSTART).expect("quickstart parses");
+    let cfg = Cfg::build(&program).expect("quickstart builds");
+    let pc = cfg.label("DOUBLE_LOCK").expect("label exists");
+    let options = SolveOptions { gc_threshold: Some(0), ..SolveOptions::new() };
+    let mut solver =
+        build_solver_with(&cfg, &[pc], Algorithm::EntryForwardOpt, options).expect("solver builds");
+    assert!(solver.eval_query("reach").expect("solves"), "the quickstart bug is reachable");
+    let (stats, kernel) = (solver.stats(), solver.manager_ref().stats());
+    assert!(kernel.gcs > 0, "a 0-node threshold must force collections");
+    assert_eq!(stats.gcs as u64, kernel.gcs);
+    assert_eq!(stats.gc_reclaimed_nodes as u64, kernel.gc_reclaimed_nodes);
+    assert_eq!(stats.gc_pause_ms, kernel.gc_pause_ms);
 }

@@ -352,12 +352,14 @@ pub struct SolveStats {
     /// Distinct BDD nodes pinned by the recorded provenance snapshots
     /// (0 when recording is off) — the memory price of rank provenance.
     pub provenance_nodes: usize,
-    /// Garbage collections performed (between strata and mid-stratum).
+    /// Garbage collections performed (between strata and mid-stratum),
+    /// from [`getafix_bdd::ManagerStats::gcs`].
     pub gcs: usize,
-    /// Total nodes reclaimed by those collections.
+    /// Total nodes reclaimed by those collections, from
+    /// [`getafix_bdd::ManagerStats::gc_reclaimed_nodes`].
     pub gc_reclaimed_nodes: usize,
-    /// Total wall-clock time spent inside GC pauses, in milliseconds
-    /// (mirrors [`getafix_bdd::ManagerStats::gc_pause_ms`]).
+    /// Total wall-clock time spent inside GC pauses, in milliseconds, from
+    /// [`getafix_bdd::ManagerStats::gc_pause_ms`].
     pub gc_pause_ms: f64,
     /// BDD operation-cache hits, from [`getafix_bdd::ManagerStats`].
     pub cache_hits: u64,
@@ -387,15 +389,6 @@ impl SolveStats {
     /// serialization consumed by `getafix … --stats-json`, the bench
     /// reporter and CI artifacts, so no tool re-derives numbers by hand.
     pub fn to_json(&self) -> String {
-        self.to_json_with_metrics(None)
-    }
-
-    /// [`SolveStats::to_json`] with the telemetry metrics registry embedded
-    /// as a trailing `"metrics"` field — what `--stats-json` emits when a
-    /// collector is installed, and what diagnostics bundles always carry.
-    /// With `None` the output is byte-identical to [`SolveStats::to_json`],
-    /// so runs without a collector keep their schema unchanged.
-    pub fn to_json_with_metrics(&self, metrics: Option<&getafix_telemetry::Registry>) -> String {
         let mut w = JsonWriter::new();
         w.begin_object();
         w.field_u64("total_reevaluations", self.total_reevaluations() as u64);
@@ -464,10 +457,6 @@ impl SolveStats {
             w.end_object();
         }
         w.end_array();
-        if let Some(reg) = metrics {
-            w.key("metrics");
-            reg.write_json(&mut w);
-        }
         w.end_object();
         w.finish()
     }
@@ -594,6 +583,9 @@ pub struct Solver {
     /// Rank provenance of every top-level fixpoint evaluation (see
     /// [`SolveOptions::record_provenance`]).
     pub(crate) provenance: Provenance,
+    /// The running worklist evaluation's strata: solved so far and in the
+    /// evaluated relation's cone, for the `--progress` heartbeat.
+    pub(crate) strata: Option<(usize, usize)>,
 }
 
 impl Solver {
@@ -648,6 +640,7 @@ impl Solver {
             options,
             stats,
             provenance: Provenance::default(),
+            strata: None,
         })
     }
 
@@ -792,13 +785,16 @@ impl Solver {
         Ok(b)
     }
 
-    /// Copies the manager's kernel counters (cache hit rates, arena size
-    /// and bytes) into [`SolveStats`], so `--stats`/`--stats-json` and the
-    /// bench reporter surface them without reaching into the manager.
+    /// Copies the manager's kernel counters (cache hit rates, collections,
+    /// arena size and bytes) into [`SolveStats`], so `--stats`/`--stats-json`
+    /// and the bench reporter surface them without reaching into the
+    /// manager. The kernel counts them; the solver only copies.
     pub(crate) fn sync_manager_stats(&mut self) {
         let ms = self.manager.stats();
         self.stats.cache_hits = ms.cache_hits;
         self.stats.cache_misses = ms.cache_misses;
+        self.stats.gcs = ms.gcs as usize;
+        self.stats.gc_reclaimed_nodes = ms.gc_reclaimed_nodes as usize;
         self.stats.gc_pause_ms = ms.gc_pause_ms;
         self.stats.arena_nodes = ms.nodes;
         self.stats.arena_bytes = ms.arena_bytes;
@@ -833,12 +829,6 @@ impl Solver {
             **b = remapped.next().expect("gc root count mismatch");
         }
         self.alloc.rebuild_domains(&mut self.manager);
-        self.stats.gcs += 1;
-        self.stats.gc_reclaimed_nodes += result.reclaimed();
-        if telemetry::enabled() {
-            telemetry::counter_add("solve.gcs", 1);
-            telemetry::gauge_set("solve.gc_pause_ms", self.manager.stats().gc_pause_ms);
-        }
         if self.options.limits.node_budget.is_some_and(|b| self.manager.stats().nodes > b) {
             return Err(self.limit_error(LimitKind::NodeBudget));
         }
@@ -869,12 +859,39 @@ impl Solver {
     /// pass and round of a fixpoint iteration. The step counter lives in
     /// the shared token, so the budget bounds the *total* work of
     /// everything run under the same limits (solve, witness extraction,
-    /// explicit refinement).
+    /// explicit refinement). It is also where the solver offers the
+    /// `--progress` heartbeat, which the collector throttles.
     pub(crate) fn note_step(&mut self) -> Result<(), SolveError> {
+        telemetry::heartbeat(|t_us| self.heartbeat(t_us));
         match self.options.limits.note_steps(1) {
             Ok(()) => Ok(()),
             Err(kind) => Err(self.limit_error(kind)),
         }
+    }
+
+    /// The `--progress` line at collector time `t_us`, from the solver's
+    /// and the kernel's own counters. A section appears once it has
+    /// something to say (strata only under the worklist strategy):
+    ///
+    /// ```text
+    /// [  12.4s] stratum 3/7 · 1842 re-evals · arena 12.5 MiB · gc 2 (0.8 ms)
+    /// ```
+    fn heartbeat(&self, t_us: u64) -> String {
+        use std::fmt::Write as _;
+        let ms = self.manager.stats();
+        let mut out = format!("[{:6.1}s]", t_us as f64 / 1e6);
+        if let Some((done, total)) = self.strata {
+            let _ = write!(out, " stratum {done}/{total}");
+        }
+        let reevals = self.stats.total_reevaluations();
+        if reevals > 0 {
+            let _ = write!(out, " · {reevals} re-evals");
+        }
+        let _ = write!(out, " · arena {:.1} MiB", ms.arena_bytes as f64 / (1024.0 * 1024.0));
+        if ms.gcs > 0 {
+            let _ = write!(out, " · gc {} ({:.1} ms)", ms.gcs, ms.gc_pause_ms);
+        }
+        out
     }
 
     /// Is the arena over the GC threshold or the node budget right now?
@@ -900,7 +917,6 @@ impl Solver {
         entry.reevaluations += 1;
         entry.scc = Some(scc);
         self.stats.sccs[scc].evaluations += 1;
-        telemetry::counter_add("solve.reevals", 1);
     }
 
     /// The paper's `Evaluate(R, Eq)` for relation `rel`, under a frozen

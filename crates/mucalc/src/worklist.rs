@@ -257,17 +257,11 @@ impl Solver {
             }
         }
         let scc_order: BTreeSet<usize> = needed.iter().map(|&i| self.deps.scc_of(i)).collect();
-        if telemetry::enabled() {
-            // Position gauges for the live-progress heartbeat.
-            telemetry::gauge_set("solve.strata_total", scc_order.len() as f64);
-            telemetry::gauge_set("solve.stratum", 0.0);
-        }
-        let mut strata_done = 0usize;
+        self.strata = Some((0, scc_order.len()));
         for idx in scc_order {
             let roots = demanded.remove(&idx).unwrap_or_default();
             self.solve_stratum(idx, &roots)?;
-            strata_done += 1;
-            self.note_stratum_done(strata_done);
+            self.note_stratum_done();
         }
         self.values[root].ok_or_else(|| {
             SolveError::Internal(format!("`{}` not solved by its component", self.name(root)))
@@ -301,19 +295,19 @@ impl Solver {
         Ok(())
     }
 
-    /// Telemetry bookkeeping after `strata_done` strata have finished:
-    /// kernel-counter time series (one point per stratum turns the
-    /// terminal cache ratio into a trajectory over the run) and the
-    /// heartbeat position gauge.
-    fn note_stratum_done(&mut self, strata_done: usize) {
+    /// Counts a finished stratum for the heartbeat, and samples the
+    /// kernel counters as time series for a trace export (one point per
+    /// stratum turns the terminal cache ratio into a trajectory).
+    fn note_stratum_done(&mut self) {
+        if let Some((done, _)) = &mut self.strata {
+            *done += 1;
+        }
         if telemetry::enabled() {
             let ms = self.manager.stats();
             telemetry::sample("bdd.cache_hits", ms.cache_hits as f64);
             telemetry::sample("bdd.cache_misses", ms.cache_misses as f64);
             telemetry::sample("bdd.arena_nodes", ms.nodes as f64);
             telemetry::sample("bdd.arena_bytes", ms.arena_bytes as f64);
-            telemetry::gauge_set("bdd.arena_bytes", ms.arena_bytes as f64);
-            telemetry::gauge_set("solve.stratum", strata_done as f64);
         }
     }
 

@@ -91,11 +91,12 @@ impl TraceData {
         w.end_array();
         w.field_str("displayTimeUnit", "ms");
         if !self.metrics.is_empty() {
-            // Counters/gauges have no timeline of their own; ship the full
-            // registry snapshot in the documented side-channel field.
+            // The series again, whole, in the documented side-channel
+            // field, for tools that read the numbers rather than draw them.
             w.key("otherData");
             w.begin_object();
-            w.field_raw("metrics", &self.metrics.to_json());
+            w.key("metrics");
+            self.metrics.write_json(&mut w);
             w.end_object();
         }
         w.end_object();

@@ -1,15 +1,24 @@
-//! The thread-local collector: RAII spans, instant events and the metrics
-//! registry behind one `enabled` branch.
+//! The thread-local collector: RAII spans, instant events, metric
+//! samples and the progress heartbeat behind one `enabled` branch.
 //!
 //! # Cost model
 //!
 //! Instrumentation points are compiled into the solver's hottest loops, so
 //! the disabled path must be a **single thread-local flag test**: every
-//! entry point ([`span`], [`event`], [`counter_add`], [`gauge_set`],
-//! [`sample`]) first reads a `Cell<bool>` and returns before touching any
-//! argument that would allocate. Dynamic attribute values therefore travel
-//! as closures ([`event`]) or post-hoc [`Span::attr`] calls — never as
+//! entry point ([`span`], [`event`], [`sample`], [`heartbeat`]) first
+//! reads a `Cell<bool>` and returns before touching any argument that
+//! would allocate. Dynamic attribute values therefore travel as closures
+//! ([`event`], [`heartbeat`]) or post-hoc [`Span::attr`] calls — never as
 //! eagerly built strings.
+//!
+//! # Aggregate as spans close
+//!
+//! Every collector folds each closing span and each event into its
+//! [`Summary`], which is all `--profile` prints. The raw records are kept
+//! only by a collector installed with [`install`], for the exports that
+//! draw them (Chrome trace, folded stacks); [`install_summary`] drops
+//! each record once it is folded in, so memory is bounded by the number
+//! of span groups and relations, not by the length of the run.
 //!
 //! # Why thread-local
 //!
@@ -19,6 +28,7 @@
 //! nothing.
 
 use crate::metrics::Registry;
+use crate::profile::Summary;
 use std::cell::{Cell, RefCell};
 use std::time::Instant;
 
@@ -135,19 +145,22 @@ pub struct EventRecord {
     pub attrs: Attrs,
 }
 
-/// Everything one collector recorded, in emission order. Spans appear in
-/// **completion** order (a parent closes after its children); events and
-/// metric samples are timestamped independently.
+/// Everything one collector recorded. The [`Summary`] is always there;
+/// the raw records only when the collector was installed with
+/// [`install`]. Spans appear in **completion** order (a parent closes
+/// after its children); events and metric samples are timestamped
+/// independently.
 #[derive(Debug, Default)]
 pub struct TraceData {
     pub spans: Vec<SpanRecord>,
     pub events: Vec<EventRecord>,
     pub metrics: Registry,
+    /// The aggregates, folded as each span closed and each event fired.
+    pub summary: Summary,
 }
 
-/// A throttled live-progress sink: called with a rendered heartbeat line
-/// at most once per `interval_us` of collector time, from instrumentation
-/// points as they fire.
+/// A throttled live-progress sink: called with a heartbeat line at most
+/// once per `interval_us` of collector time.
 struct Progress {
     interval_us: u64,
     last_us: Option<u64>,
@@ -157,35 +170,16 @@ struct Progress {
 /// The per-thread recording state.
 struct Collector {
     epoch: Instant,
-    spans: Vec<SpanRecord>,
-    events: Vec<EventRecord>,
     depth: usize,
-    metrics: Registry,
+    /// Keep raw span, event and series records, as an export needs?
+    keep_records: bool,
+    data: TraceData,
     progress: Option<Progress>,
 }
 
 impl Collector {
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
-    }
-
-    /// Emits a heartbeat if a progress sink is attached and due. Called
-    /// from the recording (enabled-only) paths, never the disabled path.
-    fn tick_progress(&mut self) {
-        let now = self.now_us();
-        let Some(p) = &mut self.progress else { return };
-        // Nothing to report yet (parse/encode) — hold the first beat, and
-        // the throttle window, until a solve metric exists.
-        if !crate::progress::has_signal(&self.metrics) {
-            return;
-        }
-        let due = p.last_us.is_none_or(|last| now.saturating_sub(last) >= p.interval_us);
-        if !due {
-            return;
-        }
-        p.last_us = Some(now);
-        let line = crate::progress::heartbeat(now, &self.metrics);
-        (p.sink)(&line);
     }
 }
 
@@ -203,16 +197,27 @@ pub fn enabled() -> bool {
 }
 
 /// Installs a fresh collector on the calling thread (replacing any
-/// previous one and discarding its records). Timestamps are relative to
-/// this moment.
+/// previous one and discarding its records) that keeps every raw span,
+/// event and series record next to the [`Summary`] — what a trace export
+/// needs. Timestamps are relative to this moment.
 pub fn install() {
+    install_with(true);
+}
+
+/// Installs a fresh collector that keeps the [`Summary`] only: each
+/// span and event is folded in and dropped, so memory stays constant
+/// however long the run (what `--profile` and `--progress` need).
+pub fn install_summary() {
+    install_with(false);
+}
+
+fn install_with(keep_records: bool) {
     COLLECTOR.with(|c| {
         *c.borrow_mut() = Some(Collector {
             epoch: Instant::now(),
-            spans: Vec::new(),
-            events: Vec::new(),
             depth: 0,
-            metrics: Registry::default(),
+            keep_records,
+            data: TraceData::default(),
             progress: None,
         });
     });
@@ -220,11 +225,10 @@ pub fn install() {
 }
 
 /// Attaches a live-progress sink to the calling thread's collector: from
-/// now on, instrumentation points render a heartbeat line (see
-/// [`crate::progress::heartbeat`]) into `sink` at most once per
-/// `interval`. Replaces any previous sink. Returns `false` (and does
-/// nothing) when no collector is installed — progress is a feature of an
-/// active collector, never of the disabled fast path.
+/// now on, [`heartbeat`] hands it a line at most once per `interval`.
+/// Replaces any previous sink. Returns `false` (and does nothing) when no
+/// collector is installed — progress is a feature of an active
+/// collector, never of the disabled fast path.
 pub fn attach_progress(interval: std::time::Duration, sink: impl FnMut(&str) + 'static) -> bool {
     with_collector(|c| {
         c.progress = Some(Progress {
@@ -236,11 +240,30 @@ pub fn attach_progress(interval: std::time::Duration, sink: impl FnMut(&str) + '
     .is_some()
 }
 
-/// A snapshot of the installed collector's metrics registry, without
-/// uninstalling it. `None` when no collector is installed. This is how
-/// `--stats-json` embeds live metrics mid-run.
-pub fn metrics_snapshot() -> Option<Registry> {
-    with_collector(|c| c.metrics.clone())
+/// Offers a heartbeat to the attached progress sink. The collector only
+/// throttles: when a beat is due, `render` is called with the collector
+/// time in µs and its line goes to the sink. Without a collector, a sink
+/// or a due beat, `render` never runs, so a caller may offer one at
+/// every step.
+#[inline]
+pub fn heartbeat(render: impl FnOnce(u64) -> String) {
+    if !enabled() {
+        return;
+    }
+    let due = with_collector(|c| {
+        let p = c.progress.as_mut()?;
+        let now = c.epoch.elapsed().as_micros() as u64;
+        let due = p.last_us.is_none_or(|last| now.saturating_sub(last) >= p.interval_us);
+        due.then(|| {
+            p.last_us = Some(now);
+            now
+        })
+    });
+    if let Some(t_us) = due.flatten() {
+        // Rendered outside the collector's borrow, so `render` may record.
+        let line = render(t_us);
+        with_collector(|c| c.progress.as_mut().map(|p| (p.sink)(&line)));
+    }
 }
 
 /// Uninstalls the calling thread's collector and returns everything it
@@ -248,11 +271,7 @@ pub fn metrics_snapshot() -> Option<Registry> {
 /// outlive the take record nothing.
 pub fn take() -> Option<TraceData> {
     ENABLED.with(|e| e.set(false));
-    COLLECTOR.with(|c| c.borrow_mut().take()).map(|c| TraceData {
-        spans: c.spans,
-        events: c.events,
-        metrics: c.metrics,
-    })
+    COLLECTOR.with(|c| c.borrow_mut().take()).map(|c| c.data)
 }
 
 /// Runs `f` with the installed collector, if any.
@@ -314,70 +333,51 @@ impl Drop for Span {
         with_collector(|c| {
             c.depth = c.depth.saturating_sub(1);
             let t_end_us = c.now_us().max(inner.t_start_us);
-            c.spans.push(SpanRecord {
+            let record = SpanRecord {
                 phase: inner.phase,
                 name: inner.name,
                 t_start_us: inner.t_start_us,
                 t_end_us,
                 depth: inner.depth,
                 attrs: inner.attrs,
-            });
-            c.tick_progress();
+            };
+            c.data.summary.close_span(&record);
+            if c.keep_records {
+                c.data.spans.push(record);
+            }
         });
     }
 }
 
 /// Records an instantaneous event. The attribute closure only runs when a
-/// collector is installed, so hot call sites pay one flag test when
-/// disabled.
+/// collector that keeps raw records is installed, so hot call sites pay
+/// one flag test when disabled.
 #[inline]
 pub fn event(phase: Phase, name: &'static str, attrs: impl FnOnce() -> Attrs) {
     if !enabled() {
         return;
     }
     with_collector(|c| {
-        let t_us = c.now_us();
-        let attrs = attrs();
-        c.events.push(EventRecord { phase, name, t_us, attrs });
-        c.tick_progress();
+        c.data.summary.note_event(phase, name);
+        if c.keep_records {
+            let t_us = c.now_us();
+            c.data.events.push(EventRecord { phase, name, t_us, attrs: attrs() });
+        }
     });
 }
 
-/// Adds to a named monotonic counter in the installed registry.
-#[inline]
-pub fn counter_add(name: &'static str, delta: u64) {
-    if !enabled() {
-        return;
-    }
-    with_collector(|c| {
-        c.metrics.counter_add(name, delta);
-        c.tick_progress();
-    });
-}
-
-/// Sets a named gauge in the installed registry.
-#[inline]
-pub fn gauge_set(name: &'static str, value: f64) {
-    if !enabled() {
-        return;
-    }
-    with_collector(|c| {
-        c.metrics.gauge_set(name, value);
-        c.tick_progress();
-    });
-}
-
-/// Appends a point to a named time series in the installed registry,
-/// timestamped now.
+/// Appends a point to a named time series, timestamped now, when the
+/// installed collector keeps raw records.
 #[inline]
 pub fn sample(name: &'static str, value: f64) {
     if !enabled() {
         return;
     }
     with_collector(|c| {
-        let t = c.now_us();
-        c.metrics.sample_at(name, t, value);
-        c.tick_progress();
+        if c.keep_records {
+            let t = c.now_us();
+            c.data.metrics.sample_at(name, t, value);
+        }
     });
 }
 
@@ -393,8 +393,8 @@ mod tests {
         s.attr("k", 1u64);
         drop(s);
         event(Phase::Bdd, "never", || panic!("attrs closure must not run when disabled"));
-        counter_add("c", 1);
         sample("s", 1.0);
+        heartbeat(|_| panic!("no collector, nothing to render for"));
         assert!(take().is_none());
     }
 
@@ -420,7 +420,29 @@ mod tests {
         assert!(data.spans[1].t_end_us >= data.spans[0].t_end_us);
         assert_eq!(data.spans[1].attrs, vec![("x", AttrValue::UInt(7))]);
         assert_eq!(data.events.len(), 1);
+        assert_eq!((data.summary.span_count(), data.summary.event_count()), (2, 1));
         assert!(!enabled());
+    }
+
+    /// A summary-only collector keeps no raw record however many it
+    /// sees, and its aggregates still count every span and event.
+    #[test]
+    fn a_summary_collector_keeps_no_records_and_counts_everything() {
+        const N: u64 = 100_000;
+        install_summary();
+        for i in 0..N {
+            let mut reeval = span(Phase::Solve, "reeval");
+            reeval.attr("relation", "Reach");
+            event(Phase::Bdd, "rehash", || panic!("no record, so no attributes to build"));
+            sample("arena", i as f64);
+        }
+        let data = take().expect("collector installed");
+        assert!(data.spans.is_empty() && data.events.is_empty() && data.metrics.is_empty());
+        let summary = &data.summary;
+        assert_eq!((summary.span_count(), summary.event_count()), (N, N));
+        assert_eq!(summary.groups[&(Phase::Solve, "reeval")].count, N);
+        assert_eq!(summary.events[&(Phase::Bdd, "rehash")], N);
+        assert_eq!(summary.latency["Reach"].iter().sum::<u64>(), N);
     }
 
     #[test]
@@ -432,45 +454,40 @@ mod tests {
             "no collector, nothing to attach to"
         );
 
-        install();
+        // A collector without a sink renders nothing.
+        install_summary();
+        heartbeat(|_| panic!("no sink, nothing to render for"));
+
         let lines: Rc<RefCell<Vec<String>>> = Rc::default();
         let sink = Rc::clone(&lines);
         assert!(attach_progress(std::time::Duration::ZERO, move |l| {
             sink.borrow_mut().push(l.to_string());
         }));
-        counter_add("solve.reevals", 3);
-        gauge_set("bdd.arena_bytes", 2.0 * 1024.0 * 1024.0);
+        heartbeat(|t_us| format!("first at {t_us}"));
+        heartbeat(|_| "second".to_string());
         assert!(take().is_some());
         let lines = lines.borrow();
-        assert_eq!(lines.len(), 2, "zero interval beats on every point: {lines:?}");
-        assert!(lines[1].contains("3 re-evals"), "{lines:?}");
-        assert!(lines[1].contains("arena 2.0 MiB"), "{lines:?}");
+        assert_eq!(lines.len(), 2, "zero interval passes every beat: {lines:?}");
+        assert!(lines[0].starts_with("first at "), "{lines:?}");
+        assert_eq!(lines[1], "second");
 
-        // A long interval lets only the first beat through.
-        install();
+        // A long interval lets only the first beat through, and the
+        // throttled ones are never rendered.
+        install_summary();
         let count = Rc::new(Cell::new(0usize));
         let sink = Rc::clone(&count);
         attach_progress(std::time::Duration::from_secs(3600), move |_| {
             sink.set(sink.get() + 1);
         });
+        let renders = Cell::new(0usize);
         for _ in 0..10 {
-            counter_add("solve.reevals", 1);
+            heartbeat(|_| {
+                renders.set(renders.get() + 1);
+                String::new()
+            });
         }
         assert!(take().is_some());
-        assert_eq!(count.get(), 1);
-    }
-
-    #[test]
-    fn metrics_snapshot_reads_without_uninstalling() {
-        assert!(metrics_snapshot().is_none());
-        install();
-        counter_add("solve.reevals", 7);
-        let snap = metrics_snapshot().expect("collector installed");
-        assert_eq!(snap.counter("solve.reevals"), 7);
-        // Still installed and still accumulating.
-        counter_add("solve.reevals", 1);
-        let data = take().expect("still installed");
-        assert_eq!(data.metrics.counter("solve.reevals"), 8);
+        assert_eq!((count.get(), renders.get()), (1, 1));
     }
 
     #[test]

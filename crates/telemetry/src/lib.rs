@@ -1,4 +1,4 @@
-//! **getafix-telemetry** — zero-dependency tracing, metrics and JSON
+//! **getafix-telemetry** — zero-dependency tracing, profiling and JSON
 //! plumbing for the Getafix pipeline.
 //!
 //! The fixed-point calculus is an inherently *phased* computation — parse
@@ -8,19 +8,22 @@
 //! 1. **Spans and events** ([`span`], [`event`]): a thread-local collector
 //!    with RAII span guards. Every instrumentation point in the solver and
 //!    BDD kernel compiles to one thread-local flag test when disabled (the
-//!    default) — see the cost model in [`collect`].
+//!    default) — see the cost model in [`collect`]. Each closing span and
+//!    each event is folded into a [`Summary`] (span groups with self
+//!    time, a re-evaluation latency histogram, event counts), which is
+//!    what `--profile` prints; raw records are kept only by a collector
+//!    installed for an export ([`install`] rather than
+//!    [`install_summary`]).
 //! 2. **Export** ([`TraceData::chrome_trace_json`],
-//!    [`TraceData::folded_stacks`], [`TraceData::profile_summary`]):
-//!    Chrome trace-event JSON loadable in Perfetto / `about:tracing`
-//!    (`getafix check … --trace-out out.json`), folded stacks for
-//!    inferno/speedscope flamegraphs, plus a human top-spans/self-time
-//!    summary (`--profile`).
-//! 3. **Metrics** ([`Registry`]): named monotonic counters, gauges and
-//!    timestamped time series — the publication surface a future
-//!    `getafix serve` will snapshot from.
-//!    [`attach_progress`] taps the same registry for a throttled live
-//!    heartbeat (`--progress`), and [`metrics_snapshot`] clones it mid-run
-//!    for `--stats-json`.
+//!    [`TraceData::folded_stacks`]): Chrome trace-event JSON loadable in
+//!    Perfetto / `about:tracing` (`getafix check … --trace-out out.json`)
+//!    and folded stacks for inferno/speedscope flamegraphs. The
+//!    [`Registry`] holds the time series ([`sample`]) the Chrome export
+//!    draws as counter tracks; it counts nothing — counters live in the
+//!    layer that does the work.
+//! 3. **Progress** ([`attach_progress`], [`heartbeat`]): the solver
+//!    renders a `--progress` line at its poll point and the collector
+//!    throttles it into the attached sink.
 //!
 //! [`json`] is the shared JSON emitter/parser the exporters, the bench
 //! reporter and `SolveStats::to_json` are all built on (this workspace
@@ -49,14 +52,14 @@ pub mod collect;
 pub mod folded;
 pub mod json;
 pub mod metrics;
-pub mod progress;
 
 mod chrome;
 mod profile;
 
 pub use collect::{
-    attach_progress, counter_add, enabled, event, gauge_set, install, metrics_snapshot, sample,
-    span, take, AttrValue, Attrs, EventRecord, Phase, Span, SpanRecord, TraceData,
+    attach_progress, enabled, event, heartbeat, install, install_summary, sample, span, take,
+    AttrValue, Attrs, EventRecord, Phase, Span, SpanRecord, TraceData,
 };
 pub use folded::{parse_folded, rooted_weight};
 pub use metrics::{Registry, Sample};
+pub use profile::Summary;

@@ -1,12 +1,12 @@
-//! Trace analysis: well-formedness checks, span-tree coverage and the
-//! human `--profile` summary.
+//! Trace analysis: the [`Summary`] a collector folds as spans close,
+//! the human `--profile` summary rendered from it, and the well-formedness
+//! checks and span-tree coverage over raw span records.
 //!
-//! Everything here consumes a finished [`TraceData`]; nothing is on the
-//! recording path. The checks double as the telemetry test oracle: a trace
-//! that passes [`TraceData::check_well_formed`] renders to a Chrome trace
-//! whose spans nest properly in Perfetto.
+//! The checks double as the telemetry test oracle: a trace that passes
+//! [`TraceData::check_well_formed`] renders to a Chrome trace whose spans
+//! nest properly in Perfetto.
 
-use crate::collect::{AttrValue, SpanRecord, TraceData};
+use crate::collect::{AttrValue, Phase, SpanRecord, TraceData};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -14,12 +14,82 @@ use std::fmt::Write as _;
 /// (upper bounds; the last bucket is open).
 const HIST_BOUNDS_US: [u64; 5] = [10, 100, 1_000, 10_000, 100_000];
 
+/// The latency histogram of one relation: one count per bucket.
+type Buckets = [u64; HIST_BOUNDS_US.len() + 1];
+
 /// Aggregate of one `(phase, name)` span group.
-#[derive(Debug, Default, Clone, PartialEq, Eq)]
-struct Group {
-    count: usize,
-    total_us: u64,
-    self_us: u64,
+#[derive(Debug, Default, PartialEq, Eq)]
+pub(crate) struct Group {
+    pub(crate) count: u64,
+    pub(crate) total_us: u64,
+    pub(crate) self_us: u64,
+}
+
+/// What a recording adds up to, folded as each span closes and each event
+/// fires: per-`(phase, name)` span groups with count, total and self
+/// time, the latency histogram of every relation's `reeval` spans, and
+/// per-kind event counts. Its size is bounded by the number of distinct
+/// groups, relations and event kinds, never by the length of the run.
+#[derive(Debug, Default)]
+pub struct Summary {
+    pub(crate) groups: BTreeMap<(Phase, &'static str), Group>,
+    pub(crate) latency: BTreeMap<String, Buckets>,
+    pub(crate) events: BTreeMap<(Phase, &'static str), u64>,
+    /// Per depth, the durations closed there since the last span one
+    /// level up closed: that span's direct-children total.
+    closed_us: Vec<u64>,
+}
+
+impl Summary {
+    /// Folds in a span as it closes. Spans close in completion order, so
+    /// a span's children close after its previous sibling and before it:
+    /// the durations closed one level deeper since the last span at its
+    /// depth closed are exactly its direct children's.
+    pub(crate) fn close_span(&mut self, s: &SpanRecord) {
+        if self.closed_us.len() < s.depth + 2 {
+            self.closed_us.resize(s.depth + 2, 0);
+        }
+        let child_us = std::mem::take(&mut self.closed_us[s.depth + 1]);
+        self.closed_us[s.depth] += s.dur_us();
+        let g = self.groups.entry((s.phase, s.name)).or_default();
+        g.count += 1;
+        g.total_us += s.dur_us();
+        g.self_us += s.dur_us().saturating_sub(child_us);
+        if s.name != "reeval" {
+            return;
+        }
+        let Some(rel) = s.attrs.iter().find_map(|(k, v)| match (k, v) {
+            (&"relation", AttrValue::Str(r)) => Some(r.as_str()),
+            _ => None,
+        }) else {
+            return;
+        };
+        let bucket =
+            HIST_BOUNDS_US.iter().position(|&b| s.dur_us() < b).unwrap_or(HIST_BOUNDS_US.len());
+        match self.latency.get_mut(rel) {
+            Some(buckets) => buckets[bucket] += 1,
+            None => {
+                let mut buckets = Buckets::default();
+                buckets[bucket] = 1;
+                self.latency.insert(rel.to_string(), buckets);
+            }
+        }
+    }
+
+    /// Counts an event as it fires.
+    pub(crate) fn note_event(&mut self, phase: Phase, name: &'static str) {
+        *self.events.entry((phase, name)).or_default() += 1;
+    }
+
+    /// Spans folded in so far.
+    pub fn span_count(&self) -> u64 {
+        self.groups.values().map(|g| g.count).sum()
+    }
+
+    /// Events counted so far.
+    pub fn event_count(&self) -> u64 {
+        self.events.values().sum()
+    }
 }
 
 impl TraceData {
@@ -73,9 +143,6 @@ impl TraceData {
             }
             stack.push(s);
         }
-        for e in &self.events {
-            let _ = e;
-        }
         Ok(())
     }
 
@@ -100,44 +167,24 @@ impl TraceData {
         Some(covered as f64 / root_span.dur_us() as f64)
     }
 
-    /// Per-`(phase, name)` totals with self time (duration minus direct
-    /// children), sorted by descending self time.
-    fn span_groups(&self) -> Vec<(String, Group)> {
-        // Spans are recorded as they close, so a span's children close
-        // after its previous sibling and before it: one pass, with the
-        // durations closed at each depth since that depth's parent last
-        // took them, gives every span its direct-children total.
-        let mut closed_us: Vec<u64> = Vec::new();
-        let mut groups: BTreeMap<String, Group> = BTreeMap::new();
-        for s in &self.spans {
-            if closed_us.len() < s.depth + 2 {
-                closed_us.resize(s.depth + 2, 0);
-            }
-            let child_us = std::mem::take(&mut closed_us[s.depth + 1]);
-            closed_us[s.depth] += s.dur_us();
-            let g = groups.entry(format!("{}/{}", s.phase, s.name)).or_default();
-            g.count += 1;
-            g.total_us += s.dur_us();
-            g.self_us += s.dur_us().saturating_sub(child_us);
-        }
-        let mut out: Vec<(String, Group)> = groups.into_iter().collect();
-        out.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us).then_with(|| a.0.cmp(&b.0)));
-        out
-    }
-
     /// The human `--profile` summary: top-`top_n` span groups by self
     /// time, the re-evaluation latency histogram per relation (spans named
-    /// `reeval` with a `relation` attribute), and one line per recorded
-    /// event kind.
+    /// `reeval` with a `relation` attribute), and one line per event kind.
     pub fn profile_summary(&self, top_n: usize) -> String {
+        let summary = &self.summary;
         let mut out = String::new();
-        let groups = self.span_groups();
+        let mut groups: Vec<(String, &Group)> = summary
+            .groups
+            .iter()
+            .map(|((phase, name), g)| (format!("{phase}/{name}"), g))
+            .collect();
+        groups.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us).then_with(|| a.0.cmp(&b.0)));
         let total_self: u64 = groups.iter().map(|(_, g)| g.self_us).sum();
         let _ = writeln!(
             out,
             "profile: {} spans, {} events, {:.3} ms total self time",
-            self.spans.len(),
-            self.events.len(),
+            summary.span_count(),
+            summary.event_count(),
             total_self as f64 / 1e3
         );
         // Column widths follow the content (clamped to a floor), so long
@@ -162,43 +209,31 @@ impl TraceData {
             );
         }
 
-        // Re-evaluation latency histogram, per relation.
-        let mut hist: BTreeMap<&str, [usize; HIST_BOUNDS_US.len() + 1]> = BTreeMap::new();
-        for s in self.spans.iter().filter(|s| s.name == "reeval") {
-            let Some(rel) = s.attrs.iter().find_map(|(k, v)| match (k, v) {
-                (&"relation", AttrValue::Str(r)) => Some(r.as_str()),
-                _ => None,
-            }) else {
-                continue;
-            };
-            let bucket =
-                HIST_BOUNDS_US.iter().position(|&b| s.dur_us() < b).unwrap_or(HIST_BOUNDS_US.len());
-            hist.entry(rel).or_default()[bucket] += 1;
-        }
-        if !hist.is_empty() {
-            let rel_w = hist.keys().map(|r| r.len()).chain([20]).max().unwrap_or(20);
+        if !summary.latency.is_empty() {
+            let rel_w = summary.latency.keys().map(|r| r.len()).chain([20]).max().unwrap_or(20);
             let _ = writeln!(out);
             let _ = writeln!(
                 out,
                 "{:<rel_w$} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
                 "re-eval latency", "<10us", "<100us", "<1ms", "<10ms", "<100ms", "more"
             );
-            for (rel, buckets) in &hist {
+            for (rel, b) in &summary.latency {
                 let _ = writeln!(
                     out,
                     "{:<rel_w$} {:>7} {:>7} {:>7} {:>7} {:>7} {:>7}",
-                    rel, buckets[0], buckets[1], buckets[2], buckets[3], buckets[4], buckets[5]
+                    rel, b[0], b[1], b[2], b[3], b[4], b[5]
                 );
             }
         }
 
-        let mut event_counts: BTreeMap<String, usize> = BTreeMap::new();
-        for e in &self.events {
-            *event_counts.entry(format!("{}/{}", e.phase, e.name)).or_default() += 1;
-        }
-        if !event_counts.is_empty() {
+        let events: BTreeMap<String, u64> = summary
+            .events
+            .iter()
+            .map(|((phase, name), &n)| (format!("{phase}/{name}"), n))
+            .collect();
+        if !events.is_empty() {
             let _ = writeln!(out);
-            for (name, count) in &event_counts {
+            for (name, count) in &events {
                 let _ = writeln!(out, "event {name}: {count}");
             }
         }
@@ -209,7 +244,7 @@ impl TraceData {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::collect::{EventRecord, Phase};
+    use crate::collect::EventRecord;
     use proptest::prelude::*;
 
     fn span(name: &'static str, start: u64, end: u64, depth: usize) -> SpanRecord {
@@ -221,6 +256,19 @@ mod tests {
             depth,
             attrs: Vec::new(),
         }
+    }
+
+    /// A recording of `spans` (in completion order) and `events`, as a
+    /// collector that keeps raw records would return it.
+    fn recorded(spans: Vec<SpanRecord>, events: Vec<EventRecord>) -> TraceData {
+        let mut summary = Summary::default();
+        for s in &spans {
+            summary.close_span(s);
+        }
+        for e in &events {
+            summary.note_event(e.phase, e.name);
+        }
+        TraceData { spans, events, summary, ..TraceData::default() }
     }
 
     #[test]
@@ -285,10 +333,8 @@ mod tests {
         let mut long = span("reeval", 200, 220, 0);
         long.attrs
             .push(("relation", AttrValue::Str("AVeryLongRelationNameThatOverflowsColumns".into())));
-        let data = TraceData {
-            spans: vec![span("beta", 0, 20, 0), span("alpha", 40, 60, 0), long],
-            ..TraceData::default()
-        };
+        let data =
+            recorded(vec![span("beta", 0, 20, 0), span("alpha", 40, 60, 0), long], Vec::new());
         let a = data.profile_summary(10);
         let b = data.profile_summary(10);
         assert_eq!(a, b);
@@ -316,21 +362,22 @@ mod tests {
     fn profile_summary_self_time() {
         let mut inner = span("reeval", 10, 30, 1);
         inner.attrs.push(("relation", AttrValue::Str("Reach".into())));
-        let data =
-            TraceData { spans: vec![inner, span("stratum", 0, 100, 0)], ..TraceData::default() };
+        let data = recorded(vec![inner, span("stratum", 0, 100, 0)], Vec::new());
         let summary = data.profile_summary(10);
         // stratum self time = 100 - 20 = 80us; reeval = 20us.
         assert!(summary.contains("solve/stratum"), "{summary}");
         assert!(summary.contains("solve/reeval"), "{summary}");
         assert!(summary.contains("re-eval latency"), "{summary}");
         assert!(summary.contains("Reach"), "{summary}");
+        let stratum = summary.lines().find(|l| l.starts_with("solve/stratum")).expect("row");
+        assert!(stratum.contains(" 0.080 ") && stratum.contains(" 0.100 "), "{summary}");
     }
 
     /// The span groups by interval containment: a span's direct children
     /// are the spans one level deeper inside its interval. Quadratic, so
-    /// only the oracle for [`TraceData::span_groups`].
-    fn groups_by_containment(data: &TraceData) -> BTreeMap<String, Group> {
-        let mut groups: BTreeMap<String, Group> = BTreeMap::new();
+    /// only the oracle for [`Summary::close_span`].
+    fn groups_by_containment(data: &TraceData) -> BTreeMap<(Phase, &'static str), Group> {
+        let mut groups: BTreeMap<(Phase, &'static str), Group> = BTreeMap::new();
         for s in &data.spans {
             let child_us: u64 = data
                 .spans
@@ -342,7 +389,7 @@ mod tests {
                 })
                 .map(|c| c.dur_us())
                 .sum();
-            let g = groups.entry(format!("{}/{}", s.phase, s.name)).or_default();
+            let g = groups.entry((s.phase, s.name)).or_default();
             g.count += 1;
             g.total_us += s.dur_us();
             g.self_us += s.dur_us().saturating_sub(child_us);
@@ -350,41 +397,85 @@ mod tests {
         groups
     }
 
-    /// A well-formed span forest in completion order, from a script of
-    /// opens (0), closes (1) and idle ticks (2); the spans still open at
-    /// the end close in order. Every step advances the clock, so no two
-    /// span boundaries share a timestamp.
-    fn forest(script: &[usize]) -> TraceData {
+    /// The latency histogram by a scan of the raw `reeval` spans.
+    fn latency_by_scan(data: &TraceData) -> BTreeMap<String, Buckets> {
+        let mut hist: BTreeMap<String, Buckets> = BTreeMap::new();
+        for s in data.spans.iter().filter(|s| s.name == "reeval") {
+            for (k, v) in &s.attrs {
+                if let (&"relation", AttrValue::Str(rel)) = (k, v) {
+                    let bucket = HIST_BOUNDS_US.iter().take_while(|&&b| s.dur_us() >= b).count();
+                    hist.entry(rel.clone()).or_default()[bucket] += 1;
+                }
+            }
+        }
+        hist
+    }
+
+    /// The event counts by a scan of the raw events.
+    fn events_by_scan(data: &TraceData) -> BTreeMap<(Phase, &'static str), u64> {
+        let mut counts = BTreeMap::new();
+        for e in &data.events {
+            *counts.entry((e.phase, e.name)).or_default() += 1;
+        }
+        counts
+    }
+
+    /// A well-formed recording in completion order, from a script of
+    /// opens (0), closes (1), idle ticks (2) and events (3); the spans
+    /// still open at the end close in order. Every step advances the
+    /// clock by 2^`gaps[i]` µs, so no two span boundaries share a
+    /// timestamp and `reeval` spans land in every latency bucket.
+    /// Every other `reeval` names one of two relations.
+    fn forest(script: &[usize], gaps: &[u32]) -> TraceData {
         const NAMES: [&str; 3] = ["eval", "reeval", "gc"];
+        const RELATIONS: [&str; 2] = ["Reach", "Summary"];
+        const EVENTS: [(Phase, &str); 2] = [(Phase::Bdd, "rehash"), (Phase::Solve, "note")];
         let mut open: Vec<(&'static str, u64)> = Vec::new();
-        let mut spans = Vec::new();
+        let (mut spans, mut events) = (Vec::new(), Vec::new());
         let mut t = 0;
-        for &op in script.iter().chain(std::iter::repeat_n(&1, script.len())) {
-            t += 1;
+        for (i, &op) in script.iter().chain(std::iter::repeat_n(&1, script.len())).enumerate() {
+            t += 1u64 << gaps[i % gaps.len()];
             match op {
-                0 => open.push((NAMES[t as usize % NAMES.len()], t)),
+                0 => open.push((NAMES[i % NAMES.len()], t)),
                 1 => {
                     if let Some((name, start)) = open.pop() {
-                        spans.push(span(name, start, t, open.len()));
+                        let mut s = span(name, start, t, open.len());
+                        if name == "reeval" && i % 2 == 0 {
+                            let rel = RELATIONS[(i / 2) % RELATIONS.len()];
+                            s.attrs.push(("relation", AttrValue::Str(rel.into())));
+                        }
+                        spans.push(s);
                     }
+                }
+                3 => {
+                    let (phase, name) = EVENTS[i % EVENTS.len()];
+                    events.push(EventRecord { phase, name, t_us: t, attrs: Vec::new() });
                 }
                 _ => {}
             }
         }
-        TraceData { spans, ..TraceData::default() }
+        recorded(spans, events)
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// The one-pass span groups equal the containment oracle's
-        /// counts, totals and self times on random span forests.
+        /// The record-time aggregates equal the oracles' on random
+        /// recordings: span groups (counts, totals and self times) by
+        /// interval containment, the latency histogram and the event
+        /// counts by scans of the raw records.
         #[test]
-        fn span_groups_match_containment(script in prop::collection::vec(0usize..3, 0..120)) {
-            let data = forest(&script);
+        fn span_groups_match_containment(
+            script in prop::collection::vec(0usize..4, 0..120),
+            gaps in prop::collection::vec(0u32..18, 1..8),
+        ) {
+            let data = forest(&script, &gaps);
             data.check_well_formed().expect("the script builds a forest");
-            let one_pass: BTreeMap<String, Group> = data.span_groups().into_iter().collect();
-            prop_assert_eq!(one_pass, groups_by_containment(&data));
+            prop_assert_eq!(&data.summary.groups, &groups_by_containment(&data));
+            prop_assert_eq!(&data.summary.latency, &latency_by_scan(&data));
+            prop_assert_eq!(&data.summary.events, &events_by_scan(&data));
+            prop_assert_eq!(data.summary.span_count(), data.spans.len() as u64);
+            prop_assert_eq!(data.summary.event_count(), data.events.len() as u64);
         }
     }
 }

@@ -67,7 +67,7 @@ pub fn concurrent_witness_from(
         span.attr("switches", switches);
     }
     guard_width(merged)?;
-    let reach = solver.evaluate("Reach").map_err(|e| WitnessError::Solve(e.to_string()))?;
+    let reach = solver.evaluate("Reach")?;
 
     // Constrain s.pc to the target set.
     let pc_vars: Vec<Var> = {

@@ -59,7 +59,7 @@ use getafix_boolprog::{
     Edge, LExpr, Pc, VarRef,
 };
 use getafix_core::{install_templates, system_ef_witness};
-use getafix_mucalc::{eq_const, LimitKind, ResourceLimits, SolveOptions, Solver};
+use getafix_mucalc::{eq_const, LimitKind, ResourceLimits, SolveError, SolveOptions, Solver};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
@@ -97,6 +97,17 @@ impl fmt::Display for WitnessError {
 }
 
 impl std::error::Error for WitnessError {}
+
+impl From<SolveError> for WitnessError {
+    /// A resource limit that trips inside a solve stays a resource limit,
+    /// so a caller stops as it would for one tripped during extraction.
+    fn from(e: SolveError) -> Self {
+        match e {
+            SolveError::LimitExceeded(report) => WitnessError::ResourceLimit(report.kind),
+            e => WitnessError::Solve(e.to_string()),
+        }
+    }
+}
 
 /// Extraction tuning knobs.
 #[derive(Debug, Clone)]
@@ -218,7 +229,7 @@ pub fn sequential_witness_from(
     };
     check_formal(solver, rel, conf_formal)?;
 
-    let raw = solver.evaluate(rel).map_err(|e| WitnessError::Solve(e.to_string()))?;
+    let raw = solver.evaluate(rel)?;
     // For ef-opt, project onto the fr = 1 slice: the entry-annotated
     // reachable set. The snapshots restrict the same way; consecutive
     // restricted snapshots may coincide (a round that only aged fresh
