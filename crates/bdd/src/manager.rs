@@ -580,38 +580,55 @@ impl Manager {
     }
 
     /// Number of satisfying assignments of `f` over `nvars` variables
-    /// (levels `0..nvars`), as an `f64` (exact up to 2^53).
-    ///
-    /// Counts are computed with the standard level-relative recurrence: the
-    /// count at a node is taken over the variable space *at or below* its
-    /// level, with terminals conceptually at level `nvars`.
+    /// (levels `0..nvars`), as an `f64` (exact up to 2^53): the
+    /// all-variables case of [`Manager::sat_count_over`].
     ///
     /// # Panics
     ///
     /// Panics if `f` mentions a variable at level ≥ `nvars`.
     pub fn sat_count(&self, f: Bdd, nvars: usize) -> f64 {
-        let n = nvars as u32;
-        let mut memo: FxHashMap<u32, f64> = FxHashMap::default();
-        let total = self.count_rec(f, n, &mut memo);
-        let root = self.clamped_level(f, n);
-        total * 2f64.powi(root as i32)
+        let vars: Vec<Var> = (0..nvars as u32).map(Var).collect();
+        self.sat_count_over(f, &vars)
     }
 
-    /// The level of `f`, with terminals mapped to `nvars`.
-    fn clamped_level(&self, f: Bdd, nvars: u32) -> u32 {
+    /// Number of satisfying assignments of `f` over exactly the variables
+    /// `vars`, as an `f64` (exact up to 2^53). Variables outside `vars` do
+    /// not scale the count, so a relation's tuples count the same however
+    /// many other variables the manager holds.
+    ///
+    /// Counts are computed with the standard level-relative recurrence: the
+    /// count at a node is taken over the counted variables *at or below*
+    /// its level, with terminals conceptually below all of them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `f` mentions a variable outside `vars`.
+    pub fn sat_count_over(&self, f: Bdd, vars: &[Var]) -> f64 {
+        let mut levels: Vec<u32> = vars.iter().map(|v| v.level()).collect();
+        levels.sort_unstable();
+        levels.dedup();
+        let mut memo: FxHashMap<u32, f64> = FxHashMap::default();
+        let total = self.count_rec(f, &levels, &mut memo);
+        total * 2f64.powi(self.position(f, &levels) as i32)
+    }
+
+    /// The rank of `f`'s level among the counted `levels` (sorted), with
+    /// terminals ranked `levels.len()`.
+    fn position(&self, f: Bdd, levels: &[u32]) -> u32 {
+        if f.is_const() {
+            return levels.len() as u32;
+        }
         let l = self.level(f);
-        if l == TERMINAL_LEVEL {
-            nvars
-        } else {
-            assert!(l < nvars, "sat_count: variable level {l} outside 0..{nvars}");
-            l
+        match levels.binary_search(&l) {
+            Ok(i) => i as u32,
+            Err(_) => panic!("sat_count: variable level {l} outside the counted variables"),
         }
     }
 
-    /// Satisfying-assignment count of `f` over levels `level(f)..nvars`.
-    /// Memoized on the full handle — with complement edges, `f` and `¬f`
-    /// have different counts despite sharing a node.
-    fn count_rec(&self, f: Bdd, nvars: u32, memo: &mut FxHashMap<u32, f64>) -> f64 {
+    /// Satisfying-assignment count of `f` over the counted `levels` at or
+    /// below its own. Memoized on the full handle — with complement edges,
+    /// `f` and `¬f` have different counts despite sharing a node.
+    fn count_rec(&self, f: Bdd, levels: &[u32], memo: &mut FxHashMap<u32, f64>) -> f64 {
         if f.is_false() {
             return 0.0;
         }
@@ -622,11 +639,11 @@ impl Manager {
             return c;
         }
         let (lo, hi) = self.cof(f);
-        let var = self.level(f);
-        let lo_gap = self.clamped_level(lo, nvars) - var - 1;
-        let hi_gap = self.clamped_level(hi, nvars) - var - 1;
-        let c = self.count_rec(lo, nvars, memo) * 2f64.powi(lo_gap as i32)
-            + self.count_rec(hi, nvars, memo) * 2f64.powi(hi_gap as i32);
+        let at = self.position(f, levels);
+        let lo_gap = self.position(lo, levels) - at - 1;
+        let hi_gap = self.position(hi, levels) - at - 1;
+        let c = self.count_rec(lo, levels, memo) * 2f64.powi(lo_gap as i32)
+            + self.count_rec(hi, levels, memo) * 2f64.powi(hi_gap as i32);
         memo.insert(f.0, c);
         c
     }

@@ -118,14 +118,24 @@ proptest! {
         prop_assert_eq!(nand, de_morgan);
     }
 
-    /// sat_count equals the number of satisfying assignments.
+    /// sat_count equals the number of satisfying assignments, and so does
+    /// sat_count_over the expression's variables when they are every
+    /// `spread`-th variable of a wider manager: the variables in between
+    /// are not counted, while each doubles the all-variables count.
     #[test]
-    fn sat_count_is_exact(e in expr_strategy()) {
+    fn sat_count_is_exact(e in expr_strategy(), spread in 1usize..4) {
         let mut m = Manager::new();
         let vars = m.new_vars(NVARS);
         let f = e.build(&mut m, &vars);
-        let expected = assignments().filter(|env| e.eval(env)).count();
-        prop_assert_eq!(m.sat_count(f, NVARS), expected as f64);
+        let expected = assignments().filter(|env| e.eval(env)).count() as f64;
+        prop_assert_eq!(m.sat_count(f, NVARS), expected);
+        let mut wide = Manager::new();
+        let all = wide.new_vars(NVARS * spread);
+        let spaced: Vec<Var> = all.iter().copied().skip(spread - 1).step_by(spread).collect();
+        let g = e.build(&mut wide, &spaced);
+        prop_assert_eq!(wide.sat_count_over(g, &spaced), expected);
+        let others = (NVARS * (spread - 1)) as i32;
+        prop_assert_eq!(wide.sat_count(g, NVARS * spread), expected * 2f64.powi(others));
     }
 
     /// ∃x.f agrees with f[x:=0] ∨ f[x:=1]; ∀x.f with the conjunction.

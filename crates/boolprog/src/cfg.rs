@@ -301,6 +301,30 @@ impl Cfg {
     pub fn max_locals(&self) -> usize {
         self.procs.iter().map(|p| p.n_locals()).max().unwrap_or(0)
     }
+
+    /// Checks that every valuation packs into one 64-bit
+    /// [`Bits`](crate::Bits) word: at most 64 globals, and at most 64
+    /// locals in every procedure. Every concrete engine (the explicit
+    /// oracles, the replayers, the witness extractor) calls this before it
+    /// packs a valuation.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the global count, or the first procedure whose
+    /// locals do not fit.
+    pub fn check_frame_width(&self) -> Result<(), String> {
+        if self.globals.len() > 64 {
+            return Err(format!("{} globals exceed the 64-bit frame", self.globals.len()));
+        }
+        match self.procs.iter().find(|p| p.n_locals() > 64) {
+            Some(p) => Err(format!(
+                "procedure `{}` has {} locals, more than the 64-bit frame holds",
+                p.name,
+                p.n_locals()
+            )),
+            None => Ok(()),
+        }
+    }
 }
 
 struct Builder<'a> {

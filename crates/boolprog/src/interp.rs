@@ -84,21 +84,7 @@ pub fn explicit_reachable(
     targets: &[Pc],
     max_states: usize,
 ) -> Result<ExplicitResult, ExplicitError> {
-    if cfg.globals.len() > 64 {
-        return Err(ExplicitError::TooManyVariables(format!(
-            "{} globals exceed the explicit engine's 64-bit frame",
-            cfg.globals.len()
-        )));
-    }
-    for p in &cfg.procs {
-        if p.n_locals() > 64 {
-            return Err(ExplicitError::TooManyVariables(format!(
-                "procedure `{}` has {} locals (explicit limit is 64)",
-                p.name,
-                p.n_locals()
-            )));
-        }
-    }
+    cfg.check_frame_width().map_err(ExplicitError::TooManyVariables)?;
     let target_set: BTreeSet<Pc> = targets.iter().copied().collect();
 
     // Path edges per procedure: entry -> set of states.

@@ -54,4 +54,4 @@ pub use bits::{admits, enumerate_choices, frame_mask, next_states, read_var, wri
 pub use cfg::{BuildError, Cfg, Edge, ExitPoint, LExpr, Pc, ProcCfg, ProcId, VarRef};
 pub use interp::{explicit_reachable, explicit_reachable_label, ExplicitError, ExplicitResult};
 pub use parse::{parse_concurrent, parse_program, ParseError};
-pub use replay::{replay, ReplayError, ReplayStep};
+pub use replay::{replay, replay_step, Frame, ReplayError, ReplayStep};

@@ -13,8 +13,8 @@
 //! (pc plus the resulting global/local valuations), and replay checks the
 //! choice is within the expression's value set rather than recomputing it.
 
-use crate::bits::{admits, frame_mask, Bits};
-use crate::cfg::{Cfg, Edge, Pc, ProcId, VarRef};
+use crate::bits::{admits, frame_mask, read_var, write_var, Bits};
+use crate::cfg::{Cfg, Edge, LExpr, Pc, ProcId, VarRef};
 use std::fmt;
 
 /// One step of a concrete interprocedural trace, recording the post-state.
@@ -72,17 +72,19 @@ impl fmt::Display for ReplayError {
 
 impl std::error::Error for ReplayError {}
 
-#[derive(Debug, Clone)]
-struct Frame {
-    proc: ProcId,
-    pc: Pc,
-    locals: Bits,
-    /// Return-value targets and resume pc, captured at the call.
-    on_return: Option<(Vec<VarRef>, Pc)>,
-}
-
-fn bit(bits: Bits, i: usize) -> bool {
-    (bits >> i) & 1 == 1
+/// One frame of a concrete call stack.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct Frame {
+    /// The procedure the frame executes.
+    pub proc: ProcId,
+    /// The frame's current pc.
+    pub pc: Pc,
+    /// The frame's locals.
+    pub locals: Bits,
+    /// Return-value targets in the caller and the pc it resumes at,
+    /// captured at the call; `None` for a program's or a thread's initial
+    /// frame.
+    pub on_return: Option<(Vec<VarRef>, Pc)>,
 }
 
 /// Replays `steps` from the initial configuration (main entry, all
@@ -90,178 +92,20 @@ fn bit(bits: Bits, i: usize) -> bool {
 ///
 /// # Errors
 ///
-/// Returns a [`ReplayError`] naming the first step that is not a legal
-/// concrete transition — no matching CFG edge, an unsatisfiable guard, a
-/// chosen value outside an expression's value set, a clobbered frame
-/// variable — or an end-of-trace failure (final pc not a target). Programs
-/// with more than 64 globals or locals per frame are rejected up front.
+/// Returns a [`ReplayError`] naming the first step [`replay_step`] rejects,
+/// or an end-of-trace failure (final pc not a target). Programs whose
+/// frames do not fit 64 bits ([`Cfg::check_frame_width`]) are rejected up
+/// front.
 pub fn replay(cfg: &Cfg, steps: &[ReplayStep], targets: &[Pc]) -> Result<(), ReplayError> {
-    let fail = |step: usize, message: String| Err(ReplayError { step, message });
-    if cfg.globals.len() > 64 {
-        return fail(0, format!("{} globals exceed the 64-bit replay frame", cfg.globals.len()));
-    }
-    for p in &cfg.procs {
-        if p.n_locals() > 64 {
-            return fail(0, format!("procedure `{}` has more than 64 locals", p.name));
-        }
-    }
-
-    let main = &cfg.procs[cfg.main];
+    cfg.check_frame_width().map_err(|message| ReplayError { step: 0, message })?;
     let mut globals: Bits = 0;
-    let mut stack: Vec<Frame> =
-        vec![Frame { proc: cfg.main, pc: main.entry, locals: 0, on_return: None }];
-
+    let entry = cfg.procs[cfg.main].entry;
+    let mut stack = vec![Frame { proc: cfg.main, pc: entry, locals: 0, on_return: None }];
     for (i, step) in steps.iter().enumerate() {
-        let frame = stack.last().expect("non-empty stack");
-        let proc = &cfg.procs[frame.proc];
-        let n_globals = cfg.globals.len();
-        match *step {
-            ReplayStep::Internal { to, globals: g2, locals: l2 } => {
-                let edges = proc.edges.get(&frame.pc).map(Vec::as_slice).unwrap_or(&[]);
-                let mut matched = false;
-                'edges: for e in edges {
-                    let Edge::Internal { to: eto, guard, assigns } = e else { continue };
-                    if *eto != to || !admits(guard, globals, frame.locals, true) {
-                        continue;
-                    }
-                    // Assigned bits must be admissible, unassigned bits
-                    // unchanged.
-                    let mut assigned_l: u64 = 0;
-                    let mut assigned_g: u64 = 0;
-                    for (tv, expr) in assigns {
-                        let new = match tv {
-                            VarRef::Local(j) => {
-                                assigned_l |= 1 << j;
-                                bit(l2, *j)
-                            }
-                            VarRef::Global(j) => {
-                                assigned_g |= 1 << j;
-                                bit(g2, *j)
-                            }
-                        };
-                        if !admits(expr, globals, frame.locals, new) {
-                            continue 'edges;
-                        }
-                    }
-                    let lmask = frame_mask(proc.n_locals()) & !assigned_l;
-                    let gmask = frame_mask(n_globals) & !assigned_g;
-                    if (l2 & lmask) != (frame.locals & lmask)
-                        || (g2 & gmask) != (globals & gmask)
-                        || l2 & !frame_mask(proc.n_locals()) != 0
-                        || g2 & !frame_mask(n_globals) != 0
-                    {
-                        continue;
-                    }
-                    matched = true;
-                    break;
-                }
-                if !matched {
-                    return fail(
-                        i,
-                        format!(
-                            "no internal edge {} -> {to} admits globals={g2:b} locals={l2:b}",
-                            frame.pc
-                        ),
-                    );
-                }
-                globals = g2;
-                let top = stack.last_mut().expect("non-empty stack");
-                top.pc = to;
-                top.locals = l2;
-            }
-            ReplayStep::Call { entry, globals: g2, locals: l2 } => {
-                let edges = proc.edges.get(&frame.pc).map(Vec::as_slice).unwrap_or(&[]);
-                let mut pushed = None;
-                'calls: for e in edges {
-                    let Edge::Call { callee, args, rets, ret_to } = e else { continue };
-                    let q = &cfg.procs[*callee];
-                    if q.entry != entry || g2 != globals {
-                        continue;
-                    }
-                    for (j, arg) in args.iter().enumerate() {
-                        if !admits(arg, globals, frame.locals, bit(l2, j)) {
-                            continue 'calls;
-                        }
-                    }
-                    // Non-parameter callee locals start false.
-                    if l2 & !frame_mask(args.len()) != 0 {
-                        continue;
-                    }
-                    pushed = Some(Frame {
-                        proc: *callee,
-                        pc: entry,
-                        locals: l2,
-                        on_return: Some((rets.clone(), *ret_to)),
-                    });
-                    break;
-                }
-                let Some(new_frame) = pushed else {
-                    return fail(
-                        i,
-                        format!("no call edge at {} enters {entry} with locals={l2:b}", frame.pc),
-                    );
-                };
-                stack.push(new_frame);
-            }
-            ReplayStep::Return { ret_to, globals: g2, locals: l2 } => {
-                let Some((rets, saved_ret_to)) = frame.on_return.clone() else {
-                    return fail(i, "return from the initial frame".into());
-                };
-                if saved_ret_to != ret_to {
-                    return fail(
-                        i,
-                        format!("return resumes at {ret_to}, the call expected {saved_ret_to}"),
-                    );
-                }
-                let Some(exit) = proc.exits.iter().find(|e| e.pc == frame.pc) else {
-                    return fail(i, format!("pc {} is not an exit of `{}`", frame.pc, proc.name));
-                };
-                let exit_globals = globals;
-                let exit_locals = frame.locals;
-                let caller = stack[stack.len() - 2].clone();
-                let caller_proc = &cfg.procs[caller.proc];
-                let mut assigned_l: u64 = 0;
-                let mut assigned_g: u64 = 0;
-                for (target, expr) in rets.iter().zip(&exit.ret_exprs) {
-                    let new = match target {
-                        VarRef::Local(j) => {
-                            assigned_l |= 1 << j;
-                            bit(l2, *j)
-                        }
-                        VarRef::Global(j) => {
-                            assigned_g |= 1 << j;
-                            bit(g2, *j)
-                        }
-                    };
-                    if !admits(expr, exit_globals, exit_locals, new) {
-                        return fail(
-                            i,
-                            format!("return value {new} not admitted by the exit expression"),
-                        );
-                    }
-                }
-                let lmask = frame_mask(caller_proc.n_locals()) & !assigned_l;
-                let gmask = frame_mask(n_globals) & !assigned_g;
-                if (l2 & lmask) != (caller.locals & lmask) {
-                    return fail(i, "caller locals clobbered across the call".into());
-                }
-                if (g2 & gmask) != (exit_globals & gmask) {
-                    return fail(i, "globals changed by the return itself".into());
-                }
-                if l2 & !frame_mask(caller_proc.n_locals()) != 0 || g2 & !frame_mask(n_globals) != 0
-                {
-                    return fail(i, "out-of-frame bits set".into());
-                }
-                stack.pop();
-                globals = g2;
-                let top = stack.last_mut().expect("caller frame");
-                top.pc = ret_to;
-                top.locals = l2;
-            }
-        }
+        replay_step(cfg, &mut globals, &mut stack, step)
+            .map_err(|message| ReplayError { step: i, message })?;
     }
-
-    let final_pc = stack.last().expect("non-empty stack").pc;
+    let final_pc = stack.last().expect("a return never pops the initial frame").pc;
     if targets.contains(&final_pc) {
         Ok(())
     } else {
@@ -270,6 +114,149 @@ pub fn replay(cfg: &Cfg, steps: &[ReplayStep], targets: &[Pc]) -> Result<(), Rep
             message: format!("final pc {final_pc} is not a target"),
         })
     }
+}
+
+/// Checks that `step` is a legal concrete transition of the top frame of
+/// `stack` under `globals`, and applies it: a matching CFG edge, a guard
+/// that admits `true`, chosen values inside their expressions' value sets,
+/// unassigned frame bits unchanged and no bit outside the frame set. The
+/// frame must fit 64 bits ([`Cfg::check_frame_width`]).
+///
+/// This is the one step checker of the workspace: sequential [`replay`]
+/// and the concurrent guided replayer both call it, on the one stack that
+/// moves.
+///
+/// # Errors
+///
+/// A message naming the disagreement; `globals` and `stack` are unchanged
+/// then.
+pub fn replay_step(
+    cfg: &Cfg,
+    globals: &mut Bits,
+    stack: &mut Vec<Frame>,
+    step: &ReplayStep,
+) -> Result<(), String> {
+    let Some(top) = stack.last() else { return Err("the stack is empty".into()) };
+    let proc = &cfg.procs[top.proc];
+    let edges = proc.edges.get(&top.pc).map(Vec::as_slice).unwrap_or(&[]);
+    let n_globals = cfg.globals.len();
+    match *step {
+        ReplayStep::Internal { to, globals: g2, locals: l2 } => {
+            let legal = edges.iter().any(|e| {
+                let Edge::Internal { to: eto, guard, assigns } = e else { return false };
+                *eto == to
+                    && admits(guard, *globals, top.locals, true)
+                    && check_assign(
+                        assigns.iter().map(|(v, e)| (v, e)),
+                        (*globals, top.locals),
+                        top.locals,
+                        (g2, l2),
+                        (n_globals, proc.n_locals()),
+                    )
+                    .is_ok()
+            });
+            if !legal {
+                return Err(format!(
+                    "no internal edge {} -> {to} of `{}` admits globals={g2:#b} locals={l2:#b}",
+                    top.pc, proc.name
+                ));
+            }
+            *globals = g2;
+            let top = stack.last_mut().expect("checked non-empty");
+            top.pc = to;
+            top.locals = l2;
+        }
+        ReplayStep::Call { entry, globals: g2, locals: l2 } => {
+            let call = edges.iter().find_map(|e| {
+                let Edge::Call { callee, args, rets, ret_to } = e else { return None };
+                // Calls leave the globals alone; non-parameter callee
+                // locals start false.
+                let legal = cfg.procs[*callee].entry == entry
+                    && g2 == *globals
+                    && l2 & !frame_mask(args.len()) == 0
+                    && args
+                        .iter()
+                        .enumerate()
+                        .all(|(j, arg)| admits(arg, *globals, top.locals, (l2 >> j) & 1 == 1));
+                legal.then(|| Frame {
+                    proc: *callee,
+                    pc: entry,
+                    locals: l2,
+                    on_return: Some((rets.clone(), *ret_to)),
+                })
+            });
+            let Some(frame) = call else {
+                return Err(format!(
+                    "no call edge at pc {} of `{}` enters {entry} with locals={l2:#b}",
+                    top.pc, proc.name
+                ));
+            };
+            stack.push(frame);
+        }
+        ReplayStep::Return { ret_to, globals: g2, locals: l2 } => {
+            let Some((rets, saved_ret_to)) = &top.on_return else {
+                return Err("return from an initial frame".into());
+            };
+            if *saved_ret_to != ret_to {
+                return Err(format!(
+                    "return resumes at {ret_to}, the call expected {saved_ret_to}"
+                ));
+            }
+            let Some(exit) = proc.exits.iter().find(|e| e.pc == top.pc) else {
+                return Err(format!("pc {} is not an exit of `{}`", top.pc, proc.name));
+            };
+            let [.., caller, _] = stack.as_slice() else {
+                return Err("a return frame records a caller, but no frame lies below it".into());
+            };
+            check_assign(
+                rets.iter().zip(&exit.ret_exprs),
+                (*globals, top.locals),
+                caller.locals,
+                (g2, l2),
+                (n_globals, cfg.procs[caller.proc].n_locals()),
+            )
+            .map_err(|m| format!("return to {ret_to}: {m}"))?;
+            stack.pop();
+            *globals = g2;
+            let top = stack.last_mut().expect("the caller frame");
+            top.pc = ret_to;
+            top.locals = l2;
+        }
+    }
+    Ok(())
+}
+
+/// Checks the claimed post-state `post` (globals, locals) of a parallel
+/// assignment evaluated in `pre`: every assigned variable holds a value
+/// its expression admits, every unassigned bit equals the pre-state's
+/// globals or `frame_locals` (the locals of the frame the assignment
+/// writes), and no bit outside the `widths` (globals, locals) is set.
+fn check_assign<'a>(
+    assigns: impl Iterator<Item = (&'a VarRef, &'a LExpr)>,
+    pre: (Bits, Bits),
+    frame_locals: Bits,
+    post: (Bits, Bits),
+    widths: (usize, usize),
+) -> Result<(), String> {
+    let (mut assigned_g, mut assigned_l): (Bits, Bits) = (0, 0);
+    for (&v, expr) in assigns {
+        let new = read_var(post.0, post.1, v);
+        if !admits(expr, pre.0, pre.1, new) {
+            return Err(format!("value {new} for {v:?} not admitted by its expression"));
+        }
+        write_var(&mut assigned_g, &mut assigned_l, v, true);
+    }
+    let (gmask, lmask) = (frame_mask(widths.0), frame_mask(widths.1));
+    if (post.1 ^ frame_locals) & lmask & !assigned_l != 0 {
+        return Err("unassigned locals clobbered".into());
+    }
+    if (post.0 ^ pre.0) & gmask & !assigned_g != 0 {
+        return Err("unassigned globals changed".into());
+    }
+    if post.0 & !gmask != 0 || post.1 & !lmask != 0 {
+        return Err("out-of-frame bits set".into());
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,6 +1,5 @@
 //! Explicit-state bounded-context-switch exploration: the concurrent
-//! ground-truth oracle, schedule-constrained refinement, and the guided
-//! step replayer.
+//! ground-truth oracle, schedule refinement, and the guided step replayer.
 //!
 //! A full configuration — shared globals plus one call stack per thread —
 //! is explored by BFS with a context-switch budget. Unlike the symbolic
@@ -8,27 +7,32 @@
 //! so a stack-depth limit turns runaway recursion into an error; the tests
 //! use it on finite-stack programs only.
 //!
-//! Three progressively more constrained modes share one stepping function:
+//! One search, with `step_active` as its only successor function, serves
+//! two entry points that differ only in the context switches it may take:
 //!
-//! 1. [`conc_explicit_reachable`] — free exploration, the differential
-//!    oracle;
-//! 2. [`conc_refine_schedule`] — exploration pinned to a fixed context-
-//!    switch schedule (who runs each round, the shared globals at each
-//!    hand-over), which *records* the statement-granular step sequence
-//!    reaching the target — the refinement from a round-level witness to a
-//!    concrete interleaved trace;
-//! 3. [`conc_replay_guided`] — no exploration at all: a scripted step
-//!    sequence is *followed* deterministically, one successor per step,
-//!    each step checked against the concrete semantics and rejected on any
-//!    disagreement in thread, pc, or valuation.
+//! 1. [`conc_explicit_reachable`] — a switch to any other thread, up to
+//!    `k` switches: the differential oracle;
+//! 2. [`conc_refine_schedule`] — a switch only into a fixed schedule's
+//!    next round (who runs each round, the shared globals at each
+//!    hand-over), when the globals equal the valuation that round records.
+//!    It records the statement-granular steps that reach a target in the
+//!    last round — the refinement from a round-level witness to a concrete
+//!    interleaved trace. A schedule is executable exactly when it refines.
+//!
+//! [`conc_replay_guided`] searches nothing: it follows a step script, takes
+//! the schedule's hand-overs itself, and checks each step on the active
+//! thread's stack with the sequential replayer's step checker
+//! ([`getafix_boolprog::replay_step`]), which shares no code with the
+//! search whose output it validates.
 
 use crate::merge::Merged;
 use getafix_boolprog::{
-    admits, enumerate_choices, frame_mask, read_var, write_var, Bits, Edge, Pc, ProcId, ReplayStep,
-    VarRef,
+    admits, enumerate_choices, next_states, read_var, replay_step, write_var, Bits, Edge, Frame,
+    Pc, ReplayStep, VarRef,
 };
 use getafix_mucalc::{LimitKind, ResourceLimits};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 /// Errors from the explicit concurrent engine.
@@ -117,20 +121,46 @@ impl Default for ConcLimits {
 }
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-struct Frame {
-    proc: ProcId,
-    pc: Pc,
-    locals: Bits,
-    /// (return-value targets in the caller, resume pc) captured at call.
-    on_return: Option<(Vec<VarRef>, Pc)>,
-}
-
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Config {
+    /// Context switches taken so far; under a schedule, the round index.
     switches_used: usize,
     active: usize,
     globals: Bits,
     stacks: Vec<Vec<Frame>>,
+}
+
+impl Config {
+    /// The initial configuration: every variable `false`, `first` active,
+    /// no other thread started.
+    fn start(merged: &Merged, first: usize) -> Config {
+        let stacks = vec![Vec::new(); merged.n_threads];
+        let mut c = Config { switches_used: 0, active: first, globals: 0, stacks };
+        c.activate(merged, first);
+        c
+    }
+
+    /// Gives the processor to `thread`, which starts at its entry on its
+    /// first activation.
+    fn activate(&mut self, merged: &Merged, thread: usize) {
+        self.active = thread;
+        if self.stacks[thread].is_empty() {
+            let entry = merged.thread_entries[thread];
+            let proc = merged.cfg.proc_of(entry).id;
+            self.stacks[thread].push(Frame { proc, pc: entry, locals: 0, on_return: None });
+        }
+    }
+}
+
+/// The context switches a [`search`] may take.
+#[derive(Clone, Copy)]
+enum Switches<'a> {
+    /// To any other thread, up to this many switches; a target counts in
+    /// every round.
+    Any(usize),
+    /// Only into the schedule's next round, and only when the globals
+    /// equal the valuation that round records; a target counts in the
+    /// last round only.
+    Scheduled(&'a [ScheduleRound]),
 }
 
 /// Explicit bounded-context-switch reachability of any pc in `targets`.
@@ -144,176 +174,17 @@ pub fn conc_explicit_reachable(
     switches: usize,
     limits: ConcLimits,
 ) -> Result<bool, ConcExplicitError> {
-    let cfg = &merged.cfg;
-    if cfg.globals.len() > 64 {
-        return Err(ConcExplicitError::TooManyVariables(format!(
-            "{} merged globals exceed 64",
-            cfg.globals.len()
-        )));
-    }
-    let target_set: BTreeSet<Pc> = targets.iter().copied().collect();
-    let mut visited: BTreeSet<Config> = BTreeSet::new();
-    let mut queue: VecDeque<Config> = VecDeque::new();
-
-    // Thread 0..n-1 may each be the initially active thread? §5 fixes the
-    // schedule vector t̄, including t0 — any thread may run first.
-    for first in 0..merged.n_threads {
-        let mut stacks: Vec<Vec<Frame>> = vec![Vec::new(); merged.n_threads];
-        let entry = merged.thread_entries[first];
-        let proc = cfg.proc_of(entry).id;
-        stacks[first].push(Frame { proc, pc: entry, locals: 0, on_return: None });
-        let c = Config { switches_used: 0, active: first, globals: 0, stacks };
-        if visited.insert(c.clone()) {
-            queue.push_back(c);
-        }
-    }
-
-    while let Some(c) = queue.pop_front() {
-        if visited.len() > limits.max_states {
-            return Err(ConcExplicitError::StateLimit(limits.max_states));
-        }
-        // One governed step per expansion: deadline poll + step budget.
-        limits.resources.note_steps(1).map_err(|kind| ConcExplicitError::ResourceLimit {
-            kind,
-            search_states: visited.len(),
-        })?;
-        // Target check: active thread's top frame.
-        if let Some(top) = c.stacks[c.active].last() {
-            if target_set.contains(&top.pc) {
-                return Ok(true);
-            }
-        }
-        let mut stepped: Vec<(Config, ReplayStep)> = Vec::new();
-        step_active(merged, &c, limits.max_stack, &mut stepped)?;
-        let mut successors: Vec<Config> = stepped.into_iter().map(|(c2, _)| c2).collect();
-        // Context switches.
-        if c.switches_used < switches {
-            for next in 0..merged.n_threads {
-                if next == c.active {
-                    continue;
-                }
-                let mut c2 = c.clone();
-                c2.switches_used += 1;
-                c2.active = next;
-                if c2.stacks[next].is_empty() {
-                    // First activation: start at the thread's main.
-                    let entry = merged.thread_entries[next];
-                    let proc = merged.cfg.proc_of(entry).id;
-                    c2.stacks[next].push(Frame { proc, pc: entry, locals: 0, on_return: None });
-                }
-                successors.push(c2);
-            }
-        }
-        for s in successors {
-            if visited.insert(s.clone()) {
-                queue.push_back(s);
-            }
-        }
-    }
-    Ok(false)
+    check_input(merged, None)?;
+    // §5 fixes the whole schedule vector t̄, t0 included: any thread may
+    // run first.
+    let found = search(merged, targets, 0..merged.n_threads, Switches::Any(switches), &limits)?;
+    Ok(found.is_some())
 }
 
 /// One round of a context-switch schedule: the active thread and the
 /// shared-global valuation the round is entered with (round 0 always starts
 /// from the all-`false` valuation).
 pub type ScheduleRound = (usize, Bits);
-
-/// Replays a *fixed schedule* — the witness the symbolic engine extracts —
-/// against the explicit semantics: exploration is restricted to exactly the
-/// per-round active threads of `schedule`, and a switch from round `j` to
-/// round `j + 1` is only taken when the shared globals equal the valuation
-/// the schedule recorded for that switch point. Returns `true` iff a target
-/// pc is reachable in the **final** round under those constraints — i.e.
-/// the schedule really is executable, switch valuations and all.
-///
-/// This is the concurrent analogue of sequential trace replay: the schedule
-/// fixes the only unbounded choices (who runs when, what the globals were
-/// at each hand-over), and the explicit engine fills in the intra-round
-/// steps.
-///
-/// # Errors
-///
-/// See [`ConcExplicitError`]. A malformed schedule (empty, or naming a
-/// thread out of range) is an error; a well-formed but infeasible schedule
-/// returns `Ok(false)`.
-pub fn conc_replay_schedule(
-    merged: &Merged,
-    targets: &[Pc],
-    schedule: &[ScheduleRound],
-    limits: ConcLimits,
-) -> Result<bool, ConcExplicitError> {
-    let cfg = &merged.cfg;
-    if cfg.globals.len() > 64 {
-        return Err(ConcExplicitError::TooManyVariables(format!(
-            "{} merged globals exceed 64",
-            cfg.globals.len()
-        )));
-    }
-    check_schedule_shape(merged, schedule)?;
-    let target_set: BTreeSet<Pc> = targets.iter().copied().collect();
-    let last_round = schedule.len() - 1;
-
-    /// A configuration pinned to a schedule round.
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-    struct Timed {
-        round: usize,
-        config: Config,
-    }
-
-    let init = Timed { round: 0, config: initial_config(merged, schedule[0].0) };
-
-    let mut visited: BTreeSet<Timed> = BTreeSet::new();
-    let mut queue: VecDeque<Timed> = VecDeque::new();
-    visited.insert(init.clone());
-    queue.push_back(init);
-
-    while let Some(t) = queue.pop_front() {
-        if visited.len() > limits.max_states {
-            return Err(ConcExplicitError::StateLimit(limits.max_states));
-        }
-        limits.resources.note_steps(1).map_err(|kind| ConcExplicitError::ResourceLimit {
-            kind,
-            search_states: visited.len(),
-        })?;
-        if t.round == last_round {
-            if let Some(top) = t.config.stacks[t.config.active].last() {
-                if target_set.contains(&top.pc) {
-                    return Ok(true);
-                }
-            }
-        }
-        let mut stepped: Vec<(Config, ReplayStep)> = Vec::new();
-        step_active(merged, &t.config, limits.max_stack, &mut stepped)?;
-        let mut timed: Vec<Timed> =
-            stepped.into_iter().map(|(c, _)| Timed { round: t.round, config: c }).collect();
-        // The one permitted switch: to the next scheduled round, only when
-        // the globals match the recorded hand-over valuation.
-        if t.round < last_round {
-            let (next_thread, entry_globals) = schedule[t.round + 1];
-            if t.config.globals == entry_globals {
-                let mut c2 = t.config.clone();
-                c2.switches_used += 1;
-                c2.active = next_thread;
-                if c2.stacks[next_thread].is_empty() {
-                    let entry = merged.thread_entries[next_thread];
-                    c2.stacks[next_thread].push(Frame {
-                        proc: cfg.proc_of(entry).id,
-                        pc: entry,
-                        locals: 0,
-                        on_return: None,
-                    });
-                }
-                timed.push(Timed { round: t.round + 1, config: c2 });
-            }
-        }
-        for s in timed {
-            if visited.insert(s.clone()) {
-                queue.push_back(s);
-            }
-        }
-    }
-    Ok(false)
-}
 
 /// One scripted step of a statement-granular concurrent trace: which
 /// thread moved, in which schedule round, and the transition's post-state
@@ -348,12 +219,14 @@ pub struct RefinedTrace {
     pub search_states: usize,
 }
 
-/// Refines a fixed schedule into a **statement-granular step sequence**:
-/// explores under exactly the schedule's per-round threads and hand-over
-/// valuations (as [`conc_replay_schedule`] does), but records predecessor
-/// links, and on reaching a target pc in the final round reconstructs the
-/// concrete interleaved path as a [`GuidedStep`] script. Returns
-/// `Ok(None)` when the schedule is well-formed but infeasible.
+/// Refines a fixed schedule — the witness the symbolic engine extracts —
+/// into a **statement-granular step sequence**. The search runs exactly
+/// the schedule's per-round threads, and switches from round `j` to round
+/// `j + 1` only when the shared globals equal the valuation the schedule
+/// records for that hand-over. On reaching a target pc in the final round
+/// it reconstructs the concrete interleaved path as a [`GuidedStep`]
+/// script. Returns `Ok(None)` when the schedule is well-formed but
+/// infeasible: a schedule is executable exactly when it refines.
 ///
 /// The returned script resolves *every* choice left open by the schedule —
 /// which statement runs next, and the value taken at each
@@ -363,137 +236,119 @@ pub struct RefinedTrace {
 ///
 /// # Errors
 ///
-/// See [`ConcExplicitError`]; schedule-shape requirements match
-/// [`conc_replay_schedule`].
+/// See [`ConcExplicitError`]. A malformed schedule (empty, naming a thread
+/// out of range, or a round 0 that does not start from the all-`false`
+/// valuation) is an error.
 pub fn conc_refine_schedule(
     merged: &Merged,
     targets: &[Pc],
     schedule: &[ScheduleRound],
     limits: ConcLimits,
 ) -> Result<Option<RefinedTrace>, ConcExplicitError> {
-    let cfg = &merged.cfg;
-    if cfg.globals.len() > 64 {
-        return Err(ConcExplicitError::TooManyVariables(format!(
-            "{} merged globals exceed 64",
-            cfg.globals.len()
-        )));
-    }
-    check_schedule_shape(merged, schedule)?;
-    let target_set: BTreeSet<Pc> = targets.iter().copied().collect();
-    let last_round = schedule.len() - 1;
+    check_input(merged, Some(schedule))?;
+    search(merged, targets, [schedule[0].0], Switches::Scheduled(schedule), &limits)
+}
 
-    /// A configuration pinned to a schedule round.
-    #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
-    struct Timed {
-        round: usize,
-        config: Config,
-    }
-
-    let init = Timed { round: 0, config: initial_config(merged, schedule[0].0) };
-    // States are interned: `index` deduplicates, `links` holds the
-    // predecessor id and the step taken into each state by discovery id —
-    // configurations are stored once, and path reconstruction follows
-    // `usize` links instead of cloning configuration chains. A switch edge
-    // carries no step (the guided replayer re-derives hand-overs from the
-    // schedule itself); the initial state has no predecessor.
-    let mut index: BTreeMap<Timed, usize> = BTreeMap::new();
+/// Breadth-first search from the initial configuration of each thread in
+/// `first`, stepping the active thread with `step_active` and switching as
+/// `switches` allows, for a configuration whose active thread sits at a
+/// target pc. Returns the steps into the first one found and the number
+/// of configurations discovered, or `None` when none is reachable.
+fn search(
+    merged: &Merged,
+    targets: &[Pc],
+    first: impl IntoIterator<Item = usize>,
+    switches: Switches<'_>,
+    limits: &ConcLimits,
+) -> Result<Option<RefinedTrace>, ConcExplicitError> {
+    // States are interned: `index` deduplicates, and `links` holds the
+    // predecessor id and the step taken into each state by discovery id,
+    // so path reconstruction follows `usize` links instead of cloning
+    // configuration chains. A switch carries no step (the guided replayer
+    // re-derives hand-overs from the schedule itself); an initial state
+    // has no predecessor.
+    let mut index: BTreeMap<Config, usize> = BTreeMap::new();
     let mut links: Vec<(Option<usize>, Option<GuidedStep>)> = Vec::new();
-    index.insert(init.clone(), 0);
-    links.push((None, None));
-    let mut queue: VecDeque<(usize, Timed)> = VecDeque::from([(0, init)]);
-
-    let mut goal: Option<usize> = None;
-    'bfs: while let Some((id, t)) = queue.pop_front() {
+    let mut queue: VecDeque<(usize, Config)> = VecDeque::new();
+    let mut found: Vec<(Config, Option<usize>, Option<GuidedStep>)> =
+        first.into_iter().map(|t| (Config::start(merged, t), None, None)).collect();
+    loop {
+        for (c, parent, step) in found.drain(..) {
+            if let Entry::Vacant(v) = index.entry(c.clone()) {
+                v.insert(links.len());
+                queue.push_back((links.len(), c));
+                links.push((parent, step));
+            }
+        }
+        let Some((id, c)) = queue.pop_front() else { return Ok(None) };
         if links.len() > limits.max_states {
             return Err(ConcExplicitError::StateLimit(limits.max_states));
         }
-        // The refine BFS is the unbounded-search hotspot: account every
-        // expansion against the shared step budget and report how many
-        // configurations were searched when a bound trips.
+        // One governed step per expansion: deadline poll + step budget.
         limits.resources.note_steps(1).map_err(|kind| ConcExplicitError::ResourceLimit {
             kind,
             search_states: links.len(),
         })?;
-        if t.round == last_round {
-            if let Some(top) = t.config.stacks[t.config.active].last() {
-                if target_set.contains(&top.pc) {
-                    goal = Some(id);
-                    break 'bfs;
-                }
+        let target_counts = match switches {
+            Switches::Any(_) => true,
+            Switches::Scheduled(schedule) => c.switches_used + 1 == schedule.len(),
+        };
+        if target_counts && c.stacks[c.active].last().is_some_and(|top| targets.contains(&top.pc)) {
+            let mut steps: Vec<GuidedStep> = Vec::new();
+            let mut at = Some(id);
+            while let Some(i) = at {
+                let (parent, step) = links[i];
+                steps.extend(step);
+                at = parent;
             }
+            steps.reverse();
+            return Ok(Some(RefinedTrace { steps, search_states: links.len() }));
         }
         let mut stepped: Vec<(Config, ReplayStep)> = Vec::new();
-        step_active(merged, &t.config, limits.max_stack, &mut stepped)?;
-        let mut timed: Vec<(Timed, Option<GuidedStep>)> = stepped
-            .into_iter()
-            .map(|(c, step)| {
-                let gs = GuidedStep { round: t.round, thread: t.config.active, step };
-                (Timed { round: t.round, config: c }, Some(gs))
-            })
-            .collect();
-        if t.round < last_round {
-            let (next_thread, entry_globals) = schedule[t.round + 1];
-            if t.config.globals == entry_globals {
-                let mut c2 = t.config.clone();
-                c2.switches_used += 1;
-                c2.active = next_thread;
-                if c2.stacks[next_thread].is_empty() {
-                    let entry = merged.thread_entries[next_thread];
-                    c2.stacks[next_thread].push(Frame {
-                        proc: cfg.proc_of(entry).id,
-                        pc: entry,
-                        locals: 0,
-                        on_return: None,
-                    });
-                }
-                timed.push((Timed { round: t.round + 1, config: c2 }, None));
+        step_active(merged, &c, limits.max_stack, &mut stepped)?;
+        let (round, thread) = (c.switches_used, c.active);
+        found.extend(
+            stepped
+                .into_iter()
+                .map(|(c2, step)| (c2, Some(id), Some(GuidedStep { round, thread, step }))),
+        );
+        let into: Vec<usize> = match switches {
+            Switches::Any(k) if c.switches_used < k => {
+                (0..merged.n_threads).filter(|&t| t != c.active).collect()
             }
-        }
-        for (s, gs) in timed {
-            if let std::collections::btree_map::Entry::Vacant(v) = index.entry(s.clone()) {
-                let sid = links.len();
-                v.insert(sid);
-                links.push((Some(id), gs));
-                queue.push_back((sid, s));
-            }
+            Switches::Scheduled(schedule) => match schedule.get(c.switches_used + 1) {
+                Some(&(t, entry_globals)) if entry_globals == c.globals => vec![t],
+                _ => Vec::new(),
+            },
+            Switches::Any(_) => Vec::new(),
+        };
+        for t in into {
+            let mut c2 = c.clone();
+            c2.switches_used += 1;
+            c2.activate(merged, t);
+            found.push((c2, Some(id), None));
         }
     }
-
-    let Some(mut at) = goal else { return Ok(None) };
-    let search_states = links.len();
-    let mut steps: Vec<GuidedStep> = Vec::new();
-    loop {
-        let (parent, step) = links[at];
-        if let Some(s) = step {
-            steps.push(s);
-        }
-        match parent {
-            Some(p) => at = p,
-            None => break,
-        }
-    }
-    steps.reverse();
-    Ok(Some(RefinedTrace { steps, search_states }))
 }
 
 /// **Follows** a step script deterministically — the validation mode the
 /// statement-granular witness pipeline rests on. Unlike
-/// [`conc_replay_schedule`], which re-explores the intra-round steps, this
-/// maintains exactly one configuration and advances it one scripted step
-/// at a time: hand-overs between rounds are taken from `schedule`
-/// (rejecting a switch whose shared globals disagree with the recorded
-/// valuation), and each [`GuidedStep`] is checked against the concrete
-/// semantics — legal edge, admissible guard and chosen values, untouched
-/// frame bits — before being applied. Zero search states beyond the
+/// [`conc_refine_schedule`], which searches the intra-round steps, this
+/// keeps exactly one configuration and advances it one scripted step at a
+/// time: hand-overs between rounds are taken from `schedule` (rejecting a
+/// switch whose shared globals disagree with the recorded valuation), and
+/// each [`GuidedStep`] must name its round's thread and pass
+/// [`replay_step`] on that thread's stack — legal edge, admissible guard
+/// and chosen values, untouched frame bits. Zero search states beyond the
 /// scripted path are visited.
 ///
 /// # Errors
 ///
-/// [`ConcExplicitError::ScriptRejected`] names the first step whose
-/// thread, pc, or valuation disagrees with the engine (or an end-of-script
-/// failure: trailing hand-over mismatch, final pc not a target). Schedule
-/// shape errors and width/depth limits surface as in
-/// [`conc_replay_schedule`].
+/// [`ConcExplicitError::ScriptRejected`] names the first step whose round,
+/// thread, pc, valuation or stack depth disagrees with the engine (or an
+/// end-of-script failure: trailing hand-over mismatch, final pc not a
+/// target). Schedule shape errors and frame-width errors surface as in
+/// [`conc_refine_schedule`].
 pub fn conc_replay_guided(
     merged: &Merged,
     targets: &[Pc],
@@ -501,287 +356,96 @@ pub fn conc_replay_guided(
     steps: &[GuidedStep],
     limits: ConcLimits,
 ) -> Result<(), ConcExplicitError> {
-    let cfg = &merged.cfg;
-    if cfg.globals.len() > 64 {
-        return Err(ConcExplicitError::TooManyVariables(format!(
-            "{} merged globals exceed 64",
-            cfg.globals.len()
-        )));
-    }
-    check_schedule_shape(merged, schedule)?;
-    let last_round = schedule.len() - 1;
-    let reject =
-        |step: usize, message: String| Err(ConcExplicitError::ScriptRejected { step, message });
-
-    let mut c = initial_config(merged, schedule[0].0);
-    let mut round = 0usize;
-    // Takes the scheduled hand-over into round `round + 1`, checking the
+    check_input(merged, Some(schedule))?;
+    let reject = |step: usize, message: String| ConcExplicitError::ScriptRejected { step, message };
+    let mut c = Config::start(merged, schedule[0].0);
+    // Takes the scheduled hand-over into the next round, checking the
     // recorded valuation.
-    let hand_over = |c: &mut Config, round: &mut usize, at_step: usize| {
-        let (next_thread, entry_globals) = schedule[*round + 1];
+    let hand_over = |c: &mut Config, at_step: usize| {
+        let round = c.switches_used + 1;
+        let (next_thread, entry_globals) = schedule[round];
         if c.globals != entry_globals {
-            return Err(ConcExplicitError::ScriptRejected {
-                step: at_step,
-                message: format!(
-                    "hand-over into round {} recorded globals {:#b}, the engine has {:#b}",
-                    *round + 1,
-                    entry_globals,
+            return Err(reject(
+                at_step,
+                format!(
+                    "hand-over into round {round} recorded globals {entry_globals:#b}, \
+                     the engine has {:#b}",
                     c.globals
                 ),
-            });
+            ));
         }
-        *round += 1;
-        c.switches_used += 1;
-        c.active = next_thread;
-        if c.stacks[next_thread].is_empty() {
-            let entry = merged.thread_entries[next_thread];
-            c.stacks[next_thread].push(Frame {
-                proc: merged.cfg.proc_of(entry).id,
-                pc: entry,
-                locals: 0,
-                on_return: None,
-            });
-        }
+        c.switches_used = round;
+        c.activate(merged, next_thread);
         Ok(())
     };
 
     for (i, gs) in steps.iter().enumerate() {
-        if gs.round < round {
-            return reject(
+        if gs.round < c.switches_used {
+            return Err(reject(
                 i,
-                format!("step belongs to round {}, but round {round} is already active", gs.round),
-            );
+                format!(
+                    "step belongs to round {}, but round {} is already active",
+                    gs.round, c.switches_used
+                ),
+            ));
         }
-        if gs.round > last_round {
-            return reject(
+        if gs.round >= schedule.len() {
+            return Err(reject(
                 i,
                 format!(
                     "step belongs to round {}, beyond the schedule's {} rounds",
                     gs.round,
                     schedule.len()
                 ),
-            );
+            ));
         }
-        while round < gs.round {
-            hand_over(&mut c, &mut round, i)?;
+        while c.switches_used < gs.round {
+            hand_over(&mut c, i)?;
         }
         if gs.thread != c.active {
-            return reject(
+            return Err(reject(
                 i,
                 format!(
-                    "step names thread {}, round {round} schedules thread {}",
-                    gs.thread, c.active
+                    "step names thread {}, round {} schedules thread {}",
+                    gs.thread, c.switches_used, c.active
                 ),
-            );
+            ));
         }
-        if let Err(message) = apply_guided(merged, &mut c, &gs.step, limits.max_stack) {
-            return reject(i, message);
+        let stack = &mut c.stacks[c.active];
+        if matches!(gs.step, ReplayStep::Call { .. }) && stack.len() >= limits.max_stack {
+            return Err(reject(i, format!("stack depth limit {} exceeded", limits.max_stack)));
         }
+        replay_step(&merged.cfg, &mut c.globals, stack, &gs.step).map_err(|m| reject(i, m))?;
     }
     // Trailing zero-step rounds still hand over (and check valuations).
-    while round < last_round {
-        hand_over(&mut c, &mut round, steps.len())?;
+    while c.switches_used + 1 < schedule.len() {
+        hand_over(&mut c, steps.len())?;
     }
     match c.stacks[c.active].last() {
         Some(top) if targets.contains(&top.pc) => Ok(()),
-        Some(top) => reject(steps.len(), format!("final pc {} is not a target", top.pc)),
-        None => reject(steps.len(), "final round's thread never started".into()),
+        Some(top) => Err(reject(steps.len(), format!("final pc {} is not a target", top.pc))),
+        None => Err(reject(steps.len(), "final round's thread never started".into())),
     }
 }
 
-/// The shared schedule-shape validation of the replay entry points.
-fn check_schedule_shape(
+/// The checks every entry point makes before it packs a valuation or
+/// reads a round: the frame width ([`getafix_boolprog::Cfg::check_frame_width`])
+/// and, given a schedule, its shape.
+fn check_input(
     merged: &Merged,
-    schedule: &[ScheduleRound],
+    schedule: Option<&[ScheduleRound]>,
 ) -> Result<(), ConcExplicitError> {
-    if schedule.is_empty()
-        || schedule.iter().any(|&(t, _)| t >= merged.n_threads)
-        || schedule[0].1 != 0
-    {
-        return Err(ConcExplicitError::MalformedSchedule(format!(
-            "malformed schedule {schedule:?} for {} threads \
-             (round 0 must start from the all-false valuation)",
-            merged.n_threads
-        )));
+    merged.cfg.check_frame_width().map_err(ConcExplicitError::TooManyVariables)?;
+    match schedule {
+        Some(s) if s.is_empty() || s.iter().any(|&(t, _)| t >= merged.n_threads) || s[0].1 != 0 => {
+            Err(ConcExplicitError::MalformedSchedule(format!(
+                "malformed schedule {s:?} for {} threads \
+                 (round 0 must start from the all-false valuation)",
+                merged.n_threads
+            )))
+        }
+        _ => Ok(()),
     }
-    Ok(())
-}
-
-/// The initial configuration: `first` active at its thread entry, every
-/// variable `false`, all other threads not yet started.
-fn initial_config(merged: &Merged, first: usize) -> Config {
-    let mut stacks: Vec<Vec<Frame>> = vec![Vec::new(); merged.n_threads];
-    let entry = merged.thread_entries[first];
-    stacks[first].push(Frame {
-        proc: merged.cfg.proc_of(entry).id,
-        pc: entry,
-        locals: 0,
-        on_return: None,
-    });
-    Config { switches_used: 0, active: first, globals: 0, stacks }
-}
-
-/// Applies one scripted step to `c` in place, validating it is a legal
-/// transition of the active thread under the concrete semantics (the
-/// concurrent analogue of [`getafix_boolprog::replay`]'s per-step checks).
-/// Returns a rejection message naming the disagreement.
-fn apply_guided(
-    merged: &Merged,
-    c: &mut Config,
-    step: &ReplayStep,
-    max_stack: usize,
-) -> Result<(), String> {
-    let cfg = &merged.cfg;
-    let n_globals = cfg.globals.len();
-    let Some(top) = c.stacks[c.active].last().cloned() else {
-        return Err(format!("thread {} has halted (empty stack)", c.active));
-    };
-    let proc = &cfg.procs[top.proc];
-    let bit = |bits: Bits, i: usize| (bits >> i) & 1 == 1;
-    match *step {
-        ReplayStep::Internal { to, globals: g2, locals: l2 } => {
-            let edges = proc.edges.get(&top.pc).map(Vec::as_slice).unwrap_or(&[]);
-            let mut matched = false;
-            'edges: for e in edges {
-                let Edge::Internal { to: eto, guard, assigns } = e else { continue };
-                if *eto != to || !admits(guard, c.globals, top.locals, true) {
-                    continue;
-                }
-                let mut assigned_l: u64 = 0;
-                let mut assigned_g: u64 = 0;
-                for (tv, expr) in assigns {
-                    let new = match tv {
-                        VarRef::Local(j) => {
-                            assigned_l |= 1 << j;
-                            bit(l2, *j)
-                        }
-                        VarRef::Global(j) => {
-                            assigned_g |= 1 << j;
-                            bit(g2, *j)
-                        }
-                    };
-                    if !admits(expr, c.globals, top.locals, new) {
-                        continue 'edges;
-                    }
-                }
-                let lmask = frame_mask(proc.n_locals()) & !assigned_l;
-                let gmask = frame_mask(n_globals) & !assigned_g;
-                if (l2 & lmask) != (top.locals & lmask)
-                    || (g2 & gmask) != (c.globals & gmask)
-                    || l2 & !frame_mask(proc.n_locals()) != 0
-                    || g2 & !frame_mask(n_globals) != 0
-                {
-                    continue;
-                }
-                matched = true;
-                break;
-            }
-            if !matched {
-                return Err(format!(
-                    "no internal edge {} -> {to} of `{}` admits globals={g2:#b} locals={l2:#b}",
-                    top.pc, proc.name
-                ));
-            }
-            c.globals = g2;
-            let fi = c.stacks[c.active].len() - 1;
-            let f = &mut c.stacks[c.active][fi];
-            f.pc = to;
-            f.locals = l2;
-        }
-        ReplayStep::Call { entry, globals: g2, locals: l2 } => {
-            if c.stacks[c.active].len() >= max_stack {
-                return Err(format!("stack depth limit {max_stack} exceeded"));
-            }
-            let edges = proc.edges.get(&top.pc).map(Vec::as_slice).unwrap_or(&[]);
-            let mut pushed = None;
-            'calls: for e in edges {
-                let Edge::Call { callee, args, rets, ret_to } = e else { continue };
-                let q = &cfg.procs[*callee];
-                if q.entry != entry || g2 != c.globals {
-                    continue;
-                }
-                for (j, arg) in args.iter().enumerate() {
-                    if !admits(arg, c.globals, top.locals, bit(l2, j)) {
-                        continue 'calls;
-                    }
-                }
-                // Non-parameter callee locals start false.
-                if l2 & !frame_mask(args.len()) != 0 {
-                    continue;
-                }
-                pushed = Some(Frame {
-                    proc: *callee,
-                    pc: entry,
-                    locals: l2,
-                    on_return: Some((rets.clone(), *ret_to)),
-                });
-                break;
-            }
-            let Some(frame) = pushed else {
-                return Err(format!(
-                    "no call edge at pc {} of `{}` enters {entry} with locals={l2:#b}",
-                    top.pc, proc.name
-                ));
-            };
-            c.stacks[c.active].push(frame);
-        }
-        ReplayStep::Return { ret_to, globals: g2, locals: l2 } => {
-            let Some((rets, saved_ret_to)) = top.on_return.clone() else {
-                return Err(format!("return from thread {}'s initial frame", c.active));
-            };
-            if saved_ret_to != ret_to {
-                return Err(format!(
-                    "return resumes at {ret_to}, the call expected {saved_ret_to}"
-                ));
-            }
-            let Some(exit) = proc.exits.iter().find(|e| e.pc == top.pc) else {
-                return Err(format!("pc {} is not an exit of `{}`", top.pc, proc.name));
-            };
-            let stack = &c.stacks[c.active];
-            if stack.len() < 2 {
-                return Err("a return frame records a caller, but no frame lies below it \
-                     on the stack"
-                    .into());
-            }
-            let caller = stack[stack.len() - 2].clone();
-            let caller_proc = &cfg.procs[caller.proc];
-            let mut assigned_l: u64 = 0;
-            let mut assigned_g: u64 = 0;
-            for (target, expr) in rets.iter().zip(&exit.ret_exprs) {
-                let new = match target {
-                    VarRef::Local(j) => {
-                        assigned_l |= 1 << j;
-                        bit(l2, *j)
-                    }
-                    VarRef::Global(j) => {
-                        assigned_g |= 1 << j;
-                        bit(g2, *j)
-                    }
-                };
-                if !admits(expr, c.globals, top.locals, new) {
-                    return Err(format!("return value {new} not admitted by the exit expression"));
-                }
-            }
-            let lmask = frame_mask(caller_proc.n_locals()) & !assigned_l;
-            let gmask = frame_mask(n_globals) & !assigned_g;
-            if (l2 & lmask) != (caller.locals & lmask) {
-                return Err("caller locals clobbered across the call".into());
-            }
-            if (g2 & gmask) != (c.globals & gmask) {
-                return Err("globals changed by the return itself".into());
-            }
-            if l2 & !frame_mask(caller_proc.n_locals()) != 0 || g2 & !frame_mask(n_globals) != 0 {
-                return Err("out-of-frame bits set".into());
-            }
-            c.stacks[c.active].pop();
-            c.globals = g2;
-            let fi = c.stacks[c.active].len() - 1;
-            let f = &mut c.stacks[c.active][fi];
-            f.pc = ret_to;
-            f.locals = l2;
-        }
-    }
-    Ok(())
 }
 
 /// Computes the successor configurations of the active thread, each paired
@@ -798,66 +462,56 @@ fn step_active(
     out: &mut Vec<(Config, ReplayStep)>,
 ) -> Result<(), ConcExplicitError> {
     let cfg = &merged.cfg;
+    let malformed = |m: String| Err(ConcExplicitError::MalformedConfiguration(m));
     let Some(stack) = c.stacks.get(c.active) else {
-        return Err(ConcExplicitError::MalformedConfiguration(format!(
+        return malformed(format!(
             "active thread {} out of range ({} threads)",
             c.active,
             c.stacks.len()
-        )));
+        ));
     };
-    let Some(top) = stack.last().cloned() else {
-        return Ok(());
-    };
+    let Some(top) = stack.last() else { return Ok(()) };
     let Some(proc) = cfg.procs.get(top.proc) else {
-        return Err(ConcExplicitError::MalformedConfiguration(format!(
-            "frame names procedure id {} of {}",
-            top.proc,
-            cfg.procs.len()
-        )));
+        return malformed(format!("frame names procedure id {} of {}", top.proc, cfg.procs.len()));
     };
     if !proc.contains(top.pc) {
-        return Err(ConcExplicitError::MalformedConfiguration(format!(
+        return malformed(format!(
             "frame pc {} lies outside its procedure `{}`",
             top.pc, proc.name
-        )));
+        ));
     }
+    let depth = stack.len();
+    let read = |v: VarRef| read_var(c.globals, top.locals, v);
 
     // Return from an exit pc.
     if proc.is_exit(top.pc) {
         let Some(exit) = proc.exits.iter().find(|e| e.pc == top.pc) else {
-            return Err(ConcExplicitError::MalformedConfiguration(format!(
+            return malformed(format!(
                 "pc {} is flagged as an exit of `{}` but has no exit point",
                 top.pc, proc.name
-            )));
+            ));
         };
-        if let Some((rets, ret_to)) = &top.on_return {
-            let read = |v: VarRef| read_var(c.globals, top.locals, v);
-            let sets: Vec<(bool, bool)> =
-                exit.ret_exprs.iter().map(|e| e.value_set(&read)).collect();
-            for vals in enumerate_choices(&sets) {
-                let mut c2 = c.clone();
-                c2.stacks[c.active].pop();
-                let Some(caller) = c2.stacks[c.active].last_mut() else {
-                    return Err(ConcExplicitError::MalformedConfiguration(
-                        "a return frame records a caller, but no frame lies below it \
-                         on the stack"
-                            .into(),
-                    ));
-                };
-                caller.pc = *ret_to;
-                let mut g2 = c2.globals;
-                let mut l2 = caller.locals;
-                for (t, val) in rets.iter().zip(vals) {
-                    write_var(&mut g2, &mut l2, *t, val);
-                }
-                c2.globals = g2;
-                caller.locals = l2;
-                let step = ReplayStep::Return { ret_to: *ret_to, globals: g2, locals: l2 };
-                out.push((c2, step));
+        // A thread's initial frame halts at its exit: no more steps from
+        // this thread, but others may still switch in.
+        let Some((rets, ret_to)) = &top.on_return else { return Ok(()) };
+        if depth < 2 {
+            return malformed(
+                "a return frame records a caller, but no frame lies below it on the stack".into(),
+            );
+        }
+        let sets: Vec<(bool, bool)> = exit.ret_exprs.iter().map(|e| e.value_set(&read)).collect();
+        for vals in enumerate_choices(&sets) {
+            let mut c2 = c.clone();
+            let s2 = &mut c2.stacks[c.active];
+            s2.pop();
+            let caller = &mut s2[depth - 2];
+            caller.pc = *ret_to;
+            for (t, val) in rets.iter().zip(vals) {
+                write_var(&mut c2.globals, &mut caller.locals, *t, val);
             }
-        } else {
-            // Thread main finished: the thread halts (no successor states
-            // from this thread, but others may still switch in).
+            let step =
+                ReplayStep::Return { ret_to: *ret_to, globals: c2.globals, locals: caller.locals };
+            out.push((c2, step));
         }
         return Ok(());
     }
@@ -866,55 +520,34 @@ fn step_active(
     for e in edges {
         match e {
             Edge::Internal { to, guard, assigns } => {
-                let read = |v: VarRef| read_var(c.globals, top.locals, v);
-                let (can_true, _) = guard.value_set(&read);
-                if !can_true {
+                if !admits(guard, c.globals, top.locals, true) {
                     continue;
                 }
-                let sets: Vec<(bool, bool)> =
-                    assigns.iter().map(|(_, e)| e.value_set(&read)).collect();
-                for vals in enumerate_choices(&sets) {
+                for (globals, locals) in next_states(c.globals, top.locals, assigns) {
                     let mut c2 = c.clone();
-                    let Some(f) = c2.stacks[c.active].last_mut() else {
-                        return Err(ConcExplicitError::MalformedConfiguration(
-                            "active thread's stack emptied mid-step".into(),
-                        ));
-                    };
+                    c2.globals = globals;
+                    let f = &mut c2.stacks[c.active][depth - 1];
                     f.pc = *to;
-                    let mut g2 = c2.globals;
-                    let mut l2 = f.locals;
-                    for ((t, _), val) in assigns.iter().zip(vals) {
-                        write_var(&mut g2, &mut l2, *t, val);
-                    }
-                    c2.globals = g2;
-                    f.locals = l2;
-                    let step = ReplayStep::Internal { to: *to, globals: g2, locals: l2 };
-                    out.push((c2, step));
+                    f.locals = locals;
+                    out.push((c2, ReplayStep::Internal { to: *to, globals, locals }));
                 }
             }
             Edge::Call { callee, args, rets, ret_to } => {
-                if c.stacks[c.active].len() >= max_stack {
+                if depth >= max_stack {
                     return Err(ConcExplicitError::StackLimit(max_stack));
                 }
-                let read = |v: VarRef| read_var(c.globals, top.locals, v);
+                let entry = cfg.procs[*callee].entry;
                 let sets: Vec<(bool, bool)> = args.iter().map(|a| a.value_set(&read)).collect();
                 for vals in enumerate_choices(&sets) {
-                    let mut locals: Bits = 0;
-                    for (i, &b) in vals.iter().enumerate() {
-                        if b {
-                            locals |= 1 << i;
-                        }
-                    }
+                    let locals = vals.iter().rev().fold(0, |acc, &b| acc << 1 | Bits::from(b));
                     let mut c2 = c.clone();
-                    let q = &cfg.procs[*callee];
                     c2.stacks[c.active].push(Frame {
                         proc: *callee,
-                        pc: q.entry,
+                        pc: entry,
                         locals,
                         on_return: Some((rets.clone(), *ret_to)),
                     });
-                    let step = ReplayStep::Call { entry: q.entry, globals: c.globals, locals };
-                    out.push((c2, step));
+                    out.push((c2, ReplayStep::Call { entry, globals: c.globals, locals }));
                 }
             }
         }
@@ -927,6 +560,7 @@ mod tests {
     use super::*;
     use crate::merge::merge;
     use getafix_boolprog::parse_concurrent;
+    use std::collections::BTreeSet;
 
     fn reach(src: &str, label: &str, k: usize) -> bool {
         let conc = parse_concurrent(src).unwrap();
@@ -961,22 +595,21 @@ mod tests {
         let conc = parse_concurrent(HANDSHAKE).unwrap();
         let merged = merge(&conc).unwrap();
         let pc = merged.cfg.label("t0__HIT").unwrap();
+        let refine = |schedule: &[ScheduleRound]| {
+            conc_refine_schedule(&merged, &[pc], schedule, ConcLimits::default())
+        };
         // Thread 1 runs first (sets flag = bit 0), hands over with flag=T.
-        let good = [(1, 0), (0, 1)];
-        assert!(conc_replay_schedule(&merged, &[pc], &good, ConcLimits::default()).unwrap());
+        assert!(refine(&[(1, 0), (0, 1)]).unwrap().is_some());
         // Wrong hand-over valuation: switch point never matches.
-        let bad_globals = [(1, 0), (0, 0)];
-        assert!(!conc_replay_schedule(&merged, &[pc], &bad_globals, ConcLimits::default()).unwrap());
+        assert_eq!(refine(&[(1, 0), (0, 0)]).unwrap(), None);
         // Wrong thread order: thread 0 alone never sees the flag.
-        let bad_order = [(0, 0), (1, 1)];
-        assert!(!conc_replay_schedule(&merged, &[pc], &bad_order, ConcLimits::default()).unwrap());
+        assert_eq!(refine(&[(0, 0), (1, 1)]).unwrap(), None);
         // Malformed schedules are errors: empty, unknown thread, or a
         // round-0 valuation that contradicts the all-false start.
-        assert!(conc_replay_schedule(&merged, &[pc], &[], ConcLimits::default()).is_err());
-        assert!(conc_replay_schedule(&merged, &[pc], &[(7, 0)], ConcLimits::default()).is_err());
-        assert!(
-            conc_replay_schedule(&merged, &[pc], &[(1, 7), (0, 1)], ConcLimits::default()).is_err()
-        );
+        for bad in [&[][..], &[(7, 0)], &[(1, 7), (0, 1)]] {
+            let r = refine(bad);
+            assert!(matches!(r, Err(ConcExplicitError::MalformedSchedule(_))), "{bad:?}: {r:?}");
+        }
     }
 
     #[test]
@@ -984,32 +617,32 @@ mod tests {
         assert!(!reach(HANDSHAKE, "t0__HIT", 0));
     }
 
+    /// `a` must be set by T1, then `b` by T0, then `c` by T1 again.
+    const PING_PONG: &str = r#"
+        shared a, b, c;
+        thread
+          main() begin
+            if (a) then
+              b := T;
+            fi;
+            if (c) then HIT: skip; fi;
+          end
+        endthread
+        thread
+          main() begin
+            a := T;
+            if (b) then
+              c := T;
+            fi;
+          end
+        endthread
+    "#;
+
     #[test]
     fn ping_pong_depth() {
-        // a must be set by T1, then b by T0, then c by T1 again: at least
-        // 3 switches if T0 starts... explore exact threshold.
-        let src = r#"
-            shared a, b, c;
-            thread
-              main() begin
-                if (a) then
-                  b := T;
-                fi;
-                if (c) then HIT: skip; fi;
-              end
-            endthread
-            thread
-              main() begin
-                a := T;
-                if (b) then
-                  c := T;
-                fi;
-              end
-            endthread
-        "#;
         // T1: a:=T; switch. T0: b:=T; switch. T1: c:=T; switch. T0: HIT.
-        assert!(reach(src, "t0__HIT", 3));
-        assert!(!reach(src, "t0__HIT", 2));
+        assert!(reach(PING_PONG, "t0__HIT", 3));
+        assert!(!reach(PING_PONG, "t0__HIT", 2));
     }
 
     #[test]
@@ -1086,7 +719,7 @@ mod tests {
         malformed(step(&c));
 
         // Well-formed configurations still step fine.
-        let c = initial_config(&merged, 0);
+        let c = Config::start(&merged, 0);
         assert!(step(&c).is_ok());
     }
 
@@ -1167,30 +800,148 @@ mod tests {
         conc_replay_guided(&merged, &[pc], &schedule, &steps, limits).unwrap();
     }
 
+    /// Threads that call procedures, one with a return value.
+    const CALLS: &str = r#"
+        shared s;
+        thread
+          main() begin
+            decl r;
+            r := get();
+            if (r) then HIT: skip; fi;
+          end
+          get() returns 1 begin
+            return s;
+          end
+        endthread
+        thread
+          main() begin
+            call set();
+          end
+          set() begin
+            s := T;
+          end
+        endthread
+    "#;
+
     #[test]
     fn calls_inside_threads() {
-        let src = r#"
-            shared s;
-            thread
-              main() begin
-                decl r;
-                r := get();
-                if (r) then HIT: skip; fi;
-              end
-              get() returns 1 begin
-                return s;
-              end
-            endthread
-            thread
-              main() begin
-                call set();
-              end
-              set() begin
-                s := T;
-              end
-            endthread
-        "#;
-        assert!(reach(src, "t0__HIT", 2));
-        assert!(!reach(src, "t0__HIT", 0));
+        assert!(reach(CALLS, "t0__HIT", 2));
+        assert!(!reach(CALLS, "t0__HIT", 0));
+    }
+
+    /// A call with two arguments, so the callee frame's parameter bits
+    /// are told apart.
+    const TWO_ARGUMENTS: &str = r#"
+        shared s;
+        thread
+          main() begin
+            decl a, r;
+            a := *;
+            r := pick(a, s);
+            if (r) then HIT: skip; fi;
+          end
+          pick(x, y) returns 1 begin
+            return x & !y;
+          end
+        endthread
+        thread
+          main() begin
+            s := T;
+          end
+        endthread
+    "#;
+
+    /// `step` with `globals` and `locals` or-ed into its post-state.
+    fn with_bits(step: ReplayStep, globals: Bits, locals: Bits) -> ReplayStep {
+        match step {
+            ReplayStep::Internal { to, globals: g, locals: l } => {
+                ReplayStep::Internal { to, globals: g | globals, locals: l | locals }
+            }
+            ReplayStep::Call { entry, globals: g, locals: l } => {
+                ReplayStep::Call { entry, globals: g | globals, locals: l | locals }
+            }
+            ReplayStep::Return { ret_to, globals: g, locals: l } => {
+                ReplayStep::Return { ret_to, globals: g | globals, locals: l | locals }
+            }
+        }
+    }
+
+    /// The search and the step checker agree on every step kind, not only
+    /// on the steps of witness paths: on every configuration `step_active`
+    /// reaches (with up to three switches) in the module's programs,
+    /// `replay_step` accepts each successor it emits on the active stack
+    /// and lands on the same configuration, and rejects the same step with
+    /// a bit outside the frame set in its globals or its locals, leaving
+    /// the state alone.
+    #[test]
+    fn replay_step_checks_every_successor_of_step_active() {
+        let mut kinds = std::collections::HashSet::new();
+        for src in [HANDSHAKE, PING_PONG, CALLS, TWO_ARGUMENTS] {
+            let merged = merge(&parse_concurrent(src).unwrap()).unwrap();
+            let cfg = &merged.cfg;
+            let mut seen: BTreeSet<Config> =
+                (0..merged.n_threads).map(|t| Config::start(&merged, t)).collect();
+            let mut work: Vec<Config> = seen.iter().cloned().collect();
+            while let Some(c) = work.pop() {
+                let mut out = Vec::new();
+                step_active(&merged, &c, 12, &mut out).unwrap();
+                let before = (c.globals, c.stacks[c.active].clone());
+                for (c2, step) in &out {
+                    let (mut g, mut stack) = before.clone();
+                    replay_step(cfg, &mut g, &mut stack, step)
+                        .unwrap_or_else(|m| panic!("{step:?} on {c:?} rejected: {m}"));
+                    assert_eq!((g, &stack), (c2.globals, &c2.stacks[c.active]), "{step:?}");
+                    kinds.insert(std::mem::discriminant(step));
+                    for bad in [with_bits(*step, 1 << 63, 0), with_bits(*step, 0, 1 << 63)] {
+                        let (mut g, mut stack) = before.clone();
+                        let r = replay_step(cfg, &mut g, &mut stack, &bad);
+                        assert!(r.is_err(), "{bad:?} on {c:?} accepted");
+                        assert_eq!((g, stack), before, "a rejected step moved the state");
+                    }
+                }
+                let switches = (0..merged.n_threads)
+                    .filter(|&t| t != c.active && c.switches_used < 3)
+                    .map(|t| {
+                        let mut c2 = c.clone();
+                        c2.switches_used += 1;
+                        c2.activate(&merged, t);
+                        c2
+                    });
+                for c2 in out.into_iter().map(|(c2, _)| c2).chain(switches) {
+                    if seen.insert(c2.clone()) {
+                        work.push(c2);
+                    }
+                }
+            }
+        }
+        assert_eq!(kinds.len(), 3, "internal steps, calls and returns all occur");
+    }
+
+    /// A thread with more than 64 locals does not fit the packed frame:
+    /// every entry point refuses it before packing a valuation, which would
+    /// alias `l69` onto `l5`'s bit.
+    #[test]
+    fn wide_frames_are_refused() {
+        let decls: Vec<String> = (0..70).map(|i| format!("l{i}")).collect();
+        let src = format!(
+            "shared s;
+             thread main() begin decl {}; l69 := T; if (!l5) then HIT: skip; fi; end endthread
+             thread main() begin s := T; end endthread",
+            decls.join(", ")
+        );
+        let merged = merge(&parse_concurrent(&src).unwrap()).unwrap();
+        let pc = merged.cfg.label("t0__HIT").unwrap();
+        let limits = ConcLimits::default;
+        let schedule = [(0, 0)];
+        for e in [
+            conc_explicit_reachable(&merged, &[pc], 2, limits()).err(),
+            conc_refine_schedule(&merged, &[pc], &schedule, limits()).err(),
+            conc_replay_guided(&merged, &[pc], &schedule, &[], limits()).err(),
+        ] {
+            assert!(
+                matches!(&e, Some(ConcExplicitError::TooManyVariables(m)) if m.contains("t0__main")),
+                "{e:?}"
+            );
+        }
     }
 }

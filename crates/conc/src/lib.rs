@@ -16,9 +16,12 @@
 //! * [`conc_explicit_reachable`] is the explicit-state oracle for
 //!   differential testing;
 //! * [`conc_refine_schedule`] refines a bounded-round witness schedule
-//!   into a statement-granular step script, and [`conc_replay_guided`]
-//!   follows such a script deterministically (one successor per step, no
-//!   search), rejecting any disagreement with the concrete semantics.
+//!   into a statement-granular step script with the oracle's own search,
+//!   confined to the schedule (a schedule is executable exactly when it
+//!   refines), and [`conc_replay_guided`] follows such a script
+//!   deterministically (one successor per step, no search), checking
+//!   every step with the sequential replayer's step checker
+//!   ([`getafix_boolprog::replay_step`]).
 //!
 //! # Example
 //!
@@ -56,8 +59,8 @@ pub use analysis::{
     ConcResult,
 };
 pub use explicit::{
-    conc_explicit_reachable, conc_refine_schedule, conc_replay_guided, conc_replay_schedule,
-    ConcExplicitError, ConcLimits, GuidedStep, RefinedTrace, ScheduleRound,
+    conc_explicit_reachable, conc_refine_schedule, conc_replay_guided, ConcExplicitError,
+    ConcLimits, GuidedStep, RefinedTrace, ScheduleRound,
 };
 pub use merge::{merge, slice_merged, Merged};
 pub use system::{system_conc, ConcParams};

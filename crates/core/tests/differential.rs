@@ -529,6 +529,24 @@ fn randomized_programs_agree() {
     }
 }
 
+/// A frame wider than 64 variables: the explicit oracle refuses it, but
+/// every symbolic engine encodes `Local` as a 70-bit block and decides it.
+#[test]
+fn seventy_locals_are_decided_symbolically() {
+    let locals: Vec<String> = (0..70).map(|i| format!("l{i}")).collect();
+    let src = format!(
+        "main() begin decl {}; l69 := T; if (!l5) then HIT: skip; fi; \
+         if (l5) then MISS: skip; fi; end",
+        locals.join(", ")
+    );
+    let cfg = Cfg::build(&parse_program(&src).unwrap()).unwrap();
+    let (hit, miss) = (cfg.label("HIT").unwrap(), cfg.label("MISS").unwrap());
+    for algo in Algorithm::ALL {
+        assert!(check_reachability(&cfg, &[hit], algo).unwrap().reachable, "{algo}");
+        assert!(!check_reachability(&cfg, &[miss], algo).unwrap().reachable, "{algo}");
+    }
+}
+
 #[test]
 fn summary_nodes_consistent_across_ef_variants() {
     // Theorem 2: EF and EFopt compute the same summary set, so the final

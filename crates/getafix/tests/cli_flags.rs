@@ -6,9 +6,10 @@
 //! command before any work starts, and only such usage errors print the
 //! usage. Also the exit codes around them: a program of the wrong kind
 //! for its verb exits 2 naming the verb that takes it, `lint --deny`
-//! exits 1 exactly when there is a warning, and `check --trace` on `simple`
+//! exits 1 exactly when there is a warning, `check --trace` on `simple`
 //! or a baseline exits 1 with a witness, or 3 when a deadline stops its
-//! extraction.
+//! extraction, and `check-conc --trace` on a frame too wide for the
+//! explicit engine exits 1 with the solved schedule.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -442,4 +443,35 @@ fn check_trace_on_simple_and_baselines_exits_1_or_3() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(3), "{stdout}{}", error_line(&out));
     assert!(stdout.contains("resource-limit:"), "{stdout}");
+}
+
+/// A thread with 70 locals solves symbolically, but its frame does not fit
+/// the explicit engine's 64-bit word (packed, `l69` would alias `l5`'s bit
+/// and the solver's correct schedule would not refine): `check-conc
+/// --trace` prints the solved schedule with the fallback line and exits 1.
+/// The tuple count is a number, and the handshake's stays 48.
+#[test]
+fn a_frame_wider_than_64_bits_falls_back_to_the_schedule() {
+    let locals: Vec<String> = (0..70).map(|i| format!("l{i}")).collect();
+    let src = format!(
+        "shared s;\nthread\n  main() begin\n    decl {};\n    l69 := T;\n    \
+         if (!l5) then HIT: skip; fi;\n  end\nendthread\nthread\n  main() begin\n    \
+         s := T;\n  end\nendthread\n",
+        locals.join(", ")
+    );
+    let path = Path::new(env!("CARGO_TARGET_TMPDIR")).join("wide_locals.cbp");
+    std::fs::write(&path, src).expect("the program is written");
+    let path = path.to_str().expect("a UTF-8 path");
+    let out = getafix(&["check-conc", path, "--label", "t0__HIT", "--switches", "2", "--trace"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(1), "{stdout}{}", error_line(&out));
+    assert!(
+        stdout.contains("statement refinement exceeded the explicit engine's limits"),
+        "{stdout}"
+    );
+    assert!(!stdout.contains("NaN"), "{stdout}");
+
+    let out = getafix(&["check-conc", HANDSHAKE, "--label", "t0__HIT", "--switches", "2"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(stdout.contains("Reach: 48 tuples"), "{stdout}");
 }

@@ -274,6 +274,12 @@ impl Allocation {
     }
 }
 
+/// Bit `i` of the constant `c`; a block wider than 64 variables reads 0
+/// past bit 63.
+fn const_bit(c: u64, i: usize) -> bool {
+    i < 64 && (c >> i) & 1 == 1
+}
+
 /// Builds the BDD for `bits < bound` (unsigned, LSB-first `bits`).
 pub fn lt_const(manager: &mut Manager, bits: &[Var], bound: u64) -> Bdd {
     if bound == 0 {
@@ -288,7 +294,7 @@ pub fn lt_const(manager: &mut Manager, bits: &[Var], bound: u64) -> Bdd {
     for (i, &v) in bits.iter().enumerate() {
         // Process LSB..MSB; rebuild acc so that after processing bit i, acc
         // compares the low i+1 bits.
-        let b = (bound >> i) & 1 == 1;
+        let b = const_bit(bound, i);
         let lit = manager.var(v);
         acc = if b {
             // value_i < bound_i (0<1) makes low bits irrelevant; equal (1=1)
@@ -308,8 +314,7 @@ pub fn lt_const(manager: &mut Manager, bits: &[Var], bound: u64) -> Bdd {
 pub fn eq_const(manager: &mut Manager, bits: &[Var], value: u64) -> Bdd {
     let mut acc = Bdd::TRUE;
     for (i, &v) in bits.iter().enumerate() {
-        let bit = (value >> i) & 1 == 1;
-        let lit = manager.literal(v, bit);
+        let lit = manager.literal(v, const_bit(value, i));
         acc = manager.and(acc, lit);
     }
     acc
@@ -481,6 +486,30 @@ mod tests {
             let env: Vec<bool> = (0..3).map(|i| (v >> i) & 1 == 1).collect();
             assert_eq!(m.eval(f, &env), v == 6, "value {v}");
         }
+    }
+
+    /// Blocks wider than 64 variables come from `bits n` types and from
+    /// the `Conf` fields of frames wider than 64 variables: the constant's
+    /// bits past 63 read 0.
+    #[test]
+    fn constants_on_blocks_wider_than_64_variables() {
+        let mut m = Manager::new();
+        let bits = m.new_vars(70);
+        let x: Vec<Bdd> = bits.iter().map(|&v| m.var(v)).collect();
+        let and = |m: &mut Manager, fs: &[Bdd]| fs.iter().fold(Bdd::TRUE, |a, &f| m.and(a, f));
+        let any_high = x[3..].iter().fold(Bdd::FALSE, |a, &f| m.or(a, f));
+        let high_zero = m.not(any_high);
+        let (nx0, nx1, nx2) = (m.not(x[0]), m.not(x[1]), m.not(x[2]));
+        let zero = and(&mut m, &[high_zero, nx0, nx1, nx2]);
+        let five = and(&mut m, &[high_zero, x[0], nx1, x[2]]);
+        let low_below_4 = and(&mut m, &[nx1, nx0]);
+        let low_below_5 = m.or(nx2, low_below_4);
+        let below_five = m.and(high_zero, low_below_5);
+        assert_eq!(eq_const(&mut m, &bits, 0), zero);
+        assert_eq!(eq_const(&mut m, &bits, 5), five);
+        assert_eq!(lt_const(&mut m, &bits, 0), Bdd::FALSE);
+        assert_eq!(lt_const(&mut m, &bits, 5), below_five);
+        assert_eq!(m.sat_count(below_five, 70), 5.0);
     }
 
     #[test]

@@ -1058,17 +1058,12 @@ impl Solver {
         let b = self.evaluate(name)?;
         let rel =
             self.system.relation(name).ok_or_else(|| SolveError::Unknown(name.to_string()))?;
-        // Count over exactly the formal variables.
+        // Count over exactly the formal variables: the interpretation
+        // mentions no other.
         let mut formal_vars = Vec::new();
         for i in 0..rel.params.len() {
             formal_vars.extend(self.alloc.formal(name, i).all_vars());
         }
-        // Project onto the formal space: existentially quantify nothing —
-        // the interpretation already only mentions formal vars. Count by
-        // scaling: sat_count over all manager vars / 2^(others).
-        let total_vars = self.manager.var_count();
-        let full = self.manager.sat_count(b, total_vars);
-        let scale = 2f64.powi((total_vars - formal_vars.len()) as i32);
-        Ok(full / scale)
+        Ok(self.manager.sat_count_over(b, &formal_vars))
     }
 }

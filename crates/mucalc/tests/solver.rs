@@ -110,6 +110,21 @@ fn tuple_count_matches_reachable_set_size() {
     assert_eq!(solver.tuple_count("Reach").unwrap(), 4.0);
 }
 
+/// Tuples are counted over the relation's own formals. A `bits 1100` input
+/// puts more than 1,024 other variables in the manager, where a count over
+/// all variables overflows `f64` to NaN.
+#[test]
+fn tuple_count_ignores_the_other_relations_variables() {
+    let src = format!("type Wide = bits 1100;\ninput Big(w: Wide);\n{REACH_SRC}");
+    let mut solver = Solver::new(parse_system(&src).unwrap()).unwrap();
+    assert!(solver.manager().var_count() > 1100);
+    let ib = set_to_bdd(&mut solver, "Init", &[0]);
+    solver.set_input("Init", ib).unwrap();
+    let tb = edges_to_bdd(&mut solver, "Trans", &[(0, 1), (1, 2), (2, 3), (7, 8)]);
+    solver.set_input("Trans", tb).unwrap();
+    assert_eq!(solver.tuple_count("Reach").unwrap(), 4.0);
+}
+
 #[test]
 fn mutual_recursion_even_odd() {
     // Even(n) over range 10 via mutual recursion with Odd.

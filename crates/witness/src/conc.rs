@@ -10,8 +10,9 @@
 //! `Reach ∧ Target(s.pc)` against the solver's memoized interpretation
 //! ([`concurrent_witness_from`]), followed by decoding. The result is the
 //! concurrency analogue of a trace: it resolves every *scheduler* choice,
-//! and the explicit engine replays the intra-round steps
-//! ([`getafix_conc::conc_replay_schedule`]).
+//! and the explicit engine searches the intra-round steps
+//! ([`getafix_conc::conc_refine_schedule`]); a schedule is executable
+//! exactly when it refines.
 
 use crate::seq::{read_bits, WitnessError};
 use crate::trace::{ConcTrace, Round, Schedule};
@@ -169,9 +170,12 @@ pub fn concurrent_trace(
 /// # Errors
 ///
 /// [`WitnessError::Limit`] when the explicit refinement exceeds its state
-/// or stack budget (unbounded recursion), [`WitnessError::Internal`] when
-/// the schedule does not refine or the refined script fails guided replay
-/// (both extractor bugs, kept dead by the differential suites).
+/// or stack budget (unbounded recursion), [`WitnessError::TooManyVariables`]
+/// when a frame does not fit the explicit engine's 64 bits
+/// ([`getafix_boolprog::Cfg::check_frame_width`]), and
+/// [`WitnessError::Internal`] when the schedule does not refine or the
+/// refined script fails guided replay (both extractor bugs, kept dead by
+/// the differential suites).
 pub fn concurrent_trace_from_schedule(
     merged: &Merged,
     targets: &[Pc],

@@ -18,14 +18,16 @@
 //!   witnesses a second differential oracle against the symbolic engines.
 //! * [`concurrent_witness`] — a bounded-round [`Schedule`] for the §5
 //!   engine: who runs in each context and the shared-global valuation at
-//!   every switch, replayable with
-//!   [`getafix_conc::conc_replay_schedule`].
+//!   every switch. A schedule is executable exactly when the explicit
+//!   engine refines it ([`getafix_conc::conc_refine_schedule`]).
 //! * [`concurrent_trace`] — the schedule refined into a
 //!   **statement-granular** interleaved [`ConcTrace`]: an explicit
 //!   `(round, thread, pc, valuation)` step sequence with every
 //!   nondeterministic choice pinned, validated by the *deterministic*
 //!   guided replayer ([`getafix_conc::conc_replay_guided`] — one
-//!   successor per step, no frontier search) before being returned.
+//!   successor per step, no frontier search, each step checked by
+//!   [`getafix_boolprog::replay_step`], the sequential replayer's step
+//!   checker) before being returned.
 //!
 //! # Example
 //!

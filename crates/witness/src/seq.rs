@@ -200,15 +200,7 @@ pub fn sequential_witness_from(
 ) -> Result<Option<Trace>, WitnessError> {
     let mut span = getafix_telemetry::span(getafix_telemetry::Phase::Witness, "sequential_witness");
     span.attr("targets", targets.len());
-    if cfg.globals.len() > 64 {
-        return Err(WitnessError::TooManyVariables(format!(
-            "{} globals exceed the 64-bit extraction frame",
-            cfg.globals.len()
-        )));
-    }
-    if cfg.max_locals() > 64 {
-        return Err(WitnessError::TooManyVariables("a procedure has more than 64 locals".into()));
-    }
+    cfg.check_frame_width().map_err(WitnessError::TooManyVariables)?;
     if !solver.options().record_provenance {
         return Err(WitnessError::Solve(
             "witness extraction peels rank provenance, but the solver was built \

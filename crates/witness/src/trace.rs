@@ -288,8 +288,9 @@ impl ConcTrace {
             .collect()
     }
 
-    /// The round skeleton in the round-level replayer's format — must
-    /// agree with what [`getafix_conc::conc_replay_schedule`] accepts.
+    /// The round skeleton in the explicit engine's format — the schedule
+    /// [`getafix_conc::conc_refine_schedule`] refined and
+    /// [`getafix_conc::conc_replay_guided`] hands over by.
     pub fn round_skeleton(&self) -> Vec<ScheduleRound> {
         self.schedule.to_replay()
     }
