@@ -9,10 +9,17 @@
 //! RHS functional approach — lazy like the entry-forward algorithm, but
 //! implemented as several hundred lines of explicit BDD plumbing instead of
 //! a page of formulae.
+//!
+//! The transfer relations are built from the same block builders as the
+//! formula encoder's templates: `can_value`, `assign_bit` and `eq_except`
+//! from `getafix_core`, with the `eq_const`, `eq_consts` and `eq_vars` it
+//! re-exports from `getafix_mucalc`. Only the builders are shared; the
+//! variable blocks, the relations and the worklist algorithm stay
+//! hand-coded here.
 
 use getafix_bdd::{Bdd, Manager, Var, VarMap};
 use getafix_boolprog::{Cfg, Edge, LExpr, Pc, ProcId, VarRef};
-use getafix_core::can_value;
+use getafix_core::{assign_bit, can_value, eq_const, eq_consts, eq_except, eq_vars};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -66,47 +73,6 @@ struct Engine<'a> {
     callers: BTreeMap<ProcId, BTreeSet<(ProcId, Pc, usize)>>,
     work: VecDeque<Pc>,
     queued: BTreeSet<Pc>,
-}
-
-fn eq_blocks(m: &mut Manager, a: &[Var], b: &[Var]) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for (&x, &y) in a.iter().zip(b) {
-        let fx = m.var(x);
-        let fy = m.var(y);
-        let e = m.iff(fx, fy);
-        acc = m.and(acc, e);
-    }
-    acc
-}
-
-fn eq_except(m: &mut Manager, a: &[Var], b: &[Var], except: &[usize]) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
-        if except.contains(&i) {
-            continue;
-        }
-        let fx = m.var(x);
-        let fy = m.var(y);
-        let e = m.iff(fx, fy);
-        acc = m.and(acc, e);
-    }
-    acc
-}
-
-fn zero_above(m: &mut Manager, vars: &[Var], width: usize) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for &v in vars.iter().skip(width) {
-        let nv = m.nvar(v);
-        acc = m.and(acc, nv);
-    }
-    acc
-}
-
-fn assign_bit(m: &mut Manager, target: Var, e: &LExpr, l: &[Var], g: &[Var]) -> Bdd {
-    let ct = can_value(m, e, l, g, true);
-    let cf = can_value(m, e, l, g, false);
-    let t = m.var(target);
-    m.ite(t, ct, cf)
 }
 
 impl<'a> Engine<'a> {
@@ -172,6 +138,19 @@ impl<'a> Engine<'a> {
         self.m.cube(&vars)
     }
 
+    /// Parameter passing over (l1, g1): the callee's entry locals in block
+    /// `l[to]` take the arguments, and its other locals are F.
+    fn args_rel(&mut self, args: &[LExpr], to: usize) -> Bdd {
+        let (l1, g1, el) = (&self.b.l[1], &self.b.g[1], &self.b.l[to]);
+        let m = &mut self.m;
+        let mut rel = eq_const(m, &el[args.len()..], 0);
+        for (i, a) in args.iter().enumerate() {
+            let ab = assign_bit(m, el[i], a, l1, g1);
+            rel = m.and(rel, ab);
+        }
+        rel
+    }
+
     /// Transfer relation of an internal edge over (l1,g1) → (l2,g2).
     fn internal_transfer(
         &mut self,
@@ -179,10 +158,9 @@ impl<'a> Engine<'a> {
         guard: &LExpr,
         assigns: &[(VarRef, LExpr)],
     ) -> Bdd {
-        let (l1, g1) = (self.b.l[1].clone(), self.b.g[1].clone());
-        let (l2, g2) = (self.b.l[2].clone(), self.b.g[2].clone());
+        let (l1, g1, l2, g2) = (&self.b.l[1], &self.b.g[1], &self.b.l[2], &self.b.g[2]);
         let m = &mut self.m;
-        let mut t = can_value(m, guard, &l1, &g1, true);
+        let mut t = can_value(m, guard, l1, g1, true);
         let mut al = Vec::new();
         let mut ag = Vec::new();
         for (tv, ex) in assigns {
@@ -196,7 +174,7 @@ impl<'a> Engine<'a> {
                     g2[*i]
                 }
             };
-            let a = assign_bit(m, tvar, ex, &l1, &g1);
+            let a = assign_bit(m, tvar, ex, l1, g1);
             t = m.and(t, a);
         }
         let nl = proc.n_locals();
@@ -205,10 +183,8 @@ impl<'a> Engine<'a> {
         t = m.and(t, fl);
         let fg = eq_except(m, &g1[..ng], &g2[..ng], &ag);
         t = m.and(t, fg);
-        let za = zero_above(m, &l1, nl);
-        t = m.and(t, za);
-        let zb = zero_above(m, &l2, nl);
-        m.and(t, zb)
+        let tails = eq_consts(m, &[(&l1[nl..], 0), (&l2[nl..], 0)]);
+        m.and(t, tails)
     }
 
     fn process(&mut self, pc: Pc) -> Result<(), BebopError> {
@@ -240,25 +216,14 @@ impl<'a> Engine<'a> {
                 Edge::Call { callee, args, .. } => {
                     // Seed the callee entry.
                     let q = self.cfg.procs[*callee].clone();
-                    let (l1, g1) = (self.b.l[1].clone(), self.b.g[1].clone());
-                    let l2 = self.b.l[2].clone();
-                    let mut argrel = Bdd::TRUE;
-                    {
-                        let m = &mut self.m;
-                        for (i, a) in args.iter().enumerate() {
-                            let ab = assign_bit(m, l2[i], a, &l1, &g1);
-                            argrel = m.and(argrel, ab);
-                        }
-                        let rest = zero_above(m, &l2, args.len());
-                        argrel = m.and(argrel, rest);
-                    }
+                    let argrel = self.args_rel(args, 2);
                     let cube = self.cube(&[0, 1], &[0]);
                     let entry_half = self.m.and_exists(states, argrel, cube);
                     // entry_half over (g1, l2): build (l0,g0,l1,g1) with
                     // l1 := l2, l0 = l1, g0 = g1.
                     let moved = self.rename(entry_half, &[(2, 1)], &[]);
-                    let el = eq_blocks(&mut self.m, &self.b.l[0].clone(), &self.b.l[1].clone());
-                    let eg = eq_blocks(&mut self.m, &self.b.g[0].clone(), &self.b.g[1].clone());
+                    let el = eq_vars(&mut self.m, &self.b.l[0], &self.b.l[1]);
+                    let eg = eq_vars(&mut self.m, &self.b.g[0], &self.b.g[1]);
                     let mut seed = self.m.and(moved, el);
                     seed = self.m.and(seed, eg);
                     self.add(q.entry, seed);
@@ -299,51 +264,35 @@ impl<'a> Engine<'a> {
         // Callee summary: entry (l0,g0) → (l4,g4); exit (l1,g1) → (l2,g2).
         let callee_sum = self.rename(summary, &[(0, 4), (1, 2)], &[(0, 4), (1, 2)]);
         // Link: callee entry globals g4 = caller g1; entry locals l4 = args.
-        let link_g = eq_blocks(&mut self.m, &self.b.g[4].clone(), &self.b.g[1].clone());
-        let (l1, g1) = (self.b.l[1].clone(), self.b.g[1].clone());
-        let l4 = self.b.l[4].clone();
-        let mut argrel = Bdd::TRUE;
-        {
-            let m = &mut self.m;
-            for (i, a) in args.iter().enumerate() {
-                let ab = assign_bit(m, l4[i], a, &l1, &g1);
-                argrel = m.and(argrel, ab);
-            }
-            let rest = zero_above(m, &l4, args.len());
-            argrel = m.and(argrel, rest);
-        }
+        let link_g = eq_vars(&mut self.m, &self.b.g[4], &self.b.g[1]);
+        let argrel = self.args_rel(&args, 4);
         // Return transfer: post state (l3, g3) from exit (l2, g2) and
         // caller locals l1.
-        let (l2, g2) = (self.b.l[2].clone(), self.b.g[2].clone());
-        let (l3, g3) = (self.b.l[3].clone(), self.b.g[3].clone());
-        let mut retrel = Bdd::TRUE;
-        {
-            let m = &mut self.m;
-            let mut al = Vec::new();
-            let mut ag = Vec::new();
-            for (tv, ex) in rets.iter().zip(&exit.ret_exprs) {
-                let tvar = match tv {
-                    VarRef::Local(i) => {
-                        al.push(*i);
-                        l3[*i]
-                    }
-                    VarRef::Global(i) => {
-                        ag.push(*i);
-                        g3[*i]
-                    }
-                };
-                let ab = assign_bit(m, tvar, ex, &l2, &g2);
-                retrel = m.and(retrel, ab);
-            }
-            let nl = cp.n_locals();
-            let ng = self.cfg.globals.len();
-            let keep_l = eq_except(m, &l1[..nl], &l3[..nl], &al);
-            retrel = m.and(retrel, keep_l);
-            let keep_g = eq_except(m, &g2[..ng], &g3[..ng], &ag);
-            retrel = m.and(retrel, keep_g);
-            let z = zero_above(m, &l3, nl);
-            retrel = m.and(retrel, z);
+        let (l1, l2, g2) = (&self.b.l[1], &self.b.l[2], &self.b.g[2]);
+        let (l3, g3) = (&self.b.l[3], &self.b.g[3]);
+        let (nl, ng) = (cp.n_locals(), self.cfg.globals.len());
+        let m = &mut self.m;
+        let mut retrel = eq_const(m, &l3[nl..], 0);
+        let mut al = Vec::new();
+        let mut ag = Vec::new();
+        for (tv, ex) in rets.iter().zip(&exit.ret_exprs) {
+            let tvar = match tv {
+                VarRef::Local(i) => {
+                    al.push(*i);
+                    l3[*i]
+                }
+                VarRef::Global(i) => {
+                    ag.push(*i);
+                    g3[*i]
+                }
+            };
+            let ab = assign_bit(m, tvar, ex, l2, g2);
+            retrel = m.and(retrel, ab);
         }
+        let keep_l = eq_except(m, &l1[..nl], &l3[..nl], &al);
+        retrel = m.and(retrel, keep_l);
+        let keep_g = eq_except(m, &g2[..ng], &g3[..ng], &ag);
+        retrel = m.and(retrel, keep_g);
 
         let mut conj = self.m.and(caller_states, callee_sum);
         conj = self.m.and(conj, link_g);
@@ -368,19 +317,8 @@ pub fn bebop_reachable(cfg: &Cfg, targets: &[Pc]) -> Result<BebopResult, BebopEr
 
     // Seed: main entry, everything false, entry = current.
     let main = &cfg.procs[cfg.main];
-    let seed = {
-        let blocks: Vec<Vec<Var>> =
-            vec![e.b.l[0].clone(), e.b.l[1].clone(), e.b.g[0].clone(), e.b.g[1].clone()];
-        let m = &mut e.m;
-        let mut b = Bdd::TRUE;
-        for blk in &blocks {
-            for &v in blk.iter() {
-                let nv = m.nvar(v);
-                b = m.and(b, nv);
-            }
-        }
-        b
-    };
+    let seed =
+        eq_consts(&mut e.m, &[(&e.b.l[0], 0), (&e.b.l[1], 0), (&e.b.g[0], 0), (&e.b.g[1], 0)]);
     e.add(main.entry, seed);
 
     let mut steps = 0usize;

@@ -4,10 +4,8 @@
 use crate::merge::{merge, Merged};
 use crate::system::{system_conc, ConcParams};
 use getafix_boolprog::{BuildError, ConcProgram, Pc};
-use getafix_core::install_templates;
-use getafix_mucalc::{
-    eq_const, Bdd, LimitReport, SolveError, SolveOptions, SolveStats, Solver, SystemError,
-};
+use getafix_core::{eq_consts, eq_vars, install_templates};
+use getafix_mucalc::{Bdd, LimitReport, SolveError, SolveOptions, SolveStats, Solver, SystemError};
 use getafix_telemetry::{self as telemetry, Phase};
 use std::fmt;
 use std::time::{Duration, Instant};
@@ -131,31 +129,18 @@ pub fn build_conc_solver_with(
     // InitConf(t, s): thread t's main entry, all-false locals, entry halves
     // mirroring the current halves (globals free — pinned by the context
     // that activates the thread).
-    let t_inst = solver.alloc().formal("InitConf", 0).clone();
-    let s_inst = solver.alloc().formal("InitConf", 1).clone();
-    let t_vars = t_inst.all_vars();
-    let leaf = |name: &str| s_inst.leaves_under(&[name.to_string()])[0].vars.clone();
-    let (pc_v, cl_v, cg_v, ecl_v, ecg_v) =
-        (leaf("pc"), leaf("cl"), leaf("cg"), leaf("ecl"), leaf("ecg"));
+    let t = solver.alloc().formal("InitConf", 0).all_vars();
+    let s = solver.alloc().formal("InitConf", 1);
+    let leaf = |name: &str| s.leaves_under(&[name.to_string()])[0].vars.clone();
+    let (pc, cl, cg, ecl, ecg) = (leaf("pc"), leaf("cl"), leaf("cg"), leaf("ecl"), leaf("ecg"));
     let m = solver.manager();
     let mut rel = Bdd::FALSE;
     for (i, &entry) in merged.thread_entries.iter().enumerate() {
-        let mut b = eq_const(m, &t_vars, i as u64);
-        let p = eq_const(m, &pc_v, entry as u64);
-        b = m.and(b, p);
-        let zl = eq_const(m, &cl_v, 0);
-        b = m.and(b, zl);
-        let zel = eq_const(m, &ecl_v, 0);
-        b = m.and(b, zel);
-        // ecg mirrors cg.
-        for (&a, &c) in ecg_v.iter().zip(&cg_v) {
-            let fa = m.var(a);
-            let fc = m.var(c);
-            let eqb = m.iff(fa, fc);
-            b = m.and(b, eqb);
-        }
+        let b = eq_consts(m, &[(&t, i as u64), (&pc, u64::from(entry)), (&cl, 0), (&ecl, 0)]);
         rel = m.or(rel, b);
     }
+    let mirror = eq_vars(m, &ecg, &cg);
+    rel = m.and(rel, mirror);
     solver.set_input("InitConf", rel)?;
     Ok(solver)
 }

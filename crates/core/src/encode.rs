@@ -6,6 +6,32 @@
 //! mention these relations, so the encoding and the algorithms evolve
 //! independently.
 //!
+//! # One walk
+//!
+//! [`install_templates`] first reads every template's formals, checking
+//! that the system declares each as an input of the arity the encoder
+//! writes. It then walks the CFG once. Each procedure adds its entry to
+//! `EntryOf`, its exits to `ExitOf` and its pc interval to `ProcEntry`. An
+//! internal edge yields its `ProgramInt` disjunct; a call edge yields its
+//! `ProgramCall`, `SkipCall` and `SetReturn1` disjuncts and one
+//! `SetReturn2` disjunct per exit of the callee.
+//!
+//! # Constants as cubes
+//!
+//! The constant part of every disjunct — its pcs, and the zeroed tails of
+//! local vectors narrower than the widest frame — is one literal cube
+//! ([`eq_consts`]), built bottom-up by the kernel with no `and` at all.
+//! So is `Init`.
+//!
+//! # One set of builders
+//!
+//! [`can_value`], [`assign_bit`] and [`eq_except`] here, with
+//! [`eq_const`], [`eq_consts`] and [`eq_vars`](getafix_mucalc::eq_vars)
+//! from `getafix-mucalc` (re-exported at this crate's root), are the
+//! workspace's only copies of these builders: the concurrent `InitConf`
+//! and the BEBOP and MOPED baselines (`getafix-bebop`, `getafix-pds`)
+//! build their relations from them too.
+//!
 //! # Deviations from the paper's template signatures
 //!
 //! * Program counters are **globally unique** across procedures (the CFG
@@ -29,11 +55,20 @@
 
 use getafix_bdd::{Bdd, Manager, Var};
 use getafix_boolprog::{Cfg, Edge, LExpr, Pc, VarRef};
-use getafix_mucalc::{eq_const, Instance, SolveError, Solver};
+use getafix_mucalc::{eq_const, eq_consts, lt_const, RelationKind, SolveError, Solver};
 
 /// Errors raised while encoding a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum EncodeError {
+    /// The system does not declare this template as an input relation of
+    /// `arity` formals — a sign the system and the encoder have drifted
+    /// apart.
+    Template {
+        /// The template's name.
+        name: &'static str,
+        /// The number of formals the encoder writes.
+        arity: usize,
+    },
     /// The solver rejected an input (internal wiring bug).
     Solve(String),
 }
@@ -41,6 +76,10 @@ pub enum EncodeError {
 impl std::fmt::Display for EncodeError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            EncodeError::Template { name, arity } => write!(
+                f,
+                "the system does not declare template `{name}` as an input relation of arity {arity}"
+            ),
             EncodeError::Solve(msg) => write!(f, "{msg}"),
         }
     }
@@ -52,30 +91,6 @@ impl From<SolveError> for EncodeError {
     fn from(e: SolveError) -> Self {
         EncodeError::Solve(e.to_string())
     }
-}
-
-/// The variable blocks of one relation formal of `Conf` type.
-struct ConfVars {
-    pc: Vec<Var>,
-    cl: Vec<Var>,
-    cg: Vec<Var>,
-    ecl: Vec<Var>,
-    ecg: Vec<Var>,
-}
-
-fn conf_vars(inst: &Instance) -> ConfVars {
-    let leaf = |name: &str| -> Vec<Var> {
-        inst.leaves_under(&[name.to_string()])
-            .first()
-            .unwrap_or_else(|| panic!("Conf field `{name}` missing"))
-            .vars
-            .clone()
-    };
-    ConfVars { pc: leaf("pc"), cl: leaf("cl"), cg: leaf("cg"), ecl: leaf("ecl"), ecg: leaf("ecg") }
-}
-
-fn scalar_vars(inst: &Instance) -> Vec<Var> {
-    inst.all_vars()
 }
 
 /// `can_true` / `can_false` compilation of an [`LExpr`] over the given
@@ -90,13 +105,7 @@ pub fn can_value(
     match e {
         LExpr::Const(b) => m.constant(*b == want_true),
         LExpr::Nondet => Bdd::TRUE,
-        LExpr::Var(v) => {
-            let var = match v {
-                VarRef::Local(i) => locals[*i],
-                VarRef::Global(i) => globals[*i],
-            };
-            m.literal(var, want_true)
-        }
+        LExpr::Var(v) => m.literal(var_of(v, locals, globals), want_true),
         LExpr::Not(a) => can_value(m, a, locals, globals, !want_true),
         LExpr::And(a, b) => {
             if want_true {
@@ -160,38 +169,62 @@ fn flip_ne(a: &LExpr, b: &LExpr) -> LExpr {
     LExpr::Not(Box::new(LExpr::Eq(Box::new(a.clone()), Box::new(b.clone()))))
 }
 
+/// The variable `v` names in the frame (`locals`, `globals`).
+fn var_of(v: &VarRef, locals: &[Var], globals: &[Var]) -> Var {
+    match *v {
+        VarRef::Local(i) => locals[i],
+        VarRef::Global(i) => globals[i],
+    }
+}
+
 /// The relation `target := e(state)` for a single target bit.
-fn assign_bit(m: &mut Manager, target: Var, e: &LExpr, locals: &[Var], globals: &[Var]) -> Bdd {
+pub fn assign_bit(m: &mut Manager, target: Var, e: &LExpr, locals: &[Var], globals: &[Var]) -> Bdd {
     let ct = can_value(m, e, locals, globals, true);
     let cf = can_value(m, e, locals, globals, false);
     let t = m.var(target);
     m.ite(t, ct, cf)
 }
 
-/// Equality of two equal-length variable blocks, skipping indices in `except`.
-fn eq_except(m: &mut Manager, a: &[Var], b: &[Var], except: &[usize]) -> Bdd {
+/// Equality of two equal-length variable blocks, skipping indices in
+/// `except`. Conjoined from the last bit up, so on interleaved blocks every
+/// step adds one equality above the chain built so far.
+pub fn eq_except(m: &mut Manager, a: &[Var], b: &[Var], except: &[usize]) -> Bdd {
     let mut acc = Bdd::TRUE;
-    for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
+    for (i, (&x, &y)) in a.iter().zip(b).enumerate().rev() {
         if except.contains(&i) {
             continue;
         }
-        let fx = m.var(x);
-        let fy = m.var(y);
+        let (fx, fy) = (m.var(x), m.var(y));
         let eq = m.iff(fx, fy);
-        acc = m.and(acc, eq);
+        acc = m.and(eq, acc);
     }
     acc
 }
 
-/// Constrains the bits of `vars` at positions `width..` to `false` — the
-/// frame discipline for local vectors narrower than the widest frame.
-fn zero_above(m: &mut Manager, vars: &[Var], width: usize) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for &v in vars.iter().skip(width) {
-        let nv = m.nvar(v);
-        acc = m.and(acc, nv);
+/// The local and the global indices a list of assignment targets writes.
+fn written<'a>(targets: impl IntoIterator<Item = &'a VarRef>) -> (Vec<usize>, Vec<usize>) {
+    let (mut locals, mut globals) = (Vec::new(), Vec::new());
+    for t in targets {
+        match *t {
+            VarRef::Local(i) => locals.push(i),
+            VarRef::Global(i) => globals.push(i),
+        }
     }
-    acc
+    (locals, globals)
+}
+
+/// The variables of each formal of template `name`, once the system is
+/// checked to declare it as an input of `N` formals.
+fn formals<const N: usize>(
+    solver: &Solver,
+    name: &'static str,
+) -> Result<[Vec<Var>; N], EncodeError> {
+    match solver.system().relation(name) {
+        Some(def) if def.kind == RelationKind::Input && def.params.len() == N => {
+            Ok(std::array::from_fn(|i| solver.alloc().formal(name, i).all_vars()))
+        }
+        _ => Err(EncodeError::Template { name, arity: N }),
+    }
 }
 
 /// Builds and installs every template relation for `cfg` into `solver`.
@@ -201,282 +234,148 @@ fn zero_above(m: &mut Manager, vars: &[Var], width: usize) -> Bdd {
 ///
 /// # Errors
 ///
-/// Returns an error if an input relation is missing from the system — a
-/// sign the system and the encoder have drifted apart.
+/// Returns [`EncodeError::Template`], before building anything, if the
+/// system does not declare a template as an input of the expected arity.
 pub fn install_templates(
     solver: &mut Solver,
     cfg: &Cfg,
     targets: &[Pc],
 ) -> Result<(), EncodeError> {
-    let n_globals = cfg.globals.len();
+    let [init] = formals(solver, "Init")?;
+    let [entry_of] = formals(solver, "EntryOf")?;
+    let [exit_of] = formals(solver, "ExitOf")?;
+    let [target] = formals(solver, "Target")?;
+    let [from, to, l, l2, g, g2] = formals(solver, "ProgramInt")?;
+    let [call, entry, cl, el, cg] = formals(solver, "ProgramCall")?;
+    let [skip_call, skip_ret] = formals(solver, "SkipCall")?;
+    let [pe_pc, pe_entry] = formals(solver, "ProcEntry")?;
+    let [r1_call, lcall, lret] = formals(solver, "SetReturn1")?;
+    let [r2_call, r2_exit, ucl, scl, ucg, scg] = formals(solver, "SetReturn2")?;
+    let ng = cfg.globals.len();
+    let m = solver.manager();
 
-    // --- Init(s: Conf): the single all-false configuration at main entry.
-    {
-        let s = solver.alloc().formal("Init", 0).clone();
-        let v = conf_vars(&s);
-        let m = solver.manager();
-        let main_entry = cfg.procs[cfg.main].entry as u64;
-        let mut b = eq_const(m, &v.pc, main_entry);
-        for blk in [&v.cl, &v.cg, &v.ecl, &v.ecg] {
-            let z = eq_const(m, blk, 0);
-            b = m.and(b, z);
-        }
-        solver.set_input("Init", b)?;
+    // Init(s): `pc` is a Conf's first field, so main's entry with every
+    // variable false is that one constant on the whole formal.
+    let init = eq_const(m, &init, u64::from(cfg.procs[cfg.main].entry));
+    let mut target_set = Bdd::FALSE;
+    for &pc in targets {
+        let p = eq_const(m, &target, u64::from(pc));
+        target_set = m.or(target_set, p);
     }
-
-    // --- EntryOf(p), ExitOf(p), Target(p): pc point sets.
-    let point_set = |solver: &mut Solver, rel: &str, pcs: &[Pc]| -> Result<(), EncodeError> {
-        let inst = solver.alloc().formal(rel, 0).clone();
-        let vars = scalar_vars(&inst);
-        let m = solver.manager();
-        let mut b = Bdd::FALSE;
-        for &pc in pcs {
-            let p = eq_const(m, &vars, pc as u64);
-            b = m.or(b, p);
+    let [mut entries, mut exits, mut proc_entry] = [Bdd::FALSE; 3];
+    let [mut int, mut calls, mut skips, mut ret1, mut ret2] = [Bdd::FALSE; 5];
+    for proc in &cfg.procs {
+        let (nl, p_entry) = (proc.n_locals(), u64::from(proc.entry));
+        let e = eq_const(m, &entry_of, p_entry);
+        entries = m.or(entries, e);
+        for exit in &proc.exits {
+            let x = eq_const(m, &exit_of, u64::from(exit.pc));
+            exits = m.or(exits, x);
         }
-        solver.set_input(rel, b)?;
-        Ok(())
-    };
-    let entries: Vec<Pc> = cfg.procs.iter().map(|p| p.entry).collect();
-    let exits: Vec<Pc> = cfg.procs.iter().flat_map(|p| p.exits.iter().map(|e| e.pc)).collect();
-    point_set(solver, "EntryOf", &entries)?;
-    point_set(solver, "ExitOf", &exits)?;
-    point_set(solver, "Target", targets)?;
+        // ProcEntry(p, e): p in the procedure's pc interval, e its entry.
+        let below_hi = lt_const(m, &pe_pc, u64::from(proc.pc_range.1));
+        let below_lo = lt_const(m, &pe_pc, u64::from(proc.pc_range.0));
+        let e = eq_const(m, &pe_entry, p_entry);
+        let at_or_above_lo = m.not(below_lo);
+        let mut b = m.and(e, below_hi);
+        b = m.and(b, at_or_above_lo);
+        proc_entry = m.or(proc_entry, b);
 
-    // --- ProgramInt(from, to, l, l2, g, g2).
-    {
-        let from_i = solver.alloc().formal("ProgramInt", 0).clone();
-        let to_i = solver.alloc().formal("ProgramInt", 1).clone();
-        let l_i = solver.alloc().formal("ProgramInt", 2).clone();
-        let l2_i = solver.alloc().formal("ProgramInt", 3).clone();
-        let g_i = solver.alloc().formal("ProgramInt", 4).clone();
-        let g2_i = solver.alloc().formal("ProgramInt", 5).clone();
-        let (from_v, to_v) = (scalar_vars(&from_i), scalar_vars(&to_i));
-        let (l_v, l2_v) = (scalar_vars(&l_i), scalar_vars(&l2_i));
-        let (g_v, g2_v) = (scalar_vars(&g_i), scalar_vars(&g2_i));
-        let m = solver.manager();
-        let mut rel = Bdd::FALSE;
-        for proc in &cfg.procs {
-            let nl = proc.n_locals();
-            let frame = {
-                let a = zero_above(m, &l_v, nl);
-                let b = zero_above(m, &l2_v, nl);
-                m.and(a, b)
-            };
-            for (&pc, edges) in &proc.edges {
-                for e in edges {
-                    let Edge::Internal { to, guard, assigns } = e else { continue };
-                    let mut b = eq_const(m, &from_v, pc as u64);
-                    let tob = eq_const(m, &to_v, *to as u64);
-                    b = m.and(b, tob);
-                    let gd = can_value(m, guard, &l_v, &g_v, true);
-                    b = m.and(b, gd);
-                    let mut assigned_locals = Vec::new();
-                    let mut assigned_globals = Vec::new();
-                    for (tv, expr) in assigns {
-                        let target = match tv {
-                            VarRef::Local(i) => {
-                                assigned_locals.push(*i);
-                                l2_v[*i]
-                            }
-                            VarRef::Global(i) => {
-                                assigned_globals.push(*i);
-                                g2_v[*i]
-                            }
-                        };
-                        let a = assign_bit(m, target, expr, &l_v, &g_v);
-                        b = m.and(b, a);
-                    }
-                    // Frame: unassigned variables keep their values.
-                    let fl = eq_except(m, &l_v[..nl], &l2_v[..nl], &assigned_locals);
-                    b = m.and(b, fl);
-                    let fg = eq_except(m, &g_v[..n_globals], &g2_v[..n_globals], &assigned_globals);
-                    b = m.and(b, fg);
-                    b = m.and(b, frame);
-                    rel = m.or(rel, b);
-                }
-            }
-        }
-        solver.set_input("ProgramInt", rel)?;
-    }
-
-    // --- ProgramCall(call, entry, cl, el, g): parameter passing.
-    {
-        let call_i = solver.alloc().formal("ProgramCall", 0).clone();
-        let entry_i = solver.alloc().formal("ProgramCall", 1).clone();
-        let cl_i = solver.alloc().formal("ProgramCall", 2).clone();
-        let el_i = solver.alloc().formal("ProgramCall", 3).clone();
-        let g_i = solver.alloc().formal("ProgramCall", 4).clone();
-        let call_v = scalar_vars(&call_i);
-        let entry_v = scalar_vars(&entry_i);
-        let cl_v = scalar_vars(&cl_i);
-        let el_v = scalar_vars(&el_i);
-        let g_v = scalar_vars(&g_i);
-        let m = solver.manager();
-        let mut rel = Bdd::FALSE;
-        for proc in &cfg.procs {
-            let caller_frame = zero_above(m, &cl_v, proc.n_locals());
-            for (&pc, edges) in &proc.edges {
-                for e in edges {
-                    let Edge::Call { callee, args, .. } = e else { continue };
-                    let q = &cfg.procs[*callee];
-                    let mut b = eq_const(m, &call_v, pc as u64);
-                    let eb = eq_const(m, &entry_v, q.entry as u64);
-                    b = m.and(b, eb);
-                    // Parameters from arguments; remaining callee locals F.
-                    for (i, arg) in args.iter().enumerate() {
-                        let a = assign_bit(m, el_v[i], arg, &cl_v, &g_v);
-                        b = m.and(b, a);
-                    }
-                    let rest = zero_above(m, &el_v, args.len());
-                    b = m.and(b, rest);
-                    b = m.and(b, caller_frame);
-                    rel = m.or(rel, b);
-                }
-            }
-        }
-        solver.set_input("ProgramCall", rel)?;
-    }
-
-    // --- SkipCall(call, ret): the `Across` relation.
-    {
-        let call_i = solver.alloc().formal("SkipCall", 0).clone();
-        let ret_i = solver.alloc().formal("SkipCall", 1).clone();
-        let call_v = scalar_vars(&call_i);
-        let ret_v = scalar_vars(&ret_i);
-        let m = solver.manager();
-        let mut rel = Bdd::FALSE;
-        for proc in &cfg.procs {
-            for (&pc, edges) in &proc.edges {
-                for e in edges {
-                    let Edge::Call { ret_to, .. } = e else { continue };
-                    let a = eq_const(m, &call_v, pc as u64);
-                    let b = eq_const(m, &ret_v, *ret_to as u64);
-                    let both = m.and(a, b);
-                    rel = m.or(rel, both);
-                }
-            }
-        }
-        solver.set_input("SkipCall", rel)?;
-    }
-
-    // --- ProcEntry(p, e): every pc maps to the entry pc of its procedure.
-    {
-        let p_i = solver.alloc().formal("ProcEntry", 0).clone();
-        let e_i = solver.alloc().formal("ProcEntry", 1).clone();
-        let p_v = scalar_vars(&p_i);
-        let e_v = scalar_vars(&e_i);
-        let m = solver.manager();
-        let mut rel = Bdd::FALSE;
-        for proc in &cfg.procs {
-            let entry = eq_const(m, &e_v, proc.entry as u64);
-            for pc in proc.pc_range.0..proc.pc_range.1 {
-                let a = eq_const(m, &p_v, pc as u64);
-                let both = m.and(a, entry);
-                rel = m.or(rel, both);
-            }
-        }
-        solver.set_input("ProcEntry", rel)?;
-    }
-
-    // --- SetReturn1(call, lcall, lret): caller locals preserved except
-    //     return-value targets.
-    {
-        let call_i = solver.alloc().formal("SetReturn1", 0).clone();
-        let lc_i = solver.alloc().formal("SetReturn1", 1).clone();
-        let lr_i = solver.alloc().formal("SetReturn1", 2).clone();
-        let call_v = scalar_vars(&call_i);
-        let lc_v = scalar_vars(&lc_i);
-        let lr_v = scalar_vars(&lr_i);
-        let m = solver.manager();
-        let mut rel = Bdd::FALSE;
-        for proc in &cfg.procs {
-            let nl = proc.n_locals();
-            for (&pc, edges) in &proc.edges {
-                for e in edges {
-                    let Edge::Call { rets, .. } = e else { continue };
-                    let local_targets: Vec<usize> = rets
-                        .iter()
-                        .filter_map(|r| match r {
-                            VarRef::Local(i) => Some(*i),
-                            VarRef::Global(_) => None,
-                        })
-                        .collect();
-                    let mut b = eq_const(m, &call_v, pc as u64);
-                    let keep = eq_except(m, &lc_v[..nl], &lr_v[..nl], &local_targets);
-                    b = m.and(b, keep);
-                    let fa = zero_above(m, &lc_v, nl);
-                    let fb = zero_above(m, &lr_v, nl);
-                    b = m.and(b, fa);
-                    b = m.and(b, fb);
-                    rel = m.or(rel, b);
-                }
-            }
-        }
-        solver.set_input("SetReturn1", rel)?;
-    }
-
-    // --- SetReturn2(call, exit, ucl, scl, ucg, scg): return-value transfer.
-    //     Pairs each call site with the exit points of its callee, ties the
-    //     exit state (ucl, ucg) to the post-return state (scl, scg).
-    {
-        let call_i = solver.alloc().formal("SetReturn2", 0).clone();
-        let exit_i = solver.alloc().formal("SetReturn2", 1).clone();
-        let ucl_i = solver.alloc().formal("SetReturn2", 2).clone();
-        let scl_i = solver.alloc().formal("SetReturn2", 3).clone();
-        let ucg_i = solver.alloc().formal("SetReturn2", 4).clone();
-        let scg_i = solver.alloc().formal("SetReturn2", 5).clone();
-        let call_v = scalar_vars(&call_i);
-        let exit_v = scalar_vars(&exit_i);
-        let ucl_v = scalar_vars(&ucl_i);
-        let scl_v = scalar_vars(&scl_i);
-        let ucg_v = scalar_vars(&ucg_i);
-        let scg_v = scalar_vars(&scg_i);
-        let m = solver.manager();
-        let mut rel = Bdd::FALSE;
-        for proc in &cfg.procs {
-            for (&pc, edges) in &proc.edges {
-                for e in edges {
-                    let Edge::Call { callee, rets, .. } = e else { continue };
-                    let q = &cfg.procs[*callee];
-                    let global_targets: Vec<usize> = rets
-                        .iter()
-                        .filter_map(|r| match r {
-                            VarRef::Global(i) => Some(*i),
-                            VarRef::Local(_) => None,
-                        })
-                        .collect();
-                    for exit in &q.exits {
-                        let mut b = eq_const(m, &call_v, pc as u64);
-                        let eb = eq_const(m, &exit_v, exit.pc as u64);
-                        b = m.and(b, eb);
-                        // Return values: i-th target receives i-th expr,
-                        // evaluated in the exit state (ucl, ucg).
-                        for (target, expr) in rets.iter().zip(&exit.ret_exprs) {
-                            let tv = match target {
-                                VarRef::Local(i) => scl_v[*i],
-                                VarRef::Global(i) => scg_v[*i],
-                            };
-                            let a = assign_bit(m, tv, expr, &ucl_v, &ucg_v);
+        for (&pc, edges) in &proc.edges {
+            let pc = u64::from(pc);
+            for edge in edges {
+                match edge {
+                    // ProgramInt(from, to, l, l2, g, g2): the guard, the
+                    // assignments, and every other frame variable kept.
+                    Edge::Internal { to: next, guard, assigns } => {
+                        let mut b = eq_consts(
+                            m,
+                            &[(&from, pc), (&to, u64::from(*next)), (&l[nl..], 0), (&l2[nl..], 0)],
+                        );
+                        let gd = can_value(m, guard, &l, &g, true);
+                        b = m.and(b, gd);
+                        for (tv, expr) in assigns {
+                            let a = assign_bit(m, var_of(tv, &l2, &g2), expr, &l, &g);
                             b = m.and(b, a);
                         }
-                        // Globals not overwritten come from the exit state.
-                        let keep =
-                            eq_except(m, &ucg_v[..n_globals], &scg_v[..n_globals], &global_targets);
+                        let (al, ag) = written(assigns.iter().map(|(tv, _)| tv));
+                        let fl = eq_except(m, &l[..nl], &l2[..nl], &al);
+                        b = m.and(b, fl);
+                        let fg = eq_except(m, &g[..ng], &g2[..ng], &ag);
+                        b = m.and(b, fg);
+                        int = m.or(int, b);
+                    }
+                    Edge::Call { callee, args, rets, ret_to } => {
+                        let q = &cfg.procs[*callee];
+                        // ProgramCall(call, entry, cl, el, g): parameters
+                        // from the arguments, the callee's other locals F.
+                        let mut b = eq_consts(
+                            m,
+                            &[
+                                (&call, pc),
+                                (&entry, u64::from(q.entry)),
+                                (&cl[nl..], 0),
+                                (&el[args.len()..], 0),
+                            ],
+                        );
+                        for (i, arg) in args.iter().enumerate() {
+                            let a = assign_bit(m, el[i], arg, &cl, &cg);
+                            b = m.and(b, a);
+                        }
+                        calls = m.or(calls, b);
+                        // SkipCall(call, ret): the `Across` relation.
+                        let b = eq_consts(m, &[(&skip_call, pc), (&skip_ret, u64::from(*ret_to))]);
+                        skips = m.or(skips, b);
+                        // SetReturn1(call, lcall, lret): the caller's locals
+                        // kept, except the return-value targets.
+                        let (lt, gt) = written(rets);
+                        let mut b =
+                            eq_consts(m, &[(&r1_call, pc), (&lcall[nl..], 0), (&lret[nl..], 0)]);
+                        let keep = eq_except(m, &lcall[..nl], &lret[..nl], &lt);
                         b = m.and(b, keep);
-                        // Frames: exit locals within the callee's width.
-                        let fu = zero_above(m, &ucl_v, q.n_locals());
-                        b = m.and(b, fu);
-                        let fs = zero_above(m, &scl_v, proc.n_locals());
-                        b = m.and(b, fs);
-                        rel = m.or(rel, b);
+                        ret1 = m.or(ret1, b);
+                        // SetReturn2(call, exit, ucl, scl, ucg, scg), per
+                        // callee exit: the i-th target receives the i-th
+                        // return expression, evaluated in the exit state
+                        // (ucl, ucg); globals not written come from it.
+                        let keep = eq_except(m, &ucg[..ng], &scg[..ng], &gt);
+                        for exit in &q.exits {
+                            let mut b = eq_consts(
+                                m,
+                                &[
+                                    (&r2_call, pc),
+                                    (&r2_exit, u64::from(exit.pc)),
+                                    (&ucl[q.n_locals()..], 0),
+                                    (&scl[nl..], 0),
+                                ],
+                            );
+                            for (tv, expr) in rets.iter().zip(&exit.ret_exprs) {
+                                let a = assign_bit(m, var_of(tv, &scl, &scg), expr, &ucl, &ucg);
+                                b = m.and(b, a);
+                            }
+                            b = m.and(b, keep);
+                            ret2 = m.or(ret2, b);
+                        }
                     }
                 }
             }
         }
-        solver.set_input("SetReturn2", rel)?;
     }
 
+    for (name, rel) in [
+        ("Init", init),
+        ("EntryOf", entries),
+        ("ExitOf", exits),
+        ("Target", target_set),
+        ("ProgramInt", int),
+        ("ProgramCall", calls),
+        ("SkipCall", skips),
+        ("ProcEntry", proc_entry),
+        ("SetReturn1", ret1),
+        ("SetReturn2", ret2),
+    ] {
+        solver.set_input(name, rel)?;
+    }
     Ok(())
 }
 
@@ -484,6 +383,8 @@ pub fn install_templates(
 mod tests {
     use super::*;
     use getafix_bdd::Manager;
+    use getafix_boolprog::parse_program;
+    use getafix_mucalc::{System, Type};
 
     #[test]
     fn can_value_matches_value_set() {
@@ -555,11 +456,49 @@ mod tests {
     }
 
     #[test]
-    fn zero_above_constrains_tail() {
+    fn eq_except_keeps_the_other_bits() {
         let mut m = Manager::new();
-        let vars = m.new_vars(4);
-        let f = zero_above(&mut m, &vars, 2);
-        assert!(m.eval(f, &[true, true, false, false]));
-        assert!(!m.eval(f, &[false, false, true, false]));
+        let a = m.new_vars(3);
+        let b = m.new_vars(3);
+        let f = eq_except(&mut m, &a, &b, &[1]);
+        for bits in 0..64u32 {
+            let env: Vec<bool> = (0..6).map(|i| (bits >> i) & 1 == 1).collect();
+            let kept = [0, 2].iter().all(|&i| env[i] == env[3 + i]);
+            assert_eq!(m.eval(f, &env), kept, "{bits:06b}");
+        }
+    }
+
+    fn pc_input(b: &mut getafix_mucalc::SystemBuilder, name: &str, arity: usize) {
+        let params = (0..arity).map(|i| (format!("p{i}"), Type::named("PC"))).collect();
+        b.input(name, params);
+    }
+
+    fn encode_error(declare: impl Fn(&mut getafix_mucalc::SystemBuilder)) -> EncodeError {
+        let program = parse_program("main() begin HIT: skip; end").unwrap();
+        let cfg = Cfg::build(&program).unwrap();
+        let mut b = System::builder();
+        b.declare_type("PC", Type::Range(cfg.pc_count as u64)).unwrap();
+        declare(&mut b);
+        let mut solver = Solver::new(b.build().unwrap()).unwrap();
+        install_templates(&mut solver, &cfg, &[]).unwrap_err()
+    }
+
+    #[test]
+    fn a_system_without_the_templates_is_an_error() {
+        let err = encode_error(|b| pc_input(b, "Target", 1));
+        assert_eq!(err, EncodeError::Template { name: "Init", arity: 1 });
+        assert!(err.to_string().contains("`Init`"), "{err}");
+    }
+
+    #[test]
+    fn a_template_of_the_wrong_arity_is_an_error() {
+        let err = encode_error(|b| {
+            for name in ["Init", "EntryOf", "ExitOf", "Target"] {
+                pc_input(b, name, 1);
+            }
+            pc_input(b, "ProgramInt", 5);
+        });
+        assert_eq!(err, EncodeError::Template { name: "ProgramInt", arity: 6 });
+        assert!(err.to_string().contains("`ProgramInt`"), "{err}");
     }
 }

@@ -47,5 +47,9 @@ pub use analysis::{
     check_reachability_with, emit_system, emit_trace_system, Algorithm, AnalysisError,
     AnalysisResult,
 };
-pub use encode::{can_value, install_templates, EncodeError};
+pub use encode::{assign_bit, can_value, eq_except, install_templates, EncodeError};
+/// The constant, comparison and equality builders [`encode`] uses,
+/// re-exported next to its own so that `conc` and the baselines import
+/// every relation builder from one place.
+pub use getafix_mucalc::{eq_const, eq_consts, eq_vars, lt_const};
 pub use systems::{system_ef, system_ef_trace, system_ef_witness, system_efopt, system_simple};

@@ -310,14 +310,22 @@ pub fn lt_const(manager: &mut Manager, bits: &[Var], bound: u64) -> Bdd {
     acc
 }
 
-/// Builds the BDD for the constant value `value` on `bits` (LSB-first).
+/// Builds the BDD for the constant value `value` on `bits` (LSB-first):
+/// one literal cube.
 pub fn eq_const(manager: &mut Manager, bits: &[Var], value: u64) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for (i, &v) in bits.iter().enumerate() {
-        let lit = manager.literal(v, const_bit(value, i));
-        acc = manager.and(acc, lit);
-    }
-    acc
+    eq_consts(manager, &[(bits, value)])
+}
+
+/// Builds the conjunction of `bits = value` over every `(bits, value)`
+/// pair (each LSB-first) as one literal cube, with no `and`.
+pub fn eq_consts(manager: &mut Manager, blocks: &[(&[Var], u64)]) -> Bdd {
+    let literals: Vec<(Var, bool)> = blocks
+        .iter()
+        .flat_map(|&(bits, value)| {
+            bits.iter().enumerate().map(move |(i, &v)| (v, const_bit(value, i)))
+        })
+        .collect();
+    manager.literal_cube(&literals)
 }
 
 /// Builds the BDD for bitwise equality of two equal-length variable blocks.
@@ -482,10 +490,15 @@ mod tests {
         let mut m = Manager::new();
         let bits = m.new_vars(3);
         let f = eq_const(&mut m, &bits, 6);
+        // A zeroed tail: bits 1 and 2 false, bit 0 free.
+        let tail = eq_const(&mut m, &bits[1..], 0);
+        let split = eq_consts(&mut m, &[(&bits[..1], 0), (&bits[1..], 3)]);
         for v in 0..8u64 {
             let env: Vec<bool> = (0..3).map(|i| (v >> i) & 1 == 1).collect();
             assert_eq!(m.eval(f, &env), v == 6, "value {v}");
+            assert_eq!(m.eval(tail, &env), v < 2, "tail at value {v}");
         }
+        assert_eq!(split, f);
     }
 
     /// Blocks wider than 64 variables come from `bits n` types and from

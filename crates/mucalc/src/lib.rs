@@ -75,7 +75,7 @@ mod topology;
 mod types;
 mod worklist;
 
-pub use alloc::{eq_const, eq_vars, lt_const, lt_vars, Allocation, Instance, LeafAlloc};
+pub use alloc::{eq_const, eq_consts, eq_vars, lt_const, lt_vars, Allocation, Instance, LeafAlloc};
 pub use ast::{CmpOp, Formula, Term};
 pub use deps::{DepGraph, OrderedPlan, Scc};
 pub use limits::{install_sigint_cancel, CancelToken, LimitKind, LimitReport, ResourceLimits};

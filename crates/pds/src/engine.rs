@@ -4,6 +4,7 @@
 use crate::space::Space;
 use getafix_bdd::Bdd;
 use getafix_boolprog::{Cfg, Pc};
+use getafix_core::eq_consts;
 use std::fmt;
 use std::time::{Duration, Instant};
 
@@ -47,18 +48,13 @@ fn eager_summaries(sp: &mut Space, cfg: &Cfg) -> Result<(Bdd, usize), PdsError> 
     // frame zeroed above the procedure's width.
     let mut seed = Bdd::FALSE;
     for proc in &cfg.procs {
-        let mut b = {
-            let pcs = sp.pc[1].clone();
-            crate_eq_const(sp, &pcs, proc.entry as u64)
-        };
-        let el = sp.eq_l(0, 1);
-        b = sp.m.and(b, el);
-        let eg = sp.eq_g(0, 1);
-        b = sp.m.and(b, eg);
-        let frame = zero_above_l(sp, 1, proc.n_locals());
-        b = sp.m.and(b, frame);
+        let entry = u64::from(proc.entry);
+        let b = eq_consts(&mut sp.m, &[(&sp.pc[1], entry), (&sp.l[1][proc.n_locals()..], 0)]);
         seed = sp.m.or(seed, b);
     }
+    let (el, eg) = (sp.eq_l(0, 1), sp.eq_g(0, 1));
+    seed = sp.m.and(seed, el);
+    seed = sp.m.and(seed, eg);
 
     let cube_cur = sp.cube_parts(&[1], &[1], &[1]);
     let mut s = seed;
@@ -265,25 +261,6 @@ pub fn prestar(cfg: &Cfg, targets: &[Pc]) -> Result<PdsResult, PdsError> {
     })
 }
 
-fn crate_eq_const(sp: &mut Space, bits: &[getafix_bdd::Var], value: u64) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for (i, &v) in bits.iter().enumerate() {
-        let lit = sp.m.literal(v, (value >> i) & 1 == 1);
-        acc = sp.m.and(acc, lit);
-    }
-    acc
-}
-
-fn zero_above_l(sp: &mut Space, block: usize, width: usize) -> Bdd {
-    let vars = sp.l[block].clone();
-    let mut acc = Bdd::TRUE;
-    for &v in vars.iter().skip(width) {
-        let nv = sp.m.nvar(v);
-        acc = sp.m.and(acc, nv);
-    }
-    acc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -379,6 +356,27 @@ mod tests {
             "#,
             "HIT",
         );
+    }
+
+    /// The wide-frame programs: 70 globals, or 70 locals in `main`. A
+    /// constant's bits past 63 read 0, so the zeroed blocks stay in range.
+    #[test]
+    fn frames_wider_than_64_variables() {
+        let names = |p: &str| (0..70).map(|i| format!("{p}{i}")).collect::<Vec<_>>().join(", ");
+        let wide_globals = format!(
+            "decl {};\nmain() begin\n  g69 := T;\n  if (!g5) then HIT: skip; fi;\nend\n",
+            names("g")
+        );
+        let wide_locals = format!(
+            "main() begin\n  decl {};\n  l69 := T;\n  if (!l5) then HIT: skip; fi;\nend\n",
+            names("l")
+        );
+        for src in [wide_globals, wide_locals] {
+            let cfg = Cfg::build(&parse_program(&src).unwrap()).unwrap();
+            let pc = cfg.label("HIT").unwrap();
+            assert!(poststar(&cfg, &[pc]).unwrap().reachable, "poststar\n{src}");
+            assert!(prestar(&cfg, &[pc]).unwrap().reachable, "prestar\n{src}");
+        }
     }
 
     #[test]

@@ -19,6 +19,14 @@
 //! (`mod space`); there is no fixed-point calculus here, only manual image
 //! computation, renaming and quantification — several hundred lines where
 //! the formula in `getafix-core` is forty.
+//!
+//! The transfer relations are built from the same block builders as the
+//! formula encoder's templates: `can_value`, `assign_bit` and `eq_except`
+//! from `getafix_core`, with the `eq_const`, `eq_consts`, `eq_vars` and
+//! `lt_const` it re-exports from `getafix_mucalc` (whose constants read
+//! bits past 63 as 0, so frames wider than 64 variables encode). Only the
+//! builders are shared; the variable space, the relations and both
+//! saturation algorithms stay hand-coded here.
 
 mod engine;
 mod space;

@@ -14,7 +14,7 @@
 
 use getafix_bdd::{Bdd, Manager, Var, VarMap};
 use getafix_boolprog::{Cfg, Edge, Pc, VarRef};
-use getafix_core::can_value;
+use getafix_core::{assign_bit, can_value, eq_const, eq_consts, eq_except, eq_vars, lt_const};
 
 /// Number of copies of each block kind.
 pub const COPIES: usize = 5;
@@ -47,62 +47,6 @@ pub struct Space {
     pub init: Bdd,
 }
 
-fn eq_const(m: &mut Manager, bits: &[Var], value: u64) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for (i, &v) in bits.iter().enumerate() {
-        let lit = m.literal(v, (value >> i) & 1 == 1);
-        acc = m.and(acc, lit);
-    }
-    acc
-}
-
-fn eq_blocks(m: &mut Manager, a: &[Var], b: &[Var]) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for (&x, &y) in a.iter().zip(b) {
-        let fx = m.var(x);
-        let fy = m.var(y);
-        let e = m.iff(fx, fy);
-        acc = m.and(acc, e);
-    }
-    acc
-}
-
-fn eq_except(m: &mut Manager, a: &[Var], b: &[Var], except: &[usize]) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for (i, (&x, &y)) in a.iter().zip(b).enumerate() {
-        if except.contains(&i) {
-            continue;
-        }
-        let fx = m.var(x);
-        let fy = m.var(y);
-        let e = m.iff(fx, fy);
-        acc = m.and(acc, e);
-    }
-    acc
-}
-
-fn zero_above(m: &mut Manager, vars: &[Var], width: usize) -> Bdd {
-    let mut acc = Bdd::TRUE;
-    for &v in vars.iter().skip(width) {
-        let nv = m.nvar(v);
-        acc = m.and(acc, nv);
-    }
-    acc
-}
-
-fn assign_bit(
-    m: &mut Manager,
-    target: Var,
-    e: &getafix_boolprog::LExpr,
-    l: &[Var],
-    g: &[Var],
-) -> Bdd {
-    let ct = can_value(m, e, l, g, true);
-    let cf = can_value(m, e, l, g, false);
-    let t = m.var(target);
-    m.ite(t, ct, cf)
-}
-
 impl Space {
     /// Allocates the blocks and builds every transfer relation for `cfg`.
     pub fn build(cfg: &Cfg, target_pcs: &[Pc]) -> Space {
@@ -120,159 +64,122 @@ impl Space {
         let l = alloc(&mut m, l_bits);
         let g = alloc(&mut m, g_bits);
 
-        let n_globals = cfg.globals.len();
-
-        // Internal transitions.
-        let mut int_rel = Bdd::FALSE;
+        let ng = cfg.globals.len();
+        let [mut int_rel, mut call_rel, mut skip_rel, mut ret_rel, mut proc_entry] =
+            [Bdd::FALSE; 5];
         for proc in &cfg.procs {
             let nl = proc.n_locals();
-            let frame = {
-                let a = zero_above(&mut m, &l[1], nl);
-                let b = zero_above(&mut m, &l[2], nl);
-                m.and(a, b)
-            };
+            // pc → proc entry: the procedure's pc interval.
+            let below_hi = lt_const(&mut m, &pc[1], u64::from(proc.pc_range.1));
+            let below_lo = lt_const(&mut m, &pc[1], u64::from(proc.pc_range.0));
+            let at_or_above_lo = m.not(below_lo);
+            let mut b = eq_const(&mut m, &pc[2], u64::from(proc.entry));
+            b = m.and(b, below_hi);
+            b = m.and(b, at_or_above_lo);
+            proc_entry = m.or(proc_entry, b);
             for (&from, edges) in &proc.edges {
+                let from = u64::from(from);
                 for e in edges {
-                    let Edge::Internal { to, guard, assigns } = e else { continue };
-                    let mut b = eq_const(&mut m, &pc[1], from as u64);
-                    let t = eq_const(&mut m, &pc[2], *to as u64);
-                    b = m.and(b, t);
-                    let gd = can_value(&mut m, guard, &l[1], &g[1], true);
-                    b = m.and(b, gd);
-                    let mut al = Vec::new();
-                    let mut ag = Vec::new();
-                    for (tv, ex) in assigns {
-                        let tvar = match tv {
-                            VarRef::Local(i) => {
-                                al.push(*i);
-                                l[2][*i]
-                            }
-                            VarRef::Global(i) => {
-                                ag.push(*i);
-                                g[2][*i]
-                            }
-                        };
-                        let a = assign_bit(&mut m, tvar, ex, &l[1], &g[1]);
-                        b = m.and(b, a);
-                    }
-                    let fl = eq_except(&mut m, &l[1][..nl], &l[2][..nl], &al);
-                    b = m.and(b, fl);
-                    let fg = eq_except(&mut m, &g[1][..n_globals], &g[2][..n_globals], &ag);
-                    b = m.and(b, fg);
-                    b = m.and(b, frame);
-                    int_rel = m.or(int_rel, b);
-                }
-            }
-        }
-
-        // Calls, skips, returns.
-        let mut call_rel = Bdd::FALSE;
-        let mut skip_rel = Bdd::FALSE;
-        let mut ret_rel = Bdd::FALSE;
-        for proc in &cfg.procs {
-            let caller_frame = zero_above(&mut m, &l[1], proc.n_locals());
-            for (&from, edges) in &proc.edges {
-                for e in edges {
-                    let Edge::Call { callee, args, rets, ret_to } = e else { continue };
-                    let q = &cfg.procs[*callee];
-                    // call_rel
-                    {
-                        let mut b = eq_const(&mut m, &pc[1], from as u64);
-                        let t = eq_const(&mut m, &pc[2], q.entry as u64);
-                        b = m.and(b, t);
-                        for (i, arg) in args.iter().enumerate() {
-                            let a = assign_bit(&mut m, l[2][i], arg, &l[1], &g[1]);
-                            b = m.and(b, a);
-                        }
-                        let rest = zero_above(&mut m, &l[2], args.len());
-                        b = m.and(b, rest);
-                        b = m.and(b, caller_frame);
-                        call_rel = m.or(call_rel, b);
-                    }
-                    // skip_rel
-                    {
-                        let a = eq_const(&mut m, &pc[1], from as u64);
-                        let b = eq_const(&mut m, &pc[2], *ret_to as u64);
-                        let both = m.and(a, b);
-                        skip_rel = m.or(skip_rel, both);
-                    }
-                    // ret_rel: caller (pc1 = call, l1) + callee exit
-                    // (pc2, l2, g2) → post-return (l3, g3).
-                    {
-                        let local_targets: Vec<usize> = rets
-                            .iter()
-                            .filter_map(|r| match r {
-                                VarRef::Local(i) => Some(*i),
-                                _ => None,
-                            })
-                            .collect();
-                        let global_targets: Vec<usize> = rets
-                            .iter()
-                            .filter_map(|r| match r {
-                                VarRef::Global(i) => Some(*i),
-                                _ => None,
-                            })
-                            .collect();
-                        for exit in &q.exits {
-                            let mut b = eq_const(&mut m, &pc[1], from as u64);
-                            let x = eq_const(&mut m, &pc[2], exit.pc as u64);
-                            b = m.and(b, x);
-                            for (tv, ex) in rets.iter().zip(&exit.ret_exprs) {
+                    match e {
+                        Edge::Internal { to, guard, assigns } => {
+                            let mut b = eq_consts(
+                                &mut m,
+                                &[
+                                    (&pc[1], from),
+                                    (&pc[2], u64::from(*to)),
+                                    (&l[1][nl..], 0),
+                                    (&l[2][nl..], 0),
+                                ],
+                            );
+                            let gd = can_value(&mut m, guard, &l[1], &g[1], true);
+                            b = m.and(b, gd);
+                            let mut al = Vec::new();
+                            let mut ag = Vec::new();
+                            for (tv, ex) in assigns {
                                 let tvar = match tv {
-                                    VarRef::Local(i) => l[3][*i],
-                                    VarRef::Global(i) => g[3][*i],
+                                    VarRef::Local(i) => {
+                                        al.push(*i);
+                                        l[2][*i]
+                                    }
+                                    VarRef::Global(i) => {
+                                        ag.push(*i);
+                                        g[2][*i]
+                                    }
                                 };
-                                let a = assign_bit(&mut m, tvar, ex, &l[2], &g[2]);
+                                let a = assign_bit(&mut m, tvar, ex, &l[1], &g[1]);
                                 b = m.and(b, a);
                             }
-                            let keep_l = eq_except(
+                            let fl = eq_except(&mut m, &l[1][..nl], &l[2][..nl], &al);
+                            b = m.and(b, fl);
+                            let fg = eq_except(&mut m, &g[1][..ng], &g[2][..ng], &ag);
+                            b = m.and(b, fg);
+                            int_rel = m.or(int_rel, b);
+                        }
+                        Edge::Call { callee, args, rets, ret_to } => {
+                            let q = &cfg.procs[*callee];
+                            let mut b = eq_consts(
                                 &mut m,
-                                &l[1][..proc.n_locals()],
-                                &l[3][..proc.n_locals()],
-                                &local_targets,
+                                &[
+                                    (&pc[1], from),
+                                    (&pc[2], u64::from(q.entry)),
+                                    (&l[1][nl..], 0),
+                                    (&l[2][args.len()..], 0),
+                                ],
                             );
-                            b = m.and(b, keep_l);
-                            let keep_g = eq_except(
-                                &mut m,
-                                &g[2][..n_globals],
-                                &g[3][..n_globals],
-                                &global_targets,
-                            );
-                            b = m.and(b, keep_g);
-                            let fu = zero_above(&mut m, &l[2], q.n_locals());
-                            b = m.and(b, fu);
-                            let fs = zero_above(&mut m, &l[3], proc.n_locals());
-                            b = m.and(b, fs);
-                            b = m.and(b, caller_frame);
-                            ret_rel = m.or(ret_rel, b);
+                            for (i, arg) in args.iter().enumerate() {
+                                let a = assign_bit(&mut m, l[2][i], arg, &l[1], &g[1]);
+                                b = m.and(b, a);
+                            }
+                            call_rel = m.or(call_rel, b);
+                            let b =
+                                eq_consts(&mut m, &[(&pc[1], from), (&pc[2], u64::from(*ret_to))]);
+                            skip_rel = m.or(skip_rel, b);
+                            // ret_rel: caller (pc1 = call, l1) + callee exit
+                            // (pc2, l2, g2) → post-return (l3, g3).
+                            let (mut lt, mut gt) = (Vec::new(), Vec::new());
+                            for r in rets {
+                                match *r {
+                                    VarRef::Local(i) => lt.push(i),
+                                    VarRef::Global(i) => gt.push(i),
+                                }
+                            }
+                            let mut keep = eq_except(&mut m, &l[1][..nl], &l[3][..nl], &lt);
+                            let keep_g = eq_except(&mut m, &g[2][..ng], &g[3][..ng], &gt);
+                            keep = m.and(keep, keep_g);
+                            for exit in &q.exits {
+                                let mut b = eq_consts(
+                                    &mut m,
+                                    &[
+                                        (&pc[1], from),
+                                        (&pc[2], u64::from(exit.pc)),
+                                        (&l[1][nl..], 0),
+                                        (&l[2][q.n_locals()..], 0),
+                                        (&l[3][nl..], 0),
+                                    ],
+                                );
+                                for (tv, ex) in rets.iter().zip(&exit.ret_exprs) {
+                                    let tvar = match tv {
+                                        VarRef::Local(i) => l[3][*i],
+                                        VarRef::Global(i) => g[3][*i],
+                                    };
+                                    let a = assign_bit(&mut m, tvar, ex, &l[2], &g[2]);
+                                    b = m.and(b, a);
+                                }
+                                b = m.and(b, keep);
+                                ret_rel = m.or(ret_rel, b);
+                            }
                         }
                     }
                 }
-            }
-        }
-
-        // pc → proc entry; targets; init.
-        let mut proc_entry = Bdd::FALSE;
-        for proc in &cfg.procs {
-            let e = eq_const(&mut m, &pc[2], proc.entry as u64);
-            for p in proc.pc_range.0..proc.pc_range.1 {
-                let a = eq_const(&mut m, &pc[1], p as u64);
-                let both = m.and(a, e);
-                proc_entry = m.or(proc_entry, both);
             }
         }
         let mut targets = Bdd::FALSE;
         for &t in target_pcs {
-            let b = eq_const(&mut m, &pc[1], t as u64);
+            let b = eq_const(&mut m, &pc[1], u64::from(t));
             targets = m.or(targets, b);
         }
-        let init = {
-            let mut b = eq_const(&mut m, &pc[1], cfg.procs[cfg.main].entry as u64);
-            let zl = eq_const(&mut m, &l[1], 0);
-            b = m.and(b, zl);
-            let zg = eq_const(&mut m, &g[1], 0);
-            m.and(b, zg)
-        };
+        let main_entry = u64::from(cfg.procs[cfg.main].entry);
+        let init = eq_consts(&mut m, &[(&pc[1], main_entry), (&l[1], 0), (&g[1], 0)]);
 
         Space { m, pc, l, g, int_rel, call_rel, skip_rel, ret_rel, proc_entry, targets, init }
     }
@@ -321,11 +228,11 @@ impl Space {
 
     /// Equality of the g blocks `a` and `b`.
     pub fn eq_g(&mut self, a: usize, b: usize) -> Bdd {
-        eq_blocks(&mut self.m, &self.g[a].clone(), &self.g[b].clone())
+        eq_vars(&mut self.m, &self.g[a], &self.g[b])
     }
 
     /// Equality of the l blocks `a` and `b`.
     pub fn eq_l(&mut self, a: usize, b: usize) -> Bdd {
-        eq_blocks(&mut self.m, &self.l[a].clone(), &self.l[b].clone())
+        eq_vars(&mut self.m, &self.l[a], &self.l[b])
     }
 }
