@@ -145,6 +145,11 @@ pub struct ManagerStats {
     pub arena_bytes: usize,
     /// Peak of [`ManagerStats::arena_bytes`] ever observed.
     pub peak_arena_bytes: usize,
+    /// [`Manager::rename_and_exists`] calls with variables to quantify
+    /// whose map was not order-preserving, so the relation was renamed
+    /// into a fresh BDD before [`Manager::and_exists`] instead of in one
+    /// fused traversal.
+    pub rename_fallbacks: u64,
 }
 
 /// A BDD manager: owns the node arena, the unique table and the operation

@@ -7,8 +7,20 @@
 //! The implementation is a vector compose: at each node the substituted
 //! variable is re-introduced with `ite`, which is correct for **any**
 //! injective map — including order-reversing maps and swaps — not just
-//! monotone ones. Monotone maps (the common case here, thanks to interleaved
-//! allocation) degenerate to a cheap single pass.
+//! monotone ones. Monotone maps degenerate to a cheap single pass.
+//!
+//! # Fusion is decided by the map
+//!
+//! [`Manager::rename_and_exists`] renames, conjoins and quantifies in one
+//! traversal when the substitution is *strictly order-preserving*: a
+//! source-order walk of the relation then meets the targets in order too.
+//! [`VarMap::new`] decides that once, from the pairs themselves, identity
+//! pairs included, in the same pass that sorts them — no call walks the
+//! relation's support to find out. The caller's side of the bargain is
+//! that the relation's support lies within the map's sources (an identity
+//! pair names a source that stays put), which the solver's allocation plan
+//! keeps by listing every formal column and ordering each channel so its
+//! applications preserve order.
 
 use crate::hasher::FxHashMap;
 use crate::manager::{Bdd, Manager, Var};
@@ -31,44 +43,85 @@ use crate::manager::{Bdd, Manager, Var};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VarMap {
-    /// Sorted by source level; sources unique.
+    /// Sorted by source level; sources unique; identity pairs dropped.
     pairs: Vec<(u32, u32)>,
+    /// Do the pairs, identity pairs included, send sources in increasing
+    /// order to targets in strictly increasing order?
+    order_preserving: bool,
+    /// Every source, identity pairs included, sorted: the domain
+    /// [`Manager::rename_and_exists`] checks its argument's support against
+    /// in debug builds.
+    #[cfg(debug_assertions)]
+    sources: Vec<u32>,
 }
 
 impl VarMap {
     /// Creates a map sending each `(from, to)` pair's `from` to `to`.
     ///
-    /// Identity pairs are dropped.
+    /// Identity pairs drop out of the substitution but still count as
+    /// sources: they decide, with the others, whether the map is
+    /// [order-preserving](VarMap::is_order_preserving), and they belong to
+    /// the domain [`Manager::rename_and_exists`] requires its relation's
+    /// support to lie within.
     ///
     /// # Panics
     ///
-    /// Panics if a source or target variable occurs twice (the substitution
-    /// must be a partial injection).
+    /// Panics if a source variable occurs twice, or a target variable
+    /// occurs twice among the non-identity pairs (the substitution must be
+    /// a partial injection).
     pub fn new<I: IntoIterator<Item = (Var, Var)>>(pairs: I) -> Self {
-        let mut v: Vec<(u32, u32)> =
-            pairs.into_iter().filter(|(a, b)| a != b).map(|(a, b)| (a.0, b.0)).collect();
+        let mut v: Vec<(u32, u32)> = pairs.into_iter().map(|(a, b)| (a.0, b.0)).collect();
         v.sort_unstable();
         for w in v.windows(2) {
             assert_ne!(w[0].0, w[1].0, "VarMap: duplicate source variable v{}", w[0].0);
         }
+        let order_preserving = v.windows(2).all(|w| w[0].1 < w[1].1);
+        #[cfg(debug_assertions)]
+        let sources = v.iter().map(|&(a, _)| a).collect();
+        v.retain(|(a, b)| a != b);
         let mut targets: Vec<u32> = v.iter().map(|&(_, b)| b).collect();
         targets.sort_unstable();
         for w in targets.windows(2) {
             assert_ne!(w[0], w[1], "VarMap: duplicate target variable v{}", w[0]);
         }
-        VarMap { pairs: v }
+        VarMap {
+            pairs: v,
+            order_preserving,
+            #[cfg(debug_assertions)]
+            sources,
+        }
     }
 
-    /// The inverse substitution (targets become sources).
+    /// The inverse substitution (targets become sources). The inverse of a
+    /// strictly monotone map is strictly monotone, and of any other map is
+    /// not, so the order flag carries over.
     pub fn inverse(&self) -> VarMap {
         let mut pairs: Vec<(u32, u32)> = self.pairs.iter().map(|&(a, b)| (b, a)).collect();
         pairs.sort_unstable();
-        VarMap { pairs }
+        #[cfg(debug_assertions)]
+        let sources = {
+            let mut s: Vec<u32> = self.sources.iter().map(|&v| self.apply(Var(v)).0).collect();
+            s.sort_unstable();
+            s
+        };
+        VarMap {
+            pairs,
+            order_preserving: self.order_preserving,
+            #[cfg(debug_assertions)]
+            sources,
+        }
     }
 
     /// Is this the identity substitution?
     pub fn is_identity(&self) -> bool {
         self.pairs.is_empty()
+    }
+
+    /// Does the map send its sources, identity pairs included, to targets
+    /// in the same strict order? Decided once, in [`VarMap::new`]; it is
+    /// what lets [`Manager::rename_and_exists`] fuse.
+    pub fn is_order_preserving(&self) -> bool {
+        self.order_preserving
     }
 
     /// The image of `v` under the substitution (identity if unmapped).
@@ -136,16 +189,31 @@ impl Manager {
     /// Relation application is exactly this shape: a stored relation is
     /// renamed from its formal columns onto argument/scratch columns,
     /// constrained by equalities `g`, and the scratch columns are
-    /// quantified away. Fusing the three steps never materializes the
-    /// renamed intermediate when the substitution is order-preserving on
-    /// `f`'s support — the common case under interleaved allocation. An
-    /// order-scrambling map falls back to [`Manager::rename`] followed by
-    /// [`Manager::and_exists`], so the result is identical either way.
-    /// With an empty cube there is nothing to fuse: the call is a plain
-    /// [`Manager::rename`] conjoined with `g`, and skips the map's
-    /// monotonicity check.
+    /// quantified away. With an empty cube there is nothing to fuse: the
+    /// call is a plain [`Manager::rename`] conjoined with `g`. Otherwise it
+    /// fuses exactly when `map` is
+    /// [order-preserving](VarMap::is_order_preserving), a flag the map
+    /// computed when it was built: the three steps then run as one
+    /// traversal that never materializes the renamed intermediate. Any
+    /// other map falls back to [`Manager::rename`] followed by
+    /// [`Manager::and_exists`], so the result is identical either way;
+    /// [`ManagerStats::rename_fallbacks`] counts those calls.
+    ///
+    /// Precondition: `f`'s support lies within the map's sources, identity
+    /// pairs included — the order flag speaks for those variables only.
+    /// Debug builds assert it; release builds never walk `f`'s support.
+    ///
+    /// [`ManagerStats::rename_fallbacks`]: crate::ManagerStats::rename_fallbacks
     pub fn rename_and_exists(&mut self, f: Bdd, map: &VarMap, g: Bdd, cube: Bdd) -> Bdd {
         debug_assert!(self.is_cube(cube), "rename_and_exists: last argument must be a cube");
+        #[cfg(debug_assertions)]
+        for v in self.support(f) {
+            assert!(
+                map.sources.binary_search(&v.0).is_ok(),
+                "rename_and_exists: v{} is in the relation's support but not a map source",
+                v.0
+            );
+        }
         if cube.is_true() {
             let r = self.rename(f, map);
             return self.and(r, g);
@@ -153,26 +221,13 @@ impl Manager {
         if map.is_identity() {
             return self.and_exists(f, g, cube);
         }
-        if !self.map_is_monotone_on(f, map) {
+        if !map.is_order_preserving() {
+            self.stats.rename_fallbacks += 1;
             let r = self.rename(f, map);
             return self.and_exists(r, g, cube);
         }
         let id = self.intern_map(map);
         self.rename_and_exists_rec(f, map, id, g, cube)
-    }
-
-    /// Is `map` strictly order-preserving over the support of `f` (so a
-    /// source-order traversal of `f` visits target levels in order)?
-    fn map_is_monotone_on(&self, f: Bdd, map: &VarMap) -> bool {
-        let mut last: Option<u32> = None;
-        for v in self.support(f) {
-            let t = map.apply(v).0;
-            if last.is_some_and(|p| t <= p) {
-                return false;
-            }
-            last = Some(t);
-        }
-        true
     }
 
     fn rename_and_exists_rec(
@@ -406,6 +461,59 @@ mod tests {
             assert_eq!(m.rename_and_exists(f, &map, g, Bdd::TRUE), want);
             assert_eq!(m.rename_and_exists(f, &map, Bdd::TRUE, Bdd::TRUE), renamed);
         }
+    }
+
+    /// The order flag counts identity pairs: `v0→v3, v1→v1, v2→v5` keeps
+    /// the order of its non-identity pairs, but a source-order walk of `f`
+    /// would meet `v3` before the unmoved `v1`. The call must fall back,
+    /// count it, and still equal `rename` then `and_exists`.
+    #[test]
+    fn an_out_of_order_identity_pair_falls_back() {
+        let mut m = Manager::new();
+        let v = m.new_vars(6);
+        let f = {
+            let (a, b, c) = (m.var(v[0]), m.var(v[1]), m.var(v[2]));
+            let ab = m.xor(a, b);
+            let bc = m.and(b, c);
+            m.or(ab, bc)
+        };
+        let map = VarMap::new([(v[0], v[3]), (v[1], v[1]), (v[2], v[5])]);
+        assert!(!map.is_order_preserving());
+        assert!(!map.inverse().is_order_preserving());
+        let g = {
+            let (d, e) = (m.var(v[3]), m.var(v[4]));
+            m.iff(d, e)
+        };
+        let cube = m.cube(&[v[3]]);
+        let before = m.stats().rename_fallbacks;
+        let fused = m.rename_and_exists(f, &map, g, cube);
+        assert_eq!(m.stats().rename_fallbacks, before + 1);
+        let renamed = m.rename(f, &map);
+        let unfused = m.and_exists(renamed, g, cube);
+        assert_eq!(fused, unfused);
+    }
+
+    /// An order-preserving map with identity pairs fuses, and so does its
+    /// inverse; nothing is counted.
+    #[test]
+    fn an_order_preserving_map_with_identity_pairs_fuses() {
+        let mut m = Manager::new();
+        let v = m.new_vars(6);
+        let f = {
+            let (a, b, c) = (m.var(v[0]), m.var(v[2]), m.var(v[4]));
+            let ab = m.xor(a, b);
+            m.and(ab, c)
+        };
+        let map = VarMap::new([(v[0], v[1]), (v[2], v[2]), (v[4], v[5])]);
+        assert!(map.is_order_preserving());
+        assert!(map.inverse().is_order_preserving());
+        let g = m.nvar(v[3]);
+        let cube = m.cube(&[v[1], v[3]]);
+        let fused = m.rename_and_exists(f, &map, g, cube);
+        assert_eq!(m.stats().rename_fallbacks, 0);
+        let renamed = m.rename(f, &map);
+        let unfused = m.and_exists(renamed, g, cube);
+        assert_eq!(fused, unfused);
     }
 
     #[test]

@@ -384,6 +384,7 @@ fn print_stats(stats: &SolveStats) {
             100.0 * stats.cache_hits as f64 / lookups as f64
         );
     }
+    println!("bdd rename fallbacks: {}", stats.rename_fallbacks);
     println!(
         "bdd arena: {} nodes, {} bytes (peak {} bytes)",
         stats.arena_nodes, stats.arena_bytes, stats.peak_arena_bytes

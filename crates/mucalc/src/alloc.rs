@@ -3,38 +3,83 @@
 //! Every *instance* — a relation formal parameter or a quantifier binder —
 //! gets its own block of BDD variables. The allocator interleaves instances
 //! **per channel** (channel = the named type of a leaf): bit `b` of every
-//! instance of a channel sits next to bit `b` of every other instance. This
-//! keeps the three operations the solver performs constantly *small*:
+//! instance of a channel sits next to bit `b` of every other instance, each
+//! instance leaf owning one *column* of the channel. This keeps the three
+//! operations the solver performs constantly *small*:
 //!
 //! * equality between two values of the same channel (`u = v`, `zpc = z.pc`)
 //!   is a chain of adjacent-iff nodes — linear, never exponential;
 //! * renaming a relation from its formals onto application arguments is a
-//!   monotone map, a single cheap pass;
+//!   monotone map, a single cheap pass (see the constraints below);
 //! * ordered comparisons (`cs' <= cs`) stay linear for the same reason.
 //!
-//! This is the moral equivalent of the "allocation constraints" GETAFIX
-//! computes for MUCKE (§6.1 of the paper): variables that interact are
-//! placed together.
+//! # Allocation constraints
+//!
+//! Interleaving alone does not make a rename monotone: that depends on the
+//! order of the columns within each channel. These are the "allocation
+//! constraints" GETAFIX computes for MUCKE (§6.1 of the paper), recorded
+//! by the same preorder walk that plans the binders:
+//!
+//! 1. at every application `R(ā)` of a *fixpoint* relation, within each
+//!    channel, the columns the arguments name come in the same order as
+//!    the formal columns of `R` they replace — identity columns included,
+//!    such as `gs` in `Reach(x, ecs, cs, gs, ts)` inside `Reach`'s body;
+//! 2. every relation's own formal columns keep their declaration order.
+//!
+//! A stable topological sort then orders each channel: Kahn's algorithm,
+//! taking among the ready columns the one that comes first in declaration
+//! order (every relation's formals, then every body's binders, as numbered
+//! below). On a cycle nothing is ready, and the earliest remaining column
+//! goes next. A system whose applications already preserve order keeps
+//! the declaration order exactly; every other keeps each relation's formal
+//! columns in their relative order (constraint 2), so every relation value
+//! is the same BDD, of the same size, wherever the constraints move it.
+//!
+//! Where the constraints hold, the substitution of an application is
+//! strictly order-preserving across the whole relation: columns of one
+//! channel keep their order bit by bit, and channels stay in separate
+//! blocks. (Scratch columns come last in their channel, so a formal routed
+//! through one keeps the order only if no later formal of its channel is
+//! renamed onto a column.) That is when [`Manager::rename_and_exists`]
+//! renames, conjoins and quantifies in a single traversal. Only fixpoint
+//! applications constrain the order: an input's renamed copy is reused
+//! from the kernel's rename cache across passes, the same reason
+//! `compile.rs` holds a fixpoint application back. A cycle — `R(b, a)` in
+//! `R(a, b)`'s body — admits no order-preserving column order; the kernel
+//! then renames first and quantifies after.
+//!
+//! # Scratch columns
+//!
+//! [`Routing`] is the one rule that decides where an application sends each
+//! argument, and both this plan and the compiler follow it: a constant, or
+//! an argument reusing a column an earlier argument already targets, goes
+//! through scratch columns — one per formal leaf, on that leaf's channel,
+//! which then must equal the argument — and constrains nothing. Each
+//! channel reserves as many scratch columns as the most any one application
+//! uses, and never fewer than [`MIN_SCRATCH_COLUMNS`].
+//!
+//! # Numbering
 //!
 //! Instances are numbered densely: first every relation's formals, in
 //! relation-id order ([`System::relation_id`]), then every body's binders —
 //! relation bodies by id, then query bodies — each body's in the preorder
 //! the compiler replays. So a relation's formals and a body's binders are
 //! consecutive runs of instance ids, and the compiler finds each by
-//! offset, without a name or an owner key. Names are looked up only at
-//! the public edge, [`Allocation::formal`].
+//! offset, without a name or an owner key. Columns are numbered the same
+//! way, instance by instance and leaf by leaf ([`LeafAlloc::column`]).
+//! Names are looked up only at the public edge, [`Allocation::formal`].
 
-use crate::system::{System, SystemError};
+use crate::ast::{Formula, Term};
+use crate::system::{RelationKind, System, SystemError};
 use crate::types::{Leaf, Type};
 use getafix_bdd::{Bdd, Manager, Var};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Range;
 
-use crate::ast::Formula;
-
-/// How many spare columns each channel reserves for duplicate-argument
-/// rewriting (`R(u, u)` routes the second `u` through a scratch column).
-const SCRATCH_COLUMNS: usize = 2;
+/// The fewest scratch columns a channel reserves. Two cover every shipped
+/// system; a channel gets more only when one application needs more.
+const MIN_SCRATCH_COLUMNS: usize = 2;
 
 /// One allocated leaf of an instance: its flattened type leaf plus the BDD
 /// variables (LSB first) that carry it.
@@ -44,6 +89,9 @@ pub struct LeafAlloc {
     pub leaf: Leaf,
     /// The BDD variables carrying this leaf, LSB first.
     pub vars: Vec<Var>,
+    /// The leaf's column: its dense index among every leaf of every
+    /// instance, in instance order and then leaf order.
+    pub(crate) column: usize,
 }
 
 /// An allocated variable instance (relation formal or quantifier binder).
@@ -67,16 +115,18 @@ impl Instance {
     /// The leaves whose path starts with `prefix` (the whole instance for an
     /// empty prefix), in flattening order.
     pub fn leaves_under<'a>(&'a self, prefix: &[String]) -> Vec<&'a LeafAlloc> {
-        self.leaves
-            .iter()
-            .filter(|l| l.leaf.path.len() >= prefix.len() && l.leaf.path[..prefix.len()] == *prefix)
-            .collect()
+        self.leaves.iter().filter(|l| has_prefix(&l.leaf, prefix)).collect()
     }
 
     /// Total bit width.
     pub fn width(&self) -> u32 {
         self.leaves.iter().map(|l| l.leaf.width).sum()
     }
+}
+
+/// Does `leaf`'s path start with `prefix`?
+fn has_prefix(leaf: &Leaf, prefix: &[String]) -> bool {
+    leaf.path.len() >= prefix.len() && leaf.path[..prefix.len()] == *prefix
 }
 
 /// The body a compilation takes its quantifier binders from.
@@ -86,6 +136,44 @@ pub(crate) enum Body {
     Relation(usize),
     /// The body of the query at this position in [`System::queries`].
     Query(usize),
+}
+
+/// Where an application sends one argument (see [`Routing`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Route {
+    /// Renamed straight onto the columns the argument names.
+    Direct,
+    /// Through one scratch column per formal leaf, each then equated with
+    /// the argument.
+    Scratch,
+}
+
+/// The routing rule of one application's arguments, taken in order. The
+/// allocation plan sizes scratch columns and records its constraints by
+/// it, and the compiler renames by it, so the two cannot drift apart.
+#[derive(Debug, Default)]
+pub(crate) struct Routing {
+    /// The columns earlier arguments are renamed straight onto.
+    targets: Vec<usize>,
+}
+
+impl Routing {
+    /// Routes the next argument, given the columns it names (`None` for a
+    /// constant). A constant, or an argument that reuses a column an
+    /// earlier argument already targets, goes through scratch.
+    pub(crate) fn route<I: IntoIterator<Item = usize>>(&mut self, columns: Option<I>) -> Route {
+        let Some(columns) = columns else {
+            return Route::Scratch;
+        };
+        let earlier = self.targets.len();
+        self.targets.extend(columns);
+        let (before, new) = self.targets.split_at(earlier);
+        if new.iter().any(|c| before.contains(c)) {
+            self.targets.truncate(earlier);
+            return Route::Scratch;
+        }
+        Route::Direct
+    }
 }
 
 /// The complete variable allocation for a system.
@@ -114,75 +202,72 @@ impl Allocation {
     /// Propagates type-flattening errors (which `System::build` should have
     /// already ruled out).
     pub fn build(manager: &mut Manager, system: &System) -> Result<Allocation, SystemError> {
-        let mut planner = Planner { system, instances: Vec::new() };
+        let mut planner = Planner {
+            system,
+            instances: Vec::new(),
+            place: Vec::new(),
+            channels: Vec::new(),
+            formals: Vec::with_capacity(system.relations().len()),
+            scope: Vec::new(),
+        };
 
-        // 1. Relation formals.
-        let mut formals = Vec::with_capacity(system.relations().len());
+        // 1. Relation formals, each relation's columns in declaration
+        //    order (constraint 2).
         for rel in system.relations() {
-            let start = planner.instances.len();
+            let (start, first_column) = (planner.instances.len(), planner.place.len());
             for (_, ty) in &rel.params {
                 planner.add_instance(ty)?;
             }
-            formals.push(start..planner.instances.len());
+            planner.formals.push(start..planner.instances.len());
+            planner.keep_order((first_column..planner.place.len()).collect());
         }
-        // 2. Quantifier binders, in the same preorder the compiler uses.
-        let bodies = system.relations().iter().map(|r| r.body.as_ref());
+        // 2. Quantifier binders, in the same preorder the compiler uses,
+        //    with every application's scratch columns and every fixpoint
+        //    application's constraints (constraint 1).
         let mut binders = Vec::new();
-        for body in bodies.chain(system.queries().iter().map(|q| Some(&q.body))) {
+        for (rel, def) in system.relations().iter().enumerate() {
             binders.push(planner.instances.len());
-            if let Some(body) = body {
-                planner.scan_binders(body)?;
+            if let Some(body) = &def.body {
+                let formals = planner.formals[rel].clone();
+                planner.scope = def.params.iter().map(|(n, _)| n.as_str()).zip(formals).collect();
+                planner.scan(body)?;
             }
         }
-
-        // 3. Group leaves by channel and hand out interleaved levels.
-        let planned = planner.instances;
-        // channel -> list of (instance id, leaf index)
-        let mut channels: BTreeMap<String, Vec<(usize, usize)>> = BTreeMap::new();
-        let mut channel_order: Vec<String> = Vec::new();
-        for (iid, leaves) in planned.iter().enumerate() {
-            for (lidx, leaf) in leaves.1.iter().enumerate() {
-                let entry = channels.entry(leaf.channel.clone()).or_insert_with(|| {
-                    channel_order.push(leaf.channel.clone());
-                    Vec::new()
-                });
-                entry.push((iid, lidx));
-            }
+        for q in system.queries() {
+            binders.push(planner.instances.len());
+            planner.scope.clear();
+            planner.scan(&q.body)?;
         }
 
-        let mut assigned: BTreeMap<(usize, usize), Vec<Var>> = BTreeMap::new();
+        // 3. Order each channel and hand out interleaved levels.
+        let Planner { instances, place, channels, formals, .. } = planner;
+        let mut assigned: Vec<Vec<Var>> = vec![Vec::new(); place.len()];
         let mut scratch: BTreeMap<String, Vec<Vec<Var>>> = BTreeMap::new();
-        for chan in &channel_order {
-            let members = &channels[chan];
-            let width = planned[members[0].0].1[members[0].1].width as usize;
-            let ncols = members.len() + SCRATCH_COLUMNS;
+        for chan in channels {
+            let width = chan.width;
+            let ncols = chan.members.len() + chan.scratch;
             // Interleave: for each bit, one var per column.
             let block = manager.new_vars(width * ncols);
-            for (col, &(iid, lidx)) in members.iter().enumerate() {
-                let vars: Vec<Var> = (0..width).map(|b| block[b * ncols + col]).collect();
-                assigned.insert((iid, lidx), vars);
+            let column = |col: usize| (0..width).map(|b| block[b * ncols + col]).collect();
+            let order = stable_topological_order(chan.members.len(), &chan.before);
+            for (col, position) in order.into_iter().enumerate() {
+                assigned[chan.members[position]] = column(col);
             }
-            let cols = (0..SCRATCH_COLUMNS)
-                .map(|s| {
-                    (0..width).map(|b| block[b * ncols + members.len() + s]).collect::<Vec<Var>>()
-                })
-                .collect();
-            scratch.insert(chan.clone(), cols);
+            scratch.insert(chan.name, (chan.members.len()..ncols).map(column).collect());
         }
 
         // 4. Materialize instances.
-        let instances: Vec<Instance> = planned
+        let instances: Vec<Instance> = instances
             .into_iter()
             .enumerate()
-            .map(|(iid, (ty, leaves))| Instance {
+            .map(|(iid, (ty, leaves, first))| Instance {
                 id: iid,
                 ty,
-                leaves: leaves
-                    .into_iter()
-                    .enumerate()
-                    .map(|(lidx, leaf)| LeafAlloc {
-                        vars: assigned.remove(&(iid, lidx)).expect("planned leaf"),
+                leaves: (leaves.into_iter().zip(first..))
+                    .map(|(leaf, column)| LeafAlloc {
                         leaf,
+                        vars: std::mem::take(&mut assigned[column]),
+                        column,
                     })
                     .collect(),
             })
@@ -360,50 +445,211 @@ pub fn lt_vars(manager: &mut Manager, a: &[Var], b: &[Var]) -> Bdd {
     acc
 }
 
-struct Planner<'a> {
-    system: &'a System,
-    /// Planned instances: (type, flattened leaves).
-    instances: Vec<(Type, Vec<Leaf>)>,
+/// `n` columns, by position, reordered by the precedence constraints
+/// `before` (pairs of positions, the first to come before the second):
+/// Kahn's algorithm, taking among the ready columns the earliest position,
+/// and on a cycle, where none is ready, the earliest remaining one. When
+/// every constraint already points forward the order is `0..n`.
+fn stable_topological_order(n: usize, before: &[(usize, usize)]) -> Vec<usize> {
+    let mut successors: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut blockers = vec![0usize; n];
+    for &(a, b) in before {
+        successors[a].push(b);
+        blockers[b] += 1;
+    }
+    let mut ready: BinaryHeap<Reverse<usize>> =
+        (0..n).filter(|&p| blockers[p] == 0).map(Reverse).collect();
+    let mut placed = vec![false; n];
+    let mut earliest = 0;
+    let mut order = Vec::with_capacity(n);
+    while order.len() < n {
+        let p = match ready.pop() {
+            Some(Reverse(p)) => p,
+            None => {
+                while placed[earliest] {
+                    earliest += 1;
+                }
+                earliest
+            }
+        };
+        placed[p] = true;
+        order.push(p);
+        for &q in &successors[p] {
+            blockers[q] -= 1;
+            if blockers[q] == 0 && !placed[q] {
+                ready.push(Reverse(q));
+            }
+        }
+    }
+    order
 }
 
-impl Planner<'_> {
-    fn add_instance(&mut self, ty: &Type) -> Result<(), SystemError> {
+/// One channel of the plan.
+struct Channel {
+    /// The channel's name, [`Leaf::channel`].
+    name: String,
+    /// Bits per column: every leaf of a channel has the same width.
+    width: usize,
+    /// The channel's columns, in declaration order.
+    members: Vec<usize>,
+    /// Precedence constraints between positions in `members`: the first
+    /// of each pair must come before the second.
+    before: Vec<(usize, usize)>,
+    /// How many scratch columns to reserve.
+    scratch: usize,
+}
+
+struct Planner<'a> {
+    system: &'a System,
+    /// Planned instances: (type, flattened leaves, first column).
+    instances: Vec<(Type, Vec<Leaf>, usize)>,
+    /// Column -> (its channel, its position among the channel's members).
+    place: Vec<(usize, usize)>,
+    /// The channels, in order of first appearance.
+    channels: Vec<Channel>,
+    /// Relation id -> the instance ids of its formals.
+    formals: Vec<Range<usize>>,
+    /// The variables in scope where the walk is, innermost last.
+    scope: Vec<(&'a str, usize)>,
+}
+
+impl<'a> Planner<'a> {
+    /// Plans an instance of type `ty`, one column per leaf, and returns
+    /// its id.
+    fn add_instance(&mut self, ty: &Type) -> Result<usize, SystemError> {
         let leaves = self.system.types().flatten(ty)?;
-        self.instances.push((ty.clone(), leaves));
-        Ok(())
+        let first_column = self.place.len();
+        for leaf in &leaves {
+            let chan = match self.channels.iter().position(|c| c.name == leaf.channel) {
+                Some(chan) => chan,
+                None => {
+                    self.channels.push(Channel {
+                        name: leaf.channel.clone(),
+                        width: leaf.width as usize,
+                        members: Vec::new(),
+                        before: Vec::new(),
+                        scratch: MIN_SCRATCH_COLUMNS,
+                    });
+                    self.channels.len() - 1
+                }
+            };
+            let members = &mut self.channels[chan].members;
+            self.place.push((chan, members.len()));
+            members.push(self.place.len() - 1);
+        }
+        self.instances.push((ty.clone(), leaves, first_column));
+        Ok(self.instances.len() - 1)
+    }
+
+    /// Within each channel, `columns` keep the order they are given in.
+    fn keep_order(&mut self, mut columns: Vec<usize>) {
+        columns.sort_by_key(|&c| self.place[c].0);
+        for w in columns.windows(2) {
+            let ((chan, a), (next_chan, b)) = (self.place[w[0]], self.place[w[1]]);
+            if chan == next_chan {
+                self.channels[chan].before.push((a, b));
+            }
+        }
     }
 
     /// Plans one instance per binder of `f`, in the exact preorder the
-    /// compiler will replay.
-    fn scan_binders(&mut self, f: &Formula) -> Result<(), SystemError> {
+    /// compiler will replay, and every application in `f` with the scope
+    /// the compiler will see there.
+    fn scan(&mut self, f: &'a Formula) -> Result<(), SystemError> {
         match f {
-            Formula::Const(_) | Formula::Atom(_) | Formula::Cmp(..) | Formula::App(..) => Ok(()),
-            Formula::Not(g) => self.scan_binders(g),
+            Formula::Const(_) | Formula::Atom(_) | Formula::Cmp(..) => Ok(()),
+            Formula::App(name, args) => {
+                self.plan_app(name, args);
+                Ok(())
+            }
+            Formula::Not(g) => self.scan(g),
             Formula::And(gs) | Formula::Or(gs) => {
                 for g in gs {
-                    self.scan_binders(g)?;
+                    self.scan(g)?;
                 }
                 Ok(())
             }
             Formula::Implies(a, b) | Formula::Iff(a, b) => {
-                self.scan_binders(a)?;
-                self.scan_binders(b)
+                self.scan(a)?;
+                self.scan(b)
             }
             Formula::Exists(binders, g) | Formula::Forall(binders, g) => {
-                for (_, ty) in binders {
-                    self.add_instance(ty)?;
+                for (name, ty) in binders {
+                    let id = self.add_instance(ty)?;
+                    self.scope.push((name.as_str(), id));
                 }
-                self.scan_binders(g)
+                self.scan(g)?;
+                self.scope.truncate(self.scope.len() - binders.len());
+                Ok(())
             }
         }
+    }
+
+    /// Routes the arguments of `name(args)` as the compiler will. Every
+    /// application sizes the scratch columns; a fixpoint application also
+    /// keeps the columns its arguments are renamed onto in the order of
+    /// the formal columns they replace (constraint 1).
+    fn plan_app(&mut self, name: &str, args: &[Term]) {
+        let Some(rel) = self.system.relation_id(name) else {
+            return;
+        };
+        let fixpoint = self.system.relations()[rel].kind == RelationKind::Fixpoint;
+        let mut routing = Routing::default();
+        let mut targets_in_formal_order = Vec::new();
+        let mut scratch_channels = Vec::new();
+        for (arg, formal) in args.iter().zip(self.formals[rel].clone()) {
+            let formal_columns = self.columns(formal);
+            let targets = match arg {
+                Term::Int(_) => None,
+                Term::Var { name, path } => Some(self.resolve(name, path)),
+            };
+            match routing.route(targets.as_deref().map(|t| t.iter().copied())) {
+                Route::Scratch => {
+                    scratch_channels.extend(formal_columns.map(|c| self.place[c].0));
+                }
+                Route::Direct if fixpoint => targets_in_formal_order.extend(
+                    formal_columns
+                        .zip(targets.unwrap_or_default())
+                        .filter(|&(f, t)| self.place[f].0 == self.place[t].0)
+                        .map(|(_, t)| t),
+                ),
+                Route::Direct => {}
+            }
+        }
+        scratch_channels.sort_unstable();
+        for run in scratch_channels.chunk_by(|a, b| a == b) {
+            let chan = &mut self.channels[run[0]];
+            chan.scratch = chan.scratch.max(run.len());
+        }
+        self.keep_order(targets_in_formal_order);
+    }
+
+    /// The columns of instance `id`.
+    fn columns(&self, id: usize) -> Range<usize> {
+        let (_, leaves, first) = &self.instances[id];
+        *first..first + leaves.len()
+    }
+
+    /// The columns the variable term `name.path` names in the current
+    /// scope: those of the innermost `name`'s leaves under `path`.
+    fn resolve(&self, name: &str, path: &[String]) -> Vec<usize> {
+        let Some(&(_, id)) = self.scope.iter().rev().find(|(n, _)| *n == name) else {
+            return Vec::new();
+        };
+        let (_, leaves, first) = &self.instances[id];
+        (leaves.iter().enumerate())
+            .filter(|(_, leaf)| has_prefix(leaf, path))
+            .map(|(i, _)| first + i)
+            .collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::Term;
+    use crate::solve::Solver;
     use crate::system::System;
+    use getafix_bdd::VarMap;
 
     fn small_system() -> System {
         let mut b = System::builder();
@@ -455,7 +701,7 @@ mod tests {
         let mut m = Manager::new();
         let alloc = Allocation::build(&mut m, &sys).unwrap();
         let cols = alloc.scratch_columns("S");
-        assert_eq!(cols.len(), SCRATCH_COLUMNS);
+        assert_eq!(cols.len(), MIN_SCRATCH_COLUMNS);
         assert_eq!(cols[0].len(), 3);
     }
 
@@ -558,6 +804,151 @@ mod tests {
                 }
                 assert_eq!(m.eval(f, &env), x == y, "{x} = {y}");
             }
+        }
+    }
+
+    fn state() -> Type {
+        Type::named("S")
+    }
+
+    fn params(names: &[&str]) -> Vec<(String, Type)> {
+        names.iter().map(|n| (n.to_string(), state())).collect()
+    }
+
+    fn app(name: &str, args: &[&str]) -> Formula {
+        Formula::app(name, args.iter().map(|a| Term::var(*a)).collect())
+    }
+
+    /// The level of bit 0 of an instance's first leaf.
+    fn level(inst: &Instance) -> u32 {
+        inst.leaves[0].vars[0].level()
+    }
+
+    /// Installs the input `name` as the set of `tuples` over its formals.
+    fn set_tuples(solver: &mut Solver, name: &str, tuples: &[&[u64]]) {
+        let arity = solver.system().relation(name).unwrap().params.len();
+        let formals: Vec<Vec<Var>> =
+            (0..arity).map(|i| solver.alloc().formal(name, i).all_vars()).collect();
+        let m = solver.manager();
+        let mut set = Bdd::FALSE;
+        for tuple in tuples {
+            let blocks: Vec<(&[Var], u64)> =
+                formals.iter().map(Vec::as_slice).zip(tuple.iter().copied()).collect();
+            let t = eq_consts(m, &blocks);
+            set = m.or(set, t);
+        }
+        solver.set_input(name, set).unwrap();
+    }
+
+    /// `∃ y, x. R(x, y) ∧ …` declares its binders against the order of
+    /// `R(a, b)`'s formals. The plan moves `x` before `y`, so renaming `R`
+    /// onto them preserves the variable order and every image step fuses.
+    #[test]
+    fn crossing_binders_are_ordered_so_the_map_preserves_order() {
+        let mut b = System::builder();
+        b.declare_type("S", Type::Range(4)).unwrap();
+        b.input("E", params(&["a", "b"]));
+        b.define(
+            "R",
+            params(&["a", "b"]),
+            Formula::or(vec![
+                app("E", &["a", "b"]),
+                Formula::exists(
+                    params(&["y", "x"]),
+                    Formula::and(vec![
+                        app("R", &["x", "y"]),
+                        Formula::eq(Term::var("x"), Term::var("a")),
+                        app("E", &["y", "b"]),
+                    ]),
+                ),
+            ]),
+        );
+        let mut solver = Solver::new(b.build().unwrap()).unwrap();
+        let alloc = solver.alloc();
+        let first = alloc.first_binder(Body::Relation(solver.system().relation_id("R").unwrap()));
+        let (y, x) = (alloc.instance(first), alloc.instance(first + 1));
+        let (ra, rb) = (alloc.formal("R", 0), alloc.formal("R", 1));
+        assert!(level(ra) < level(rb), "R's formals keep their order");
+        assert!(level(x) < level(y), "x moves before y");
+        let map = VarMap::new(
+            (ra.all_vars().into_iter().zip(x.all_vars()))
+                .chain(rb.all_vars().into_iter().zip(y.all_vars())),
+        );
+        assert!(map.is_order_preserving());
+
+        // E is the path 0 → 1 → 2 → 3; R is its transitive closure.
+        set_tuples(&mut solver, "E", &[&[0, 1], &[1, 2], &[2, 3]]);
+        assert_eq!(solver.tuple_count("R").unwrap(), 6.0);
+        assert_eq!(solver.stats().rename_fallbacks, 0);
+    }
+
+    /// `R(b, a)` inside `R(a, b)`'s body is a real cycle: no column order
+    /// preserves its map. The plan keeps the declaration order, the solve
+    /// still yields the symmetric closure, and the kernel counts the
+    /// fallback. (The binder `c`, of another channel, makes the swapped
+    /// application an image step with something to quantify.)
+    #[test]
+    fn a_swapped_self_application_keeps_the_order_and_falls_back() {
+        let mut b = System::builder();
+        b.declare_type("S", Type::Range(4)).unwrap();
+        b.declare_type("B", Type::Range(2)).unwrap();
+        b.input("E", params(&["a", "b"]));
+        b.define(
+            "R",
+            params(&["a", "b"]),
+            Formula::or(vec![
+                app("E", &["a", "b"]),
+                Formula::exists(
+                    vec![("c".into(), Type::named("B"))],
+                    Formula::and(vec![
+                        Formula::eq(Term::var("c"), Term::int(1)),
+                        app("R", &["b", "a"]),
+                    ]),
+                ),
+            ]),
+        );
+        let mut solver = Solver::new(b.build().unwrap()).unwrap();
+        let alloc = solver.alloc();
+        let columns = [alloc.formal("E", 0), alloc.formal("E", 1)]
+            .into_iter()
+            .chain([alloc.formal("R", 0), alloc.formal("R", 1)])
+            .map(level)
+            .collect::<Vec<_>>();
+        assert!(columns.windows(2).all(|w| w[0] < w[1]), "declaration order: {columns:?}");
+
+        set_tuples(&mut solver, "E", &[&[0, 1], &[2, 3]]);
+        assert_eq!(solver.tuple_count("R").unwrap(), 4.0);
+        assert!(solver.stats().rename_fallbacks >= 1);
+    }
+
+    /// Three constants of one channel in one application take three
+    /// scratch columns, one more than the floor: the plan reserves them.
+    #[test]
+    fn three_constants_of_one_channel_get_three_scratch_columns() {
+        let mut b = System::builder();
+        b.declare_type("S", Type::Range(4)).unwrap();
+        b.input("E", params(&["a", "b", "c"]));
+        let constants = [0, 1, 2].map(Term::int).to_vec();
+        b.query("q", Formula::app("E", constants));
+        let mut solver = Solver::new(b.build().unwrap()).unwrap();
+        assert_eq!(solver.alloc().scratch_columns("S").len(), 3);
+        set_tuples(&mut solver, "E", &[&[0, 1, 2]]);
+        assert_eq!(solver.eval_query("q"), Ok(true));
+    }
+
+    /// A variable repeated four times routes the last three through
+    /// scratch columns of its channel.
+    #[test]
+    fn a_variable_repeated_four_times_gets_three_scratch_columns() {
+        for (tuple, holds) in [([1, 1, 1, 1], true), ([1, 1, 1, 2], false)] {
+            let mut b = System::builder();
+            b.declare_type("S", Type::Range(4)).unwrap();
+            b.input("E", params(&["a", "b", "c", "d"]));
+            b.query("q", Formula::exists(params(&["x"]), app("E", &["x", "x", "x", "x"])));
+            let mut solver = Solver::new(b.build().unwrap()).unwrap();
+            assert_eq!(solver.alloc().scratch_columns("S").len(), 3);
+            set_tuples(&mut solver, "E", &[&tuple]);
+            assert_eq!(solver.eval_query("q"), Ok(holds), "E = {tuple:?}");
         }
     }
 }

@@ -23,11 +23,16 @@
 //!   relation compiles its body and quantifies it with
 //!   [`Manager::and_exists`]. Every application, fused or plain, ends in
 //!   the same kernel call; a plain one passes `g = ⊤` and an empty cube.
-//!   Where the substitution does not preserve the variable order on the
-//!   relation's support — most Bluetooth image steps, whose binder
-//!   columns sit past other formals of the same channel — the kernel
-//!   renames first and then runs one `and_exists`, so the conjunction
-//!   with the renamed copy is still never built.
+//!   The allocation plan orders every channel so that each fixpoint
+//!   application's substitution preserves the variable order (`alloc.rs`),
+//!   which is what lets the kernel fuse; every shipped system's image
+//!   steps do. Where no order can — a cycle such as `R(b, a)` in
+//!   `R(a, b)`'s body — the kernel renames first and then runs one
+//!   `and_exists`, so the conjunction with the renamed copy is still never
+//!   built, and counts the call in
+//!   [`ManagerStats::rename_fallbacks`](getafix_bdd::ManagerStats::rename_fallbacks).
+//!   The plan and [`CompileCtx::compile_app`] route arguments by the same
+//!   rule, [`Routing`].
 //! * **Stop at ⊥.** Once a conjunction's accumulator is ⊥, the remaining
 //!   conjuncts are not compiled, and an `∃` whose `rest` is ⊥ returns ⊥
 //!   without touching the held-back relation. Skipping never hides an
@@ -52,7 +57,9 @@
 //! Compiling a formula clones no instance and formats no name; only an
 //! error builds a string.
 
-use crate::alloc::{eq_const, eq_vars, lt_const, lt_vars, Allocation, Body, Instance, LeafAlloc};
+use crate::alloc::{
+    eq_const, eq_vars, lt_const, lt_vars, Allocation, Body, Instance, LeafAlloc, Route, Routing,
+};
 use crate::ast::{CmpOp, Formula, Term};
 use crate::solve::SolveError;
 use crate::system::{RelationKind, System};
@@ -337,49 +344,50 @@ impl<'a> CompileCtx<'a> {
         // then quantified away with `cube`.
         let mut scratch_eqs: Vec<(&'a [Var], ScratchTarget<'a>)> = Vec::new();
         let mut scratch_used: Vec<&'a str> = Vec::new();
+        let mut routing = Routing::default();
 
         for (i, arg) in args.iter().enumerate() {
             let formal = self.alloc.formal_of(rel, i);
-            match arg {
-                Term::Int(v) => {
-                    // Constant argument: constrain the formal's (single)
-                    // leaf to the constant, via scratch so the stored
-                    // relation is restricted, then quantified.
-                    let leaf = &formal.leaves[0];
-                    let col = self.take_scratch(&leaf.leaf.channel, &mut scratch_used)?;
-                    pairs.extend(leaf.vars.iter().copied().zip(col.iter().copied()));
-                    scratch_eqs.push((col, ScratchTarget::Const(*v)));
-                }
+            let operand = match arg {
+                Term::Int(v) => Operand::Const(*v),
                 Term::Var { .. } => {
-                    let arg_leaves = self.term_leaves(arg)?;
-                    if arg_leaves.len() != formal.leaves.len() {
+                    let leaves = self.term_leaves(arg)?;
+                    if leaves.len() != formal.leaves.len() {
                         return Err(SolveError::Internal(format!(
                             "arity shape mismatch applying `{name}`"
                         )));
                     }
-                    // Collision check across the whole argument: does it
-                    // reuse a variable an earlier argument is renamed onto?
-                    // (Scratch columns are never argument variables.)
-                    let collides = arg_leaves
-                        .iter()
-                        .flat_map(|l| l.vars.iter())
-                        .any(|v| pairs.iter().any(|(_, to)| to == v));
-                    if collides {
-                        for (leaf, target) in formal.leaves.iter().zip(&arg_leaves) {
-                            let col = self.take_scratch(&leaf.leaf.channel, &mut scratch_used)?;
-                            pairs.extend(leaf.vars.iter().copied().zip(col.iter().copied()));
-                            scratch_eqs.push((col, ScratchTarget::Vars(&target.vars)));
+                    Operand::Leaves(leaves)
+                }
+            };
+            let columns = match &operand {
+                Operand::Const(_) => None,
+                Operand::Leaves(leaves) => Some(leaves.iter().map(|l| l.column)),
+            };
+            match (routing.route(columns), &operand) {
+                (Route::Direct, Operand::Leaves(arg_leaves)) => {
+                    for (leaf, target) in formal.leaves.iter().zip(arg_leaves) {
+                        if leaf.vars.len() != target.vars.len() {
+                            return Err(SolveError::Internal(format!(
+                                "width mismatch applying `{name}`"
+                            )));
                         }
-                    } else {
-                        for (leaf, target) in formal.leaves.iter().zip(&arg_leaves) {
-                            if leaf.vars.len() != target.vars.len() {
-                                return Err(SolveError::Internal(format!(
-                                    "width mismatch applying `{name}`"
-                                )));
-                            }
-                            pairs
-                                .extend(leaf.vars.iter().copied().zip(target.vars.iter().copied()));
-                        }
+                        pairs.extend(leaf.vars.iter().copied().zip(target.vars.iter().copied()));
+                    }
+                }
+                // Through scratch: each formal leaf is renamed onto a
+                // scratch column of its channel, which must equal the
+                // constant (whose formal has one leaf) or the argument's
+                // matching leaf.
+                (_, operand) => {
+                    for (k, leaf) in formal.leaves.iter().enumerate() {
+                        let col = self.take_scratch(&leaf.leaf.channel, &mut scratch_used)?;
+                        pairs.extend(leaf.vars.iter().copied().zip(col.iter().copied()));
+                        let target = match operand {
+                            Operand::Const(v) => ScratchTarget::Const(*v),
+                            Operand::Leaves(arg_leaves) => ScratchTarget::Vars(&arg_leaves[k].vars),
+                        };
+                        scratch_eqs.push((col, target));
                     }
                 }
             }
@@ -422,6 +430,15 @@ impl<'a> CompileCtx<'a> {
     }
 }
 
+/// One argument of an application, resolved.
+enum Operand<'a> {
+    /// An integer constant; its formal is a scalar, one leaf.
+    Const(u64),
+    /// The argument's leaves, one per formal leaf.
+    Leaves(Vec<&'a LeafAlloc>),
+}
+
+/// What a scratch column must equal.
 enum ScratchTarget<'a> {
     Vars(&'a [Var]),
     Const(u64),

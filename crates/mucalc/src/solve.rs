@@ -365,6 +365,11 @@ pub struct SolveStats {
     pub cache_hits: u64,
     /// BDD operation-cache misses, from [`getafix_bdd::ManagerStats`].
     pub cache_misses: u64,
+    /// Image steps whose rename map did not keep the variable order, so
+    /// the relation was renamed before it was conjoined and quantified,
+    /// from [`getafix_bdd::ManagerStats::rename_fallbacks`]. The
+    /// allocation plan's constraints keep it at 0 on every shipped system.
+    pub rename_fallbacks: u64,
     /// Current BDD arena size in nodes at the end of the last evaluation.
     pub arena_nodes: usize,
     /// Current bytes held by the BDD arena, unique table and computed
@@ -399,6 +404,7 @@ impl SolveStats {
         w.field_f64("gc_pause_ms", self.gc_pause_ms);
         w.field_u64("cache_hits", self.cache_hits);
         w.field_u64("cache_misses", self.cache_misses);
+        w.field_u64("rename_fallbacks", self.rename_fallbacks);
         w.field_u64("arena_nodes", self.arena_nodes as u64);
         w.field_u64("arena_bytes", self.arena_bytes as u64);
         w.field_u64("peak_arena_bytes", self.peak_arena_bytes as u64);
@@ -545,6 +551,7 @@ impl SolveStats {
         self.gc_pause_ms += other.gc_pause_ms;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        self.rename_fallbacks += other.rename_fallbacks;
         self.arena_nodes = self.arena_nodes.max(other.arena_nodes);
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
         self.peak_arena_bytes = self.peak_arena_bytes.max(other.peak_arena_bytes);
@@ -785,14 +792,16 @@ impl Solver {
         Ok(b)
     }
 
-    /// Copies the manager's kernel counters (cache hit rates, collections,
-    /// arena size and bytes) into [`SolveStats`], so `--stats`/`--stats-json`
-    /// and the bench reporter surface them without reaching into the
-    /// manager. The kernel counts them; the solver only copies.
+    /// Copies the manager's kernel counters (cache hit rates, rename
+    /// fallbacks, collections, arena size and bytes) into [`SolveStats`],
+    /// so `--stats`/`--stats-json` and the bench reporter surface them
+    /// without reaching into the manager. The kernel counts them; the
+    /// solver only copies.
     pub(crate) fn sync_manager_stats(&mut self) {
         let ms = self.manager.stats();
         self.stats.cache_hits = ms.cache_hits;
         self.stats.cache_misses = ms.cache_misses;
+        self.stats.rename_fallbacks = ms.rename_fallbacks;
         self.stats.gcs = ms.gcs as usize;
         self.stats.gc_reclaimed_nodes = ms.gc_reclaimed_nodes as usize;
         self.stats.gc_pause_ms = ms.gc_pause_ms;

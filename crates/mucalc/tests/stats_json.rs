@@ -75,7 +75,7 @@ fn disjunct_strategy() -> impl Strategy<Value = (String, DisjunctStats)> {
 fn stats_strategy() -> impl Strategy<Value = SolveStats> {
     let counters =
         (0usize..5000, 0usize..5000, 0usize..5000, 0usize..5000, 0u64..1 << 40, 0u64..1 << 40);
-    let sizes = (0usize..1 << 30, 0usize..1 << 30, 0usize..1 << 30, 0u64..80_000);
+    let sizes = (0usize..1 << 30, 0usize..1 << 30, 0usize..1 << 30, 0u64..80_000, 0u64..1 << 40);
     (
         prop::collection::vec((0usize..30, rel_strategy()), 0..6),
         prop::collection::vec(scc_strategy(), 0..4),
@@ -92,7 +92,7 @@ fn stats_strategy() -> impl Strategy<Value = SolveStats> {
                 cache_hits,
                 cache_misses,
             ) = counters;
-            let (arena_nodes, arena_bytes, peak_arena_bytes, pause8) = sizes;
+            let (arena_nodes, arena_bytes, peak_arena_bytes, pause8, rename_fallbacks) = sizes;
             let relations: BTreeMap<String, RelationStats> =
                 rels.into_iter().map(|(i, r)| (format!("R{i}"), r)).collect();
             SolveStats {
@@ -105,6 +105,7 @@ fn stats_strategy() -> impl Strategy<Value = SolveStats> {
                 gc_pause_ms: pause8 as f64 / 8.0,
                 cache_hits,
                 cache_misses,
+                rename_fallbacks,
                 arena_nodes,
                 arena_bytes,
                 peak_arena_bytes,
@@ -133,6 +134,7 @@ proptest! {
         prop_assert_eq!(num(&v, "gc_pause_ms"), stats.gc_pause_ms);
         prop_assert_eq!(num(&v, "cache_hits") as u64, stats.cache_hits);
         prop_assert_eq!(num(&v, "cache_misses") as u64, stats.cache_misses);
+        prop_assert_eq!(num(&v, "rename_fallbacks") as u64, stats.rename_fallbacks);
         prop_assert_eq!(num(&v, "arena_nodes") as usize, stats.arena_nodes);
         prop_assert_eq!(num(&v, "arena_bytes") as usize, stats.arena_bytes);
         prop_assert_eq!(num(&v, "peak_arena_bytes") as usize, stats.peak_arena_bytes);
@@ -193,7 +195,8 @@ proptest! {
         let vm = parse(&merged.to_json()).expect("absorbed stats serialize");
 
         for key in ["total_reevaluations", "ordered_reevaluations", "gcs",
-                    "gc_reclaimed_nodes", "gc_pause_ms", "cache_hits", "cache_misses"] {
+                    "gc_reclaimed_nodes", "gc_pause_ms", "cache_hits", "cache_misses",
+                    "rename_fallbacks"] {
             prop_assert_eq!(
                 num(&vm, key), num(&va, key) + num(&vb, key),
                 "additive counter `{}` did not add", key

@@ -4,7 +4,10 @@
 //! fixed point that a Kleene iteration over explicit `Vec<bool>` sets
 //! computes — with no BDD and no formula compiler, so a compiler bug that
 //! both strategies share cannot hide — while the worklist engine never does
-//! more relation re-evaluations.
+//! more relation re-evaluations. The systems include applications the
+//! allocation plan must reorder binders for, and a swapped
+//! self-application no order can serve, which the kernel evaluates by its
+//! rename-first fallback.
 
 use getafix_mucalc::{
     eq_const, Bdd, Formula, SolveError, SolveOptions, Solver, Strategy as SolveStrategy, System,
@@ -33,7 +36,7 @@ struct Spec {
 }
 
 /// The number of disjunct kinds [`disjunct`] knows.
-const KINDS: usize = 9;
+const KINDS: usize = 10;
 
 fn spec_strategy() -> impl Strategy<Value = Spec> {
     (
@@ -108,6 +111,10 @@ fn disjunct(kind: usize, j: &str, c: u64) -> Formula {
             &[("x", "S")],
             vec![app("Gate", &["x"]), app(j, &["x"]), app("Edge", &["x", "s"])],
         ),
+        // A crossing application: `Path`'s first formal is renamed onto
+        // the binder `x` and its second onto `s`, a formal declared before
+        // `x`, so the plan must place `x` first for the map to keep order.
+        9 => exists(&[("x", "S")], vec![app("Path", &["x", "s"]), app(j, &["x"])]),
         // An ∃-conjunct after a conjunct that may be ⊥, then a binder of
         // another type: if the skipped conjunct's binders were not counted,
         // `z` would take the `Bit` instance of `b`.
@@ -139,8 +146,11 @@ fn disjunct(kind: usize, j: &str, c: u64) -> Formula {
 
 /// Builds the system of a spec: inputs `Init(s)`, `Edge(s, t)`,
 /// `Gate(s)`, one positive unary fixpoint relation per body, the binary
-/// `Path(s, t)` — Edge paths starting in `R{path_seed}` — and one point
-/// query per unary relation.
+/// `Path(s, t)` — Edge paths starting in `R{path_seed}` — its partial
+/// symmetric closure `Sym(s, t)`, and one point query per unary relation.
+/// `Sym` applies itself swapped, `Sym(t, s)`, inside an image step: a
+/// cycle in the allocation constraints, so that application's rename
+/// cannot keep the variable order and the kernel falls back.
 fn build_system(spec: &Spec) -> System {
     let nrels = spec.bodies.len();
     let rel = |i: usize| format!("R{}", i % nrels);
@@ -163,6 +173,14 @@ fn build_system(spec: &Spec) -> System {
             exists(&[("x", "S")], vec![app("Path", &["s", "x"]), app("Edge", &["x", "t"])]),
         ]),
     );
+    b.define(
+        "Sym",
+        vec![("s".into(), state()), ("t".into(), state())],
+        Formula::or(vec![
+            app("Path", &["s", "t"]),
+            exists(&[("x", "S")], vec![app("Sym", &["t", "s"]), app("Edge", &["x", "s"])]),
+        ]),
+    );
     for i in 0..nrels {
         b.query(
             format!("q{i}"),
@@ -179,11 +197,12 @@ fn build_system(spec: &Spec) -> System {
 }
 
 /// The least fixed point of a spec's system, by Kleene iteration over
-/// explicit sets: every `R{i}` as a membership vector, and `Path` as an
-/// `n × n` matrix. Shares no code with the solver.
+/// explicit sets: every `R{i}` as a membership vector, and `Path` and
+/// `Sym` as `n × n` matrices. Shares no code with the solver.
 struct Oracle {
     rels: Vec<Vec<bool>>,
     path: Vec<Vec<bool>>,
+    sym: Vec<Vec<bool>>,
 }
 
 fn oracle(spec: &Spec) -> Oracle {
@@ -204,6 +223,7 @@ fn oracle(spec: &Spec) -> Oracle {
     }
     let mut rels = vec![vec![false; n]; nrels];
     let mut path = vec![vec![false; n]; n];
+    let mut sym = vec![vec![false; n]; n];
     let seed = spec.path_seed % nrels;
     loop {
         let mut changed = false;
@@ -212,6 +232,11 @@ fn oracle(spec: &Spec) -> Oracle {
                 let hit = (rels[seed][s] && edge[s][t]) || (0..n).any(|x| path[s][x] && edge[x][t]);
                 if hit && !path[s][t] {
                     path[s][t] = true;
+                    changed = true;
+                }
+                let hit = path[s][t] || (sym[t][s] && (0..n).any(|x| edge[x][s]));
+                if hit && !sym[s][t] {
+                    sym[s][t] = true;
                     changed = true;
                 }
             }
@@ -230,6 +255,7 @@ fn oracle(spec: &Spec) -> Oracle {
                         5 => (0..n).any(|x| path[x][c] && edge[x][s]),
                         6 => (0..n).any(|x| path[x][x] && r[x] && edge[x][s]),
                         7 => (0..n).any(|x| gate[x] && r[x] && edge[x][s]),
+                        9 => (0..n).any(|x| path[x][s] && r[x]),
                         _ => (0..n).any(|y| {
                             edge[y][s] && ((gate[y] && (0..n).any(|x| r[x] && edge[x][y])) || r[y])
                         }),
@@ -242,7 +268,7 @@ fn oracle(spec: &Spec) -> Oracle {
             }
         }
         if !changed {
-            return Oracle { rels, path };
+            return Oracle { rels, path, sym };
         }
     }
 }
@@ -307,10 +333,11 @@ fn membership(solver: &mut Solver, i: usize, n: u64) -> Vec<bool> {
     (0..n).map(|v| holds(solver, &name, interp, &[v])).collect()
 }
 
-/// The interpretation of `Path` as an explicit `n × n` matrix.
-fn path_matrix(solver: &mut Solver, n: u64) -> Vec<Vec<bool>> {
-    let interp = solver.evaluate("Path").unwrap();
-    (0..n).map(|s| (0..n).map(|t| holds(solver, "Path", interp, &[s, t])).collect()).collect()
+/// The interpretation of the binary relation `name` as an explicit
+/// `n × n` matrix.
+fn matrix(solver: &mut Solver, name: &str, n: u64) -> Vec<Vec<bool>> {
+    let interp = solver.evaluate(name).unwrap();
+    (0..n).map(|s| (0..n).map(|t| holds(solver, name, interp, &[s, t])).collect()).collect()
 }
 
 proptest! {
@@ -318,7 +345,9 @@ proptest! {
 
     /// Both strategies compute the oracle's least fixed point and its
     /// query verdicts on random positive systems, and the worklist engine
-    /// never does more body compilations than the reference.
+    /// never does more body compilations than the reference. Every image
+    /// step fuses, crossing applications included, until `Sym`'s swapped
+    /// self-application takes the kernel's fallback.
     #[test]
     fn strategies_agree_on_random_positive_systems(spec in spec_strategy()) {
         let nrels = spec.bodies.len();
@@ -330,8 +359,12 @@ proptest! {
                 let got = membership(solver, i, spec.n);
                 prop_assert_eq!(&got, &want.rels[i], "{}: interpretation of R{}", strategy, i);
             }
-            let got = path_matrix(solver, spec.n);
+            let got = matrix(solver, "Path", spec.n);
             prop_assert_eq!(&got, &want.path, "{}: interpretation of Path", strategy);
+            prop_assert_eq!(solver.stats().rename_fallbacks, 0, "{}: a fallback", strategy);
+            let got = matrix(solver, "Sym", spec.n);
+            prop_assert_eq!(&got, &want.sym, "{}: interpretation of Sym", strategy);
+            prop_assert!(solver.stats().rename_fallbacks > 0, "{}: Sym fused", strategy);
             for i in 0..nrels {
                 let verdict = solver.eval_query(&format!("q{i}")).unwrap();
                 let point = (spec.init[0] % spec.n) as usize;
@@ -355,6 +388,7 @@ proptest! {
             prop_assert!(system.is_positive(&format!("R{i}")));
         }
         prop_assert!(system.is_positive("Path"));
+        prop_assert!(system.is_positive("Sym"));
     }
 }
 
