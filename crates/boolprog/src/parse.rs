@@ -80,6 +80,9 @@ pub fn parse_concurrent(src: &str) -> Result<ConcProgram, ParseError> {
     if !p.at_end() {
         return Err(p.err("expected `thread` or end of input"));
     }
+    if threads.is_empty() {
+        return Err(p.err("a concurrent program needs at least one thread"));
+    }
     Ok(ConcProgram { shared, threads })
 }
 
@@ -282,7 +285,7 @@ impl Parser {
 
     /// Position of the token at `idx` (1-based), for error anchoring.
     fn span_at(&self, idx: usize) -> (usize, usize) {
-        self.tokens.get(idx).map(|s| (s.line, s.col)).unwrap_or((0, 0))
+        self.tokens.get(idx).map(|s| (s.line, s.col)).unwrap_or((1, 1))
     }
 
     fn at_end(&self) -> bool {
@@ -297,12 +300,14 @@ impl Parser {
         self.tokens.get(self.pos + 1).map(|s| &s.tok)
     }
 
+    /// An error at the current token, at the last one past the end of
+    /// input, and at 1:1 in an input without tokens.
     fn err(&self, msg: impl Into<String>) -> ParseError {
         let (line, col) = self
             .tokens
             .get(self.pos.min(self.tokens.len().saturating_sub(1)))
             .map(|s| (s.line, s.col))
-            .unwrap_or((0, 0));
+            .unwrap_or((1, 1));
         ParseError { message: msg.into(), line, col }
     }
 
@@ -767,6 +772,16 @@ mod tests {
         assert_eq!(c.shared, vec!["s1", "s2"]);
         assert_eq!(c.threads.len(), 2);
         assert_eq!(c.threads[1].globals, vec!["l"]);
+    }
+
+    #[test]
+    fn a_program_without_procedures_or_threads_is_rejected_at_a_position() {
+        let at = |r: Result<(), ParseError>| r.map_err(|e| (e.line, e.col));
+        assert_eq!(at(parse_program("").map(drop)), Err((1, 1)));
+        assert_eq!(at(parse_concurrent("").map(drop)), Err((1, 1)));
+        assert_eq!(at(parse_concurrent("  shared s;").map(drop)), Err((1, 11)));
+        let e = parse_concurrent("shared s;").expect_err("no thread");
+        assert_eq!(e.message, "a concurrent program needs at least one thread");
     }
 
     #[test]

@@ -366,6 +366,7 @@ fn print_stats(stats: &SolveStats) {
     println!();
     println!("total re-evaluations: {}", stats.total_reevaluations());
     println!("ordered-schedule re-evaluations: {}", stats.ordered_reevaluations);
+    println!("delta compiles: {}", stats.delta_compiles);
     if stats.provenance_nodes > 0 {
         println!("provenance memory: {} BDD nodes", stats.provenance_nodes);
     }

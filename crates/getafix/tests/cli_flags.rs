@@ -374,6 +374,42 @@ fn a_program_of_the_other_kind_names_the_verb_that_takes_it() {
     }
 }
 
+/// A program with no procedure, or a concurrent one with no thread, is a
+/// parse error at a position for every verb: exit 2 with `<path>: L:C:`
+/// (1:1 in an empty file) and no hint at a program of the other kind,
+/// since the file is a program of neither.
+#[test]
+fn an_empty_program_is_a_positioned_parse_error_for_every_verb() {
+    let dir = empty_dir("empty_programs");
+    let files =
+        [("empty.bp", "", "1:1"), ("empty.cbp", "", "1:1"), ("shared.cbp", "shared s;\n", "")];
+    for (name, src, at) in files {
+        let path = dir.join(name);
+        std::fs::write(&path, src).expect("the program is written");
+        let path = path.to_str().expect("a UTF-8 path");
+        let verbs: [&[&str]; 5] = [
+            &["check", path, "--label", "L"],
+            &["check-conc", path, "--label", "L", "--switches", "1"],
+            &["inspect", path],
+            &["emit-mu", path],
+            &["lint", path],
+        ];
+        for args in verbs {
+            let out = getafix(args);
+            let line = error_line(&out);
+            assert_eq!(out.status.code(), Some(2), "{args:?}: {line}");
+            let rest = line.strip_prefix(&format!("getafix: {path}: ")).unwrap_or_default();
+            let (line_no, col) =
+                rest.split_once(": ").and_then(|(pos, _)| pos.split_once(':')).unwrap_or_default();
+            let positioned =
+                [line_no, col].iter().all(|n| n.parse::<usize>().is_ok_and(|n| n >= 1));
+            assert!(positioned, "{args:?} must print a 1-based position: {line}");
+            assert!(at.is_empty() || rest.starts_with(&format!("{at}: ")), "{args:?}: {line}");
+            assert!(!line.contains("it is a"), "{args:?} hints at another kind: {line}");
+        }
+    }
+}
+
 /// `lint` picks the kind of program by the file's extension, so for a
 /// program of the other kind it names the extension that selects it.
 #[test]

@@ -55,8 +55,8 @@
 //! an argument reusing a column an earlier argument already targets, goes
 //! through scratch columns — one per formal leaf, on that leaf's channel,
 //! which then must equal the argument — and constrains nothing. Each
-//! channel reserves as many scratch columns as the most any one application
-//! uses, and never fewer than [`MIN_SCRATCH_COLUMNS`].
+//! channel reserves exactly as many scratch columns as the most any one
+//! application uses, none where no application routes through scratch.
 //!
 //! # Numbering
 //!
@@ -76,10 +76,6 @@ use getafix_bdd::{Bdd, Manager, Var};
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap};
 use std::ops::Range;
-
-/// The fewest scratch columns a channel reserves. Two cover every shipped
-/// system; a channel gets more only when one application needs more.
-const MIN_SCRATCH_COLUMNS: usize = 2;
 
 /// One allocated leaf of an instance: its flattened type leaf plus the BDD
 /// variables (LSB first) that carry it.
@@ -528,7 +524,7 @@ impl<'a> Planner<'a> {
                         width: leaf.width as usize,
                         members: Vec::new(),
                         before: Vec::new(),
-                        scratch: MIN_SCRATCH_COLUMNS,
+                        scratch: 0,
                     });
                     self.channels.len() - 1
                 }
@@ -645,7 +641,7 @@ impl<'a> Planner<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::solve::Solver;
     use crate::system::System;
@@ -678,11 +674,12 @@ mod tests {
         let sys = small_system();
         let mut m = Manager::new();
         let alloc = Allocation::build(&mut m, &sys).unwrap();
-        // Instances: Init.s, Trans.s, Trans.t, Reach.u, binder x = 5 of
-        // channel S (width 3) + 2 scratch = 7 columns * 3 bits = 21 vars.
+        // Instances: Init.s, Trans.s, Trans.t, Reach.u, binder x = 5
+        // columns of channel S (width 3), and no application routes through
+        // scratch: 5 columns * 3 bits = 15 vars.
         assert_eq!(alloc.instance_count(), 5);
-        assert_eq!(m.var_count(), 21);
-        // Bit b of instance i is at level b*7 + column(i).
+        assert_eq!(m.var_count(), 15);
+        // Bit b of instance i is at level b*5 + column(i).
         let init_s = alloc.formal("Init", 0);
         let trans_t = alloc.formal("Trans", 1);
         let vs = &init_s.leaves[0].vars;
@@ -695,13 +692,23 @@ mod tests {
         assert!(gap_same_bit < gap_next_bit);
     }
 
+    /// A channel reserves exactly the scratch columns its applications
+    /// use: none in the small system, one when an application passes a
+    /// constant.
     #[test]
     fn scratch_columns_exist() {
-        let sys = small_system();
         let mut m = Manager::new();
-        let alloc = Allocation::build(&mut m, &sys).unwrap();
+        let alloc = Allocation::build(&mut m, &small_system()).unwrap();
+        assert!(alloc.scratch_columns("S").is_empty());
+
+        let mut b = System::builder();
+        b.declare_type("S", Type::Range(8)).unwrap();
+        b.input("Init", vec![("s".into(), Type::named("S"))]);
+        b.query("q", Formula::app("Init", vec![Term::int(5)]));
+        let mut m = Manager::new();
+        let alloc = Allocation::build(&mut m, &b.build().unwrap()).unwrap();
         let cols = alloc.scratch_columns("S");
-        assert_eq!(cols.len(), MIN_SCRATCH_COLUMNS);
+        assert_eq!(cols.len(), 1);
         assert_eq!(cols[0].len(), 3);
     }
 
@@ -825,7 +832,7 @@ mod tests {
     }
 
     /// Installs the input `name` as the set of `tuples` over its formals.
-    fn set_tuples(solver: &mut Solver, name: &str, tuples: &[&[u64]]) {
+    pub(crate) fn set_tuples(solver: &mut Solver, name: &str, tuples: &[&[u64]]) {
         let arity = solver.system().relation(name).unwrap().params.len();
         let formals: Vec<Vec<Var>> =
             (0..arity).map(|i| solver.alloc().formal(name, i).all_vars()).collect();
@@ -922,7 +929,7 @@ mod tests {
     }
 
     /// Three constants of one channel in one application take three
-    /// scratch columns, one more than the floor: the plan reserves them.
+    /// scratch columns: the plan reserves them.
     #[test]
     fn three_constants_of_one_channel_get_three_scratch_columns() {
         let mut b = System::builder();

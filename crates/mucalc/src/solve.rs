@@ -30,8 +30,11 @@
 //!
 //! * monotone components run chaotic iteration from a worklist,
 //!   re-evaluating a relation only when something it reads has changed and
-//!   OR-accumulating the recompiled disjuncts; a non-recursive relation
-//!   reads nothing in its component, so it is evaluated **exactly once**;
+//!   OR-accumulating the recompiled disjuncts — each against only the
+//!   tuples added since its last compile, where a syntactic check proves
+//!   that exact (semi-naive evaluation; the Deltas section of
+//!   `worklist.rs`); a non-recursive relation reads nothing in its
+//!   component, so it is evaluated **exactly once**;
 //! * non-monotone components fitting the §4.3 **frontier pattern**
 //!   ([`crate::DepGraph::ordered_plan`]) run an *ordered change-driven
 //!   schedule* that reproduces the nested §3 round sequence exactly,
@@ -328,7 +331,9 @@ pub struct DisjunctStats {
     /// environment.
     pub recompilations: usize,
     /// Total DAG nodes across all compiled results (growth pressure this
-    /// disjunct puts on the arena).
+    /// disjunct puts on the arena): what each recompilation compiled,
+    /// against the tuples added since the last one where the worklist
+    /// engine compiled against them, and factor by factor for a product.
     pub nodes_built: u64,
     /// Largest single compiled result, in DAG nodes.
     pub peak_nodes: usize,
@@ -349,6 +354,12 @@ pub struct SolveStats {
     /// subset of [`SolveStats::total_reevaluations`]); zero when every
     /// non-monotone component ran the nested reference fallback.
     pub ordered_reevaluations: usize,
+    /// Disjunct recompilations that compiled against Δ, the tuples added
+    /// since the disjunct's last compile, instead of the full current
+    /// values (each also counts in [`DisjunctStats::recompilations`]).
+    /// Only the worklist strategy's accumulating steps do; zero under
+    /// round-robin.
+    pub delta_compiles: u64,
     /// Distinct BDD nodes pinned by the recorded provenance snapshots
     /// (0 when recording is off) — the memory price of rank provenance.
     pub provenance_nodes: usize,
@@ -398,6 +409,7 @@ impl SolveStats {
         w.begin_object();
         w.field_u64("total_reevaluations", self.total_reevaluations() as u64);
         w.field_u64("ordered_reevaluations", self.ordered_reevaluations as u64);
+        w.field_u64("delta_compiles", self.delta_compiles);
         w.field_u64("provenance_nodes", self.provenance_nodes as u64);
         w.field_u64("gcs", self.gcs as u64);
         w.field_u64("gc_reclaimed_nodes", self.gc_reclaimed_nodes as u64);
@@ -545,6 +557,7 @@ impl SolveStats {
             e.wall_us += d.wall_us;
         }
         self.ordered_reevaluations += other.ordered_reevaluations;
+        self.delta_compiles += other.delta_compiles;
         self.provenance_nodes = self.provenance_nodes.max(other.provenance_nodes);
         self.gcs += other.gcs;
         self.gc_reclaimed_nodes += other.gc_reclaimed_nodes;

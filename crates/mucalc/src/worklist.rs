@@ -43,6 +43,52 @@
 //!   assumption: a disjunct's value is a pure function of the
 //!   interpretations it reads, so unchanged reads imply an unchanged value.
 //!
+//! # Deltas
+//!
+//! An accumulating step need not recompile a disjunct against the whole
+//! current value X of what it reads: only the tuples added since its last
+//! compile can contribute new ones. Let S be the member values the
+//! disjunct last compiled against and Δ = X ∧ ¬S. Whether a disjunct `f`
+//! may be compiled against Δ is decided syntactically, once per plan
+//! ([`Shape`]), against the relation's component M:
+//!
+//! * A member occurrence is *distributive* when every constructor on its
+//!   path from `f`'s root is ∧, ∨ or ∃; a ¬, →, ↔ or ∀ on the path makes
+//!   it non-distributive. If every member occurrence is distributive, `f`
+//!   has a *degree*: ∨ takes the max of its operands' degrees, ∧ their
+//!   sum, `∃x̄. g` the degree of `g`; a member application has degree 1
+//!   and a member-free formula degree 0.
+//! * **Precondition: degree 1.** Then f(S ∪ Δ) = f(S) ∪ f(Δ), with Δ
+//!   substituted for every member at once — two members read through a
+//!   ∨ included — so the step compiles `f` against Δ ([`Shape::Linear`]).
+//! * **Factored.** A top-level `g₁ ∧ … ∧ gₙ` whose conjuncts each have
+//!   degree ≤ 1 keeps each factor's value; a factor whose reads changed
+//!   becomes gᵢ(S) ∪ gᵢ(Δ), the others are reused, and the step conjoins
+//!   the factors ([`Shape::Product`]). A factor after one that left the
+//!   conjunction ⊥ is not compiled, as in the compiler's ⊥ stop; values
+//!   only grow, so it was never compiled before either, and its first
+//!   compile, once the conjunction before it is not ⊥, is in full.
+//! * Anything else — a monomial with two member occurrences, a member
+//!   under ∀ — and every first compile are compiled against X.
+//!
+//! **Why the accumulation stays exact.** In a monotone component values
+//! only grow. f(S), the contribution of the disjunct's last compile, was
+//! ORed into the member's value then, so it is inside the current value,
+//! and current ∪ f(Δ) = current ∪ f(S) ∪ f(Δ) = current ∪ f(X). Every
+//! pass therefore accumulates exactly the set a full compile would, and
+//! every value, pass and recompilation count is unchanged; only the size
+//! of what is compiled falls. A factor's cached value is gᵢ(S), so
+//! gᵢ(S) ∪ gᵢ(Δ) = gᵢ(X) is exact too.
+//!
+//! **One S per member.** A step recompiles every stale disjunct of the
+//! member, and a fresh one read values that have not changed since, so
+//! after each step every disjunct of the member has compiled against the
+//! current values. S is therefore kept once per member (the values of the
+//! members its Δ-compiled disjuncts read, as of its last step), each Δ is
+//! computed once per step and swapped into the environment in place.
+//! Recombining steps (the ordered schedule) and the nested fallback
+//! always compile against X: their values may shrink.
+//!
 //! # Three drivers
 //!
 //! * **Chaotic** ([`Solver::solve_scc_chaotic`]) runs every monotone
@@ -86,7 +132,7 @@ use crate::compile::CompileCtx;
 use crate::deps::OrderedPlan;
 use crate::solve::{entry_mut, DisjunctStats, SolveError, Solver};
 use crate::system::RelationKind;
-use getafix_bdd::Bdd;
+use getafix_bdd::{Bdd, Manager};
 use getafix_telemetry::{self as telemetry, Phase};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -101,6 +147,9 @@ pub(crate) struct Plan {
     pub(crate) reads: Vec<usize>,
     /// The body's top-level disjuncts.
     parts: Vec<Part>,
+    /// The component members the Δ-compiled disjuncts read, by id: the
+    /// values an accumulating step swaps for their Δ.
+    delta_reads: Vec<usize>,
 }
 
 /// One top-level disjunct of a relation body, with the metadata needed to
@@ -113,10 +162,36 @@ struct Part {
     reads: Vec<usize>,
     /// Binder-numbering offset of the disjunct within the whole body.
     binder_offset: usize,
+    /// How an accumulating step recompiles it.
+    shape: Shape,
     /// Pretty-printed prefix of the formula, for the offenders table.
     label: String,
     /// The [`crate::SolveStats::disjuncts`] key, `"Relation#index"`.
     key: String,
+}
+
+/// How an accumulating step recompiles a disjunct whose reads changed
+/// (see the module docs' Deltas section).
+#[derive(Debug, PartialEq, Eq)]
+enum Shape {
+    /// Against the full current values: the disjunct reads no member, or
+    /// it has no degree, or a degree above 1 and is no product.
+    Full,
+    /// Degree 1 in the component's members: against Δ.
+    Linear,
+    /// A top-level conjunction of factors of degree ≤ 1, two or more
+    /// member occurrences in all: factor by factor.
+    Product(Vec<Factor>),
+}
+
+/// One conjunct of a [`Shape::Product`] disjunct.
+#[derive(Debug, PartialEq, Eq)]
+struct Factor {
+    /// Every relation the factor applies, by id.
+    reads: Vec<usize>,
+    /// Binder-numbering offset of the factor within the whole body: the
+    /// disjunct's offset plus the binders of the conjuncts before it.
+    binder_offset: usize,
 }
 
 /// The top-level disjuncts of a body: the operands of an `Or`, or the
@@ -125,6 +200,54 @@ fn disjuncts(body: &Formula) -> &[Formula] {
     match body {
         Formula::Or(parts) => parts,
         other => std::slice::from_ref(other),
+    }
+}
+
+/// The top-level conjuncts of a disjunct: the operands of an `And`, or
+/// the disjunct itself.
+fn conjuncts(f: &Formula) -> &[Formula] {
+    match f {
+        Formula::And(gs) => gs,
+        other => std::slice::from_ref(other),
+    }
+}
+
+/// The degree of `f` in the relations `member` accepts, or `None` when a
+/// member occurs under a ¬, →, ↔ or ∀ (see the module docs).
+fn degree(f: &Formula, member: &dyn Fn(&str) -> bool) -> Option<usize> {
+    let free = |g: &Formula| !g.relations().iter().any(|r| member(r));
+    match f {
+        Formula::Const(_) | Formula::Atom(_) | Formula::Cmp(..) => Some(0),
+        Formula::App(name, _) => Some(usize::from(member(name))),
+        Formula::And(gs) => gs.iter().map(|g| degree(g, member)).sum(),
+        Formula::Or(gs) => gs.iter().try_fold(0, |d, g| Some(d.max(degree(g, member)?))),
+        Formula::Exists(_, g) => degree(g, member),
+        Formula::Not(g) | Formula::Forall(_, g) => free(g).then_some(0),
+        Formula::Implies(a, b) | Formula::Iff(a, b) => (free(a) && free(b)).then_some(0),
+    }
+}
+
+/// The [`Shape`] of a disjunct `f` whose binders start `binder_offset`
+/// into the body; `ids` maps a formula to the ids of the relations it
+/// applies.
+fn shape(
+    f: &Formula,
+    binder_offset: usize,
+    member: &dyn Fn(&str) -> bool,
+    ids: &dyn Fn(&Formula) -> Vec<usize>,
+) -> Shape {
+    match degree(f, member) {
+        Some(1) => Shape::Linear,
+        Some(2..) if conjuncts(f).iter().all(|g| degree(g, member).is_some_and(|d| d <= 1)) => {
+            let mut offset = binder_offset;
+            let factors = conjuncts(f).iter().map(|g| {
+                let factor = Factor { reads: ids(g), binder_offset: offset };
+                offset += g.binder_count();
+                factor
+            });
+            Shape::Product(factors.collect())
+        }
+        _ => Shape::Full,
     }
 }
 
@@ -143,12 +266,14 @@ fn part_label(formula: &Formula) -> String {
     out
 }
 
-/// One disjunct's last compilation: its value and the clock it was
-/// compiled at.
-#[derive(Clone, Copy)]
+/// One disjunct's last compilation: its value, the clock it was compiled
+/// at and, for a [`Shape::Product`] in an accumulating step, each factor's
+/// value then (`None` for a factor past the ⊥ stop, never compiled).
+#[derive(Clone)]
 struct PartCache {
     value: Bdd,
     at: u64,
+    factors: Vec<Option<Bdd>>,
 }
 
 /// The working state of one component solve. The per-member `Vec`s are
@@ -173,12 +298,59 @@ struct Component {
     clock: u64,
     /// Per member, per disjunct: the last compilation, if any.
     cache: Vec<Vec<Option<PartCache>>>,
+    /// Per member, by its plan's `delta_reads`: the values as of the
+    /// member's last accumulating step (S, see the module docs).
+    seen: Vec<Vec<Bdd>>,
+    /// The running step's Δ by `delta_reads`, or — while `swapped` — the
+    /// full values they replace in `env`.
+    delta: Vec<Option<Bdd>>,
+    /// Does `env` hold the running step's Δ?
+    swapped: bool,
 }
 
 impl Component {
     /// Member `i`'s current value.
     fn value(&self, i: usize) -> Bdd {
         self.env[self.members[i]].expect("member values are always set")
+    }
+
+    /// Computes member `i`'s Δ = X ∧ ¬S for every relation its Δ-compiled
+    /// disjuncts read, once per step; a value unchanged since the last
+    /// step has Δ = ⊥.
+    fn load_deltas(&mut self, manager: &mut Manager, i: usize) {
+        self.delta.clear();
+        for (&r, &s) in self.plans[i].delta_reads.iter().zip(&self.seen[i]) {
+            let x = self.env[r].expect("member values are always set");
+            self.delta.push(Some(if x == s { Bdd::FALSE } else { manager.diff(x, s) }));
+        }
+    }
+
+    /// Puts member `i`'s Δ (`on`) or the full values into `env`, swapping
+    /// in place.
+    fn use_deltas(&mut self, i: usize, on: bool) {
+        if self.swapped != on {
+            for (&r, d) in self.plans[i].delta_reads.iter().zip(&mut self.delta) {
+                std::mem::swap(&mut self.env[r], d);
+            }
+            self.swapped = on;
+        }
+    }
+
+    /// Ends member `i`'s accumulating step: the full values go back into
+    /// `env`, and they are what every disjunct of the member has now
+    /// compiled against.
+    fn end_step(&mut self, i: usize) {
+        self.use_deltas(i, false);
+        self.delta.clear();
+        for (s, &r) in self.seen[i].iter_mut().zip(&self.plans[i].delta_reads) {
+            *s = self.env[r].expect("member values are always set");
+        }
+    }
+
+    /// Has everything factor `factor` reads kept its value since clock
+    /// `at`?
+    fn unchanged_since(&self, factor: &Factor, at: u64) -> bool {
+        factor.reads.iter().all(|&r| self.changed[r] <= at)
     }
 
     /// Sets member `i`'s value. A change ticks the clock, which marks
@@ -196,8 +368,8 @@ impl Component {
     /// compiled or something it reads changed since.
     fn cached(&self, i: usize, p: usize) -> Option<Bdd> {
         let reads = &self.plans[i].parts[p].reads;
-        let fresh = |pc: &PartCache| reads.iter().all(|&r| self.changed[r] <= pc.at);
-        self.cache[i][p].filter(fresh).map(|pc| pc.value)
+        let fresh = |pc: &&PartCache| reads.iter().all(|&r| self.changed[r] <= pc.at);
+        self.cache[i][p].as_ref().filter(fresh).map(|pc| pc.value)
     }
 
     /// Every handle the rest of the solve reads, for a collection to keep
@@ -207,7 +379,11 @@ impl Component {
     fn roots(&mut self) -> Vec<&mut Bdd> {
         let mut roots: Vec<&mut Bdd> = self.env.iter_mut().flatten().collect();
         roots.extend(self.domains.iter_mut());
-        roots.extend(self.cache.iter_mut().flatten().flatten().map(|pc| &mut pc.value));
+        for pc in self.cache.iter_mut().flatten().flatten() {
+            roots.push(&mut pc.value);
+            roots.extend(pc.factors.iter_mut().flatten());
+        }
+        roots.extend(self.seen.iter_mut().flatten());
         roots
     }
 }
@@ -218,20 +394,33 @@ impl Solver {
         if let Some(plan) = &self.plans[rel] {
             return Rc::clone(plan);
         }
-        let system = &self.system;
+        let (system, deps) = (&self.system, &self.deps);
         let def = &system.relations()[rel];
         let body = def.body.as_ref().expect("fixpoint relation has a body");
         let ids = |f: &Formula| -> Vec<usize> {
             f.relations().iter().filter_map(|r| system.relation_id(r)).collect()
         };
+        // Input relations belong to no component: ask for the kind first.
+        let is_member = |r: usize| {
+            system.relations()[r].kind == RelationKind::Fixpoint
+                && deps.scc_of(r) == deps.scc_of(rel)
+        };
+        let member = |name: &str| system.relation_id(name).is_some_and(is_member);
         let mut binder_offset = 0;
         let mut parts = Vec::new();
+        let mut delta_reads: Vec<usize> = Vec::new();
         for (index, f) in disjuncts(body).iter().enumerate() {
             let (label, key) = (part_label(f), format!("{}#{index}", def.name));
-            parts.push(Part { index, reads: ids(f), binder_offset, label, key });
+            let (reads, shape) = (ids(f), shape(f, binder_offset, &member, &ids));
+            if shape != Shape::Full {
+                delta_reads.extend(reads.iter().filter(|&&r| is_member(r)));
+            }
+            parts.push(Part { index, reads, binder_offset, shape, label, key });
             binder_offset += f.binder_count();
         }
-        let plan = Rc::new(Plan { reads: ids(body), parts });
+        delta_reads.sort_unstable();
+        delta_reads.dedup();
+        let plan = Rc::new(Plan { reads: ids(body), parts, delta_reads });
         self.plans[rel] = Some(Rc::clone(&plan));
         plan
     }
@@ -491,8 +680,9 @@ impl Solver {
     /// The one evaluation step: recompiles exactly the disjuncts of member
     /// `i` that were never compiled or whose reads changed since, and
     /// returns the member's next value — accumulated in a monotone
-    /// component, recombined otherwise (see the module docs). Counts a
-    /// re-evaluation when it recompiled anything.
+    /// component, recombined otherwise (see the module docs). An
+    /// accumulating step compiles against Δ where the disjunct's shape
+    /// allows. Counts a re-evaluation when it recompiled anything.
     fn eval_member(&mut self, st: &mut Component, i: usize) -> Result<Bdd, SolveError> {
         let rel = st.members[i];
         let mut span = telemetry::span(Phase::Solve, "reeval");
@@ -500,25 +690,32 @@ impl Solver {
             span.attr("relation", self.name(rel));
             span.attr("schedule", st.schedule);
         }
+        if st.monotone {
+            st.load_deltas(&mut self.manager, i);
+        }
+        let plan = Rc::clone(&st.plans[i]);
         let mut acc = Bdd::FALSE;
         let mut recompiled = false;
-        for (p, part) in st.plans[i].parts.iter().enumerate() {
+        for (p, part) in plan.parts.iter().enumerate() {
             let value = match st.cached(i, p) {
                 Some(_) if st.monotone => continue,
                 Some(value) => value,
                 None => {
                     recompiled = true;
-                    let raw = self.compile_part(rel, part, &st.env)?;
+                    let (raw, factors) = self.compile_part(st, i, part)?;
                     let value = self.manager.and(raw, st.domains[i]);
                     // An accumulating step never reads a cached value
-                    // back, so its cache keeps the clock only and pins no
-                    // nodes.
+                    // back, so its cache keeps the clock (and the factors)
+                    // only and pins no more nodes.
                     let value_kept = if st.monotone { Bdd::FALSE } else { value };
-                    st.cache[i][p] = Some(PartCache { value: value_kept, at: st.clock });
+                    st.cache[i][p] = Some(PartCache { value: value_kept, at: st.clock, factors });
                     value
                 }
             };
             acc = self.manager.or(acc, value);
+        }
+        if st.monotone {
+            st.end_step(i);
         }
         if recompiled {
             self.note_reevaluation(rel);
@@ -542,6 +739,7 @@ impl Solver {
         let env = self.component_env(&members, &plans)?;
         let monotone = self.deps.sccs()[idx].monotone;
         let cache = plans.iter().map(|p| vec![None; p.parts.len()]).collect();
+        let seen = plans.iter().map(|p| vec![Bdd::FALSE; p.delta_reads.len()]).collect();
         Ok(Component {
             schedule: if monotone { self.stats.sccs[idx].schedule() } else { "ordered" },
             monotone,
@@ -552,6 +750,9 @@ impl Solver {
             env,
             clock: 0,
             cache,
+            seen,
+            delta: Vec::new(),
+            swapped: false,
         })
     }
 
@@ -595,38 +796,247 @@ impl Solver {
         entry.peak_nodes = entry.peak_nodes.max(peak_nodes);
     }
 
-    /// Compiles one disjunct of relation `rel` under `env`, with the
-    /// binder numbering resumed at the disjunct's offset, and attributes
-    /// the work to the disjunct. Every disjunct compilation in every
-    /// schedule funnels through here, so this one call site is the whole
-    /// attribution story; it costs a map lookup next to a BDD
-    /// compilation, so it is always on and `--profile` needs no re-run.
+    /// Recompiles member `i`'s disjunct `part` and returns its value before
+    /// the domain conjunction, with the factor values to cache. An
+    /// accumulating step compiles a disjunct it compiled before against Δ,
+    /// or factor by factor, where the disjunct's shape allows (see the
+    /// module docs); everything else compiles against the full values.
+    ///
+    /// The work is attributed to the disjunct: one recompilation however
+    /// many pieces it compiled, the summed size of their results, and one
+    /// Δ compile when any piece compiled against Δ. Every disjunct
+    /// compilation in every schedule funnels through here, so this one
+    /// call site is the whole attribution story; it costs a map lookup
+    /// next to a BDD compilation, so it is always on and `--profile` needs
+    /// no re-run.
     fn compile_part(
+        &mut self,
+        st: &mut Component,
+        i: usize,
+        part: &Part,
+    ) -> Result<(Bdd, Vec<Option<Bdd>>), SolveError> {
+        let compile_start = Instant::now();
+        let rel = st.members[i];
+        let previous = if st.monotone { st.cache[i][part.index].take() } else { None };
+        let mut built = Built::default();
+        let mut delta = false;
+        let (raw, factor_values) = match (&part.shape, previous) {
+            (Shape::Linear, Some(_)) => {
+                st.use_deltas(i, true);
+                delta = true;
+                (self.compile_piece(rel, part, None, &st.env, &mut built)?, Vec::new())
+            }
+            (Shape::Product(factors), previous) if st.monotone => {
+                let (old, at) = previous
+                    .map_or_else(|| (vec![None; factors.len()], 0), |pc| (pc.factors, pc.at));
+                let mut acc = Bdd::TRUE;
+                let mut values = Vec::with_capacity(factors.len());
+                for (k, (factor, old)) in factors.iter().zip(old).enumerate() {
+                    // Past the ⊥ stop a factor is not compiled. Values only
+                    // grow, so the conjunction before it was ⊥ at every
+                    // earlier step too, and the factor has no value yet.
+                    if acc.is_false() {
+                        debug_assert!(old.is_none(), "a factor past the ⊥ stop has a value");
+                        values.push(None);
+                        continue;
+                    }
+                    let piece = Some((k, factor));
+                    let value = match old {
+                        Some(old) if st.unchanged_since(factor, at) => old,
+                        Some(old) => {
+                            st.use_deltas(i, true);
+                            delta = true;
+                            let image =
+                                self.compile_piece(rel, part, piece, &st.env, &mut built)?;
+                            self.manager.or(old, image)
+                        }
+                        None => {
+                            st.use_deltas(i, false);
+                            self.compile_piece(rel, part, piece, &st.env, &mut built)?
+                        }
+                    };
+                    acc = self.manager.and(acc, value);
+                    values.push(Some(value));
+                }
+                (acc, values)
+            }
+            _ => {
+                st.use_deltas(i, false);
+                (self.compile_piece(rel, part, None, &st.env, &mut built)?, Vec::new())
+            }
+        };
+        self.stats.delta_compiles += u64::from(delta);
+        let stats = entry_mut(&mut self.stats.disjuncts, &part.key, || DisjunctStats {
+            label: part.label.clone(),
+            ..DisjunctStats::default()
+        });
+        stats.recompilations += 1;
+        stats.nodes_built += built.nodes;
+        stats.peak_nodes = stats.peak_nodes.max(built.peak);
+        stats.wall_us += compile_start.elapsed().as_micros() as u64;
+        Ok((raw, factor_values))
+    }
+
+    /// Compiles disjunct `part` of relation `rel` — or, given
+    /// `(k, factor)`, its conjunct `k` — under `env`, with the binder
+    /// numbering resumed at its offset, and adds the result's size to
+    /// `built`.
+    fn compile_piece(
         &mut self,
         rel: usize,
         part: &Part,
+        factor: Option<(usize, &Factor)>,
         env: &[Option<Bdd>],
+        built: &mut Built,
     ) -> Result<Bdd, SolveError> {
-        let compile_start = Instant::now();
         let body = self.system.relations()[rel].body.as_ref().expect("fixpoint body");
+        let f = &disjuncts(body)[part.index];
+        let (f, binder_offset) = match factor {
+            Some((k, factor)) => (&conjuncts(f)[k], factor.binder_offset),
+            None => (f, part.binder_offset),
+        };
         let raw = CompileCtx::new(
             &mut self.manager,
             &self.system,
             &self.alloc,
             env,
             Body::Relation(rel),
-            part.binder_offset,
+            binder_offset,
         )
-        .compile(&disjuncts(body)[part.index])?;
+        .compile(f)?;
         let nodes = self.manager.node_count(raw);
-        let stats = entry_mut(&mut self.stats.disjuncts, &part.key, || DisjunctStats {
-            label: part.label.clone(),
-            ..DisjunctStats::default()
-        });
-        stats.recompilations += 1;
-        stats.nodes_built += nodes as u64;
-        stats.peak_nodes = stats.peak_nodes.max(nodes);
-        stats.wall_us += compile_start.elapsed().as_micros() as u64;
+        built.nodes += nodes as u64;
+        built.peak = built.peak.max(nodes);
         Ok(raw)
+    }
+}
+
+/// The sizes of the results one recompilation compiled.
+#[derive(Default)]
+struct Built {
+    /// Their sum, in DAG nodes.
+    nodes: u64,
+    /// The largest.
+    peak: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::alloc::tests::set_tuples;
+    use crate::parse::parse_system;
+    use crate::{SolveOptions, Strategy};
+
+    /// Two mutually recursive members `A` and `B`, a relation `C` one
+    /// component above them, and the inputs `Init` and `Edge`.
+    const SYSTEM: &str = "
+        type S = range 4;
+        type Bit = range 2;
+        input Init(s: S);
+        input Edge(s: S, t: S);
+        mu A(s: S) :=
+            Init(s)
+          | (exists t: S. (A(t) | B(t)) & Edge(t, s))
+          | ((exists x: S. A(x) & Edge(x, s))
+              & (exists b: Bit. b = 1 & !Init(s))
+              & (exists y: S. B(y) & Edge(s, y)))
+          | (exists x: S, y: S. A(x) & B(y) & Edge(x, y) & Edge(y, s))
+          | (forall x: S. !Edge(s, x) | A(x))
+          | !(Init(s) -> !A(s));
+        mu B(s: S) := A(s);
+        mu C(s: S) := A(s) | (exists t: S. C(t) & A(t) & Edge(t, s));
+    ";
+
+    fn solver(strategy: Strategy) -> Solver {
+        let system = parse_system(SYSTEM).expect("the system parses");
+        Solver::with_options(system, SolveOptions::with_strategy(strategy)).expect("a solver")
+    }
+
+    fn id(solver: &Solver, name: &str) -> usize {
+        solver.system().relation_id(name).expect("a declared relation")
+    }
+
+    fn shapes(plan: &Plan) -> Vec<&Shape> {
+        plan.parts.iter().map(|p| &p.shape).collect()
+    }
+
+    #[test]
+    fn degree_adds_over_and_maxes_over_or_and_needs_distributive_paths() {
+        let system = parse_system(SYSTEM).expect("the system parses");
+        let member = |name: &str| name == "A" || name == "B";
+        let body = system.relation("A").and_then(|r| r.body.as_ref()).expect("A's body");
+        let degrees: Vec<Option<usize>> =
+            disjuncts(body).iter().map(|f| degree(f, &member)).collect();
+        assert_eq!(degrees, [Some(0), Some(1), Some(2), Some(2), None, None]);
+        let factors: Vec<Option<usize>> =
+            conjuncts(&disjuncts(body)[2]).iter().map(|g| degree(g, &member)).collect();
+        assert_eq!(factors, [Some(1), Some(0), Some(1)]);
+    }
+
+    /// Each disjunct is classified against its own relation's component;
+    /// the applied inputs belong to none, and a relation of a lower
+    /// component reads like an input.
+    #[test]
+    fn plan_classifies_each_disjunct_against_its_own_component() {
+        let mut solver = solver(Strategy::Worklist);
+        let [init, edge, a, b, c] = ["Init", "Edge", "A", "B", "C"].map(|n| id(&solver, n));
+        let plan = solver.plan(a);
+        let product = Shape::Product(vec![
+            Factor { reads: vec![a, edge], binder_offset: 1 },
+            Factor { reads: vec![init], binder_offset: 2 },
+            Factor { reads: vec![b, edge], binder_offset: 3 },
+        ]);
+        let want = [Shape::Full, Shape::Linear, product, Shape::Full, Shape::Full, Shape::Full];
+        assert_eq!(shapes(&plan), want.iter().collect::<Vec<_>>());
+        assert_eq!(plan.delta_reads, [a, b]);
+        assert_eq!(shapes(&solver.plan(b)), [&Shape::Linear]);
+        let plan = solver.plan(c);
+        assert_eq!(shapes(&plan), [&Shape::Full, &Shape::Linear]);
+        assert_eq!(plan.delta_reads, [c]);
+    }
+
+    /// A product whose factors hold at passes far apart: `R(1)` is
+    /// derived at the second pass, `R(4)` at the fifth, and `R(6)` needs
+    /// both. The first factor's value must be kept across the passes in
+    /// between, during which only the second one's reads bring new tuples.
+    #[test]
+    fn a_product_keeps_each_factor_across_passes() {
+        let system = parse_system(
+            "type S = range 8;
+             input Init(s: S);
+             input Next(s: S, t: S);
+             mu R(s: S) :=
+                 Init(s)
+               | (exists t: S. R(t) & Next(t, s))
+               | ((exists x: S. R(x) & x = 1 & s = 6) & (exists y: S. R(y) & y = 4 & s = 6));
+             query six := R(6);",
+        )
+        .expect("the system parses");
+        let mut solver = Solver::new(system).expect("a solver");
+        set_tuples(&mut solver, "Init", &[&[0]]);
+        set_tuples(&mut solver, "Next", &[&[0, 1], &[1, 2], &[2, 3], &[3, 4]]);
+        // 0 to 4 along `Next`, and 6.
+        assert_eq!(solver.tuple_count("R"), Ok(6.0));
+        assert_eq!(solver.eval_query("six"), Ok(true));
+        assert!(solver.stats().delta_compiles > 0);
+    }
+
+    /// The worklist engine compiles against Δ and still computes the
+    /// reference's values; round-robin never compiles against Δ.
+    #[test]
+    fn delta_compiles_keep_the_reference_values() {
+        let mut counts = Vec::new();
+        for strategy in [Strategy::Worklist, Strategy::RoundRobin] {
+            let mut solver = solver(strategy);
+            set_tuples(&mut solver, "Init", &[&[0]]);
+            set_tuples(&mut solver, "Edge", &[&[0, 1], &[1, 2], &[2, 1], &[3, 3]]);
+            let tuples: Vec<f64> =
+                ["A", "B", "C"].map(|r| solver.tuple_count(r).expect("solves")).to_vec();
+            // 0 by Init, 1 and 2 along the edges; 3 only reaches itself.
+            assert_eq!(tuples, [3.0, 3.0, 3.0], "{strategy}");
+            counts.push(solver.stats().delta_compiles);
+        }
+        assert!(counts[0] > 0, "the worklist engine compiled nothing against Δ");
+        assert_eq!(counts[1], 0);
     }
 }

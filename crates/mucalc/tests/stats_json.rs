@@ -75,7 +75,14 @@ fn disjunct_strategy() -> impl Strategy<Value = (String, DisjunctStats)> {
 fn stats_strategy() -> impl Strategy<Value = SolveStats> {
     let counters =
         (0usize..5000, 0usize..5000, 0usize..5000, 0usize..5000, 0u64..1 << 40, 0u64..1 << 40);
-    let sizes = (0usize..1 << 30, 0usize..1 << 30, 0usize..1 << 30, 0u64..80_000, 0u64..1 << 40);
+    let sizes = (
+        0usize..1 << 30,
+        0usize..1 << 30,
+        0usize..1 << 30,
+        0u64..80_000,
+        0u64..1 << 40,
+        0u64..1 << 40,
+    );
     (
         prop::collection::vec((0usize..30, rel_strategy()), 0..6),
         prop::collection::vec(scc_strategy(), 0..4),
@@ -92,13 +99,21 @@ fn stats_strategy() -> impl Strategy<Value = SolveStats> {
                 cache_hits,
                 cache_misses,
             ) = counters;
-            let (arena_nodes, arena_bytes, peak_arena_bytes, pause8, rename_fallbacks) = sizes;
+            let (
+                arena_nodes,
+                arena_bytes,
+                peak_arena_bytes,
+                pause8,
+                rename_fallbacks,
+                delta_compiles,
+            ) = sizes;
             let relations: BTreeMap<String, RelationStats> =
                 rels.into_iter().map(|(i, r)| (format!("R{i}"), r)).collect();
             SolveStats {
                 relations,
                 sccs,
                 ordered_reevaluations,
+                delta_compiles,
                 provenance_nodes,
                 gcs,
                 gc_reclaimed_nodes,
@@ -128,6 +143,7 @@ proptest! {
         let v = parse(&stats.to_json()).expect("to_json output parses");
         prop_assert_eq!(num(&v, "total_reevaluations") as usize, stats.total_reevaluations());
         prop_assert_eq!(num(&v, "ordered_reevaluations") as usize, stats.ordered_reevaluations);
+        prop_assert_eq!(num(&v, "delta_compiles") as u64, stats.delta_compiles);
         prop_assert_eq!(num(&v, "provenance_nodes") as usize, stats.provenance_nodes);
         prop_assert_eq!(num(&v, "gcs") as usize, stats.gcs);
         prop_assert_eq!(num(&v, "gc_reclaimed_nodes") as usize, stats.gc_reclaimed_nodes);
@@ -194,7 +210,7 @@ proptest! {
         merged.absorb(&b);
         let vm = parse(&merged.to_json()).expect("absorbed stats serialize");
 
-        for key in ["total_reevaluations", "ordered_reevaluations", "gcs",
+        for key in ["total_reevaluations", "ordered_reevaluations", "delta_compiles", "gcs",
                     "gc_reclaimed_nodes", "gc_pause_ms", "cache_hits", "cache_misses",
                     "rename_fallbacks"] {
             prop_assert_eq!(

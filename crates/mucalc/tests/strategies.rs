@@ -36,7 +36,7 @@ struct Spec {
 }
 
 /// The number of disjunct kinds [`disjunct`] knows.
-const KINDS: usize = 10;
+const KINDS: usize = 13;
 
 fn spec_strategy() -> impl Strategy<Value = Spec> {
     (
@@ -75,12 +75,16 @@ fn exists(binders: &[(&str, &str)], parts: Vec<Formula>) -> Formula {
     )
 }
 
-/// One disjunct of `R`'s body over its parameter `s`: `j` names the
-/// relation read, `c` a constant of `S`. Kinds 5–8 are the shapes the
-/// compiler's relational product must get right: the first fixpoint
+/// One disjunct of `R`'s body over its parameter `s`: `j` and `k` name
+/// the relations read, `c` a constant of `S`. Kinds 5–8 are the shapes
+/// the compiler's relational product must get right: the first fixpoint
 /// application of an `∃` conjunction is applied last, fused with the
 /// quantification, and a conjunction stops at its first ⊥ conjunct.
-fn disjunct(kind: usize, j: &str, c: u64) -> Formula {
+/// Kinds 10–12 are the shapes the worklist engine tells apart when it
+/// recompiles a disjunct against only the tuples added since its last
+/// compile: a top-level product of factors, a relation under `∀`, and
+/// two relations read through one `∨`.
+fn disjunct(kind: usize, j: &str, k: &str, c: u64) -> Formula {
     match kind {
         // Seed from the input set.
         0 => app("Init", &["s"]),
@@ -115,6 +119,27 @@ fn disjunct(kind: usize, j: &str, c: u64) -> Formula {
         // the binder `x` and its second onto `s`, a formal declared before
         // `x`, so the plan must place `x` first for the map to keep order.
         9 => exists(&[("x", "S")], vec![app("Path", &["x", "s"]), app(j, &["x"])]),
+        // A top-level product: a member-free factor that binds a `Bit`,
+        // then two images, whose binders `x` and `y` take `S` instances
+        // only if each factor resumes the numbering after the ones before.
+        10 => Formula::and(vec![
+            exists(
+                &[("b", "Bit")],
+                vec![Formula::eq(Term::var("b"), Term::int(1)), Formula::not(app("Gate", &["s"]))],
+            ),
+            exists(&[("x", "S")], vec![app(j, &["x"]), app("Edge", &["x", "s"])]),
+            exists(&[("y", "S")], vec![app(k, &["y"]), app("Edge", &["s", "y"])]),
+        ]),
+        // A relation under `∀`: positive, but not distributive.
+        11 => Formula::forall(
+            vec![("x".into(), state())],
+            Formula::or(vec![Formula::not(app("Edge", &["s", "x"])), app(j, &["x"])]),
+        ),
+        // Two relations read through one `∨` inside an image.
+        12 => exists(
+            &[("x", "S")],
+            vec![Formula::or(vec![app(j, &["x"]), app(k, &["x"])]), app("Edge", &["x", "s"])],
+        ),
         // An ∃-conjunct after a conjunct that may be ⊥, then a binder of
         // another type: if the skipped conjunct's binders were not counted,
         // `z` would take the `Bit` instance of `b`.
@@ -161,8 +186,10 @@ fn build_system(spec: &Spec) -> System {
     b.input("Edge", vec![("s".into(), state()), ("t".into(), state())]);
     b.input("Gate", vec![("s".into(), state())]);
     for (i, disjuncts) in spec.bodies.iter().enumerate() {
-        let parts =
-            disjuncts.iter().map(|&(kind, j, c)| disjunct(kind, &rel(j), c % spec.n)).collect();
+        let parts = disjuncts
+            .iter()
+            .map(|&(kind, j, c)| disjunct(kind, &rel(j), &rel(j + 1), c % spec.n))
+            .collect();
         b.define(format!("R{i}"), vec![("s".into(), state())], Formula::or(parts));
     }
     b.define(
@@ -245,6 +272,7 @@ fn oracle(spec: &Spec) -> Oracle {
             for s in 0..n {
                 let hit = spec.bodies[i].iter().any(|&(kind, j, c)| {
                     let r = &rels[j % nrels];
+                    let r2 = &rels[(j + 1) % nrels];
                     let c = (c % spec.n) as usize;
                     match kind {
                         0 => init[s],
@@ -256,6 +284,13 @@ fn oracle(spec: &Spec) -> Oracle {
                         6 => (0..n).any(|x| path[x][x] && r[x] && edge[x][s]),
                         7 => (0..n).any(|x| gate[x] && r[x] && edge[x][s]),
                         9 => (0..n).any(|x| path[x][s] && r[x]),
+                        10 => {
+                            !gate[s]
+                                && (0..n).any(|x| r[x] && edge[x][s])
+                                && (0..n).any(|y| r2[y] && edge[s][y])
+                        }
+                        11 => (0..n).all(|x| !edge[s][x] || r[x]),
+                        12 => (0..n).any(|x| (r[x] || r2[x]) && edge[x][s]),
                         _ => (0..n).any(|y| {
                             edge[y][s] && ((gate[y] && (0..n).any(|x| r[x] && edge[x][y])) || r[y])
                         }),
@@ -371,6 +406,7 @@ proptest! {
                 prop_assert_eq!(verdict, want.rels[i][point], "{}: verdict of q{}", strategy, i);
             }
         }
+        prop_assert_eq!(rr.stats().delta_compiles, 0, "round-robin compiled against a delta");
         let rr_work = rr.stats().total_reevaluations();
         let wl_work = wl.stats().total_reevaluations();
         prop_assert!(
@@ -651,7 +687,8 @@ proptest! {
             prop_assert_eq!(v_rr, v_wl, "verdict of {} differs", q);
         }
         if all_ok {
-            let rr_work = rr.stats().total_reevaluations();
+            prop_assert_eq!(rr.stats().delta_compiles, 0, "round-robin compiled against a delta");
+        let rr_work = rr.stats().total_reevaluations();
             let wl_work = wl.stats().total_reevaluations();
             prop_assert!(
                 wl_work <= rr_work,
