@@ -132,10 +132,6 @@ impl Manager {
     /// Returns `None` iff `f` is unsatisfiable. Pairs are in ascending
     /// level order, like [`Manager::cubes`].
     ///
-    /// Unlike [`Manager::pick_one`] (which greedily follows the 1-branch
-    /// and may test many variables), `sat_one` minimizes the number of
-    /// constrained variables — the "smallest" witness of satisfiability.
-    ///
     /// # Example
     ///
     /// ```
@@ -205,36 +201,6 @@ impl Manager {
                 cur = hi;
             }
         }
-        Some(cube)
-    }
-
-    /// Constrained extraction: a shortest satisfying cube of `f` *under*
-    /// the partial assignment `fixed`. The returned cube starts with every
-    /// pair of `fixed` (in the given order) followed by the shortest cube
-    /// of the restricted function, so it is always consistent with `fixed`.
-    ///
-    /// Returns `None` when `f ∧ fixed` is unsatisfiable.
-    ///
-    /// # Example
-    ///
-    /// ```
-    /// use getafix_bdd::Manager;
-    /// let mut m = Manager::new();
-    /// let x = m.new_var();
-    /// let y = m.new_var();
-    /// // f = x ∨ y. Under x = 0, the witness must set y = 1.
-    /// let f = {
-    ///     let (fx, fy) = (m.var(x), m.var(y));
-    ///     m.or(fx, fy)
-    /// };
-    /// assert_eq!(m.sat_one_under(f, &[(x, false)]), Some(vec![(x, false), (y, true)]));
-    /// assert_eq!(m.sat_one_under(f, &[(x, true)]), Some(vec![(x, true)]));
-    /// ```
-    pub fn sat_one_under(&mut self, f: Bdd, fixed: &[(Var, bool)]) -> Option<Vec<(Var, bool)>> {
-        let g = self.restrict_many(f, fixed);
-        let rest = self.sat_one(g)?;
-        let mut cube: Vec<(Var, bool)> = fixed.to_vec();
-        cube.extend(rest);
         Some(cube)
     }
 
@@ -398,32 +364,6 @@ mod tests {
             env[var.level() as usize] = val;
         }
         assert!(m.eval(f, &env));
-    }
-
-    #[test]
-    fn sat_one_under_respects_fixed_bits() {
-        let mut m = Manager::new();
-        let v = m.new_vars(3);
-        // f = (v0 ∧ v1) ∨ (¬v0 ∧ v2)
-        let f = {
-            let a = m.var(v[0]);
-            let b = m.var(v[1]);
-            let na = m.nvar(v[0]);
-            let c = m.var(v[2]);
-            let p = m.and(a, b);
-            let q = m.and(na, c);
-            m.or(p, q)
-        };
-        let cube = m.sat_one_under(f, &[(v[0], false)]).expect("satisfiable under v0=0");
-        assert!(cube.contains(&(v[0], false)));
-        let mut env = vec![false; 3];
-        for &(var, val) in &cube {
-            env[var.level() as usize] = val;
-        }
-        assert!(m.eval(f, &env));
-        // Unsatisfiable restriction.
-        let g = m.var(v[0]);
-        assert_eq!(m.sat_one_under(g, &[(v[0], false)]), None);
     }
 
     #[test]

@@ -24,13 +24,6 @@ pub struct GcResult {
     pub nodes_after: usize,
 }
 
-impl GcResult {
-    /// Nodes reclaimed by the collection.
-    pub fn reclaimed(&self) -> usize {
-        self.nodes_before - self.nodes_after
-    }
-}
-
 impl Manager {
     /// Collects garbage, keeping exactly the nodes reachable from `roots`.
     ///

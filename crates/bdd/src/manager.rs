@@ -125,6 +125,11 @@ pub(crate) struct Node {
 pub struct ManagerStats {
     /// Total nodes currently in the arena (including the shared terminal).
     pub nodes: usize,
+    /// Nodes created since construction: each unique-table insert counts
+    /// one, in O(1), and a lookup that finds its node counts none. A
+    /// collection copies the survivors without creating any, so the count
+    /// only grows and `nodes == 1 + nodes_created − gc_reclaimed_nodes`.
+    pub nodes_created: u64,
     /// Number of distinct variables created so far.
     pub vars: usize,
     /// Hits across all operation caches since construction.
@@ -253,6 +258,7 @@ impl Manager {
     pub fn stats(&self) -> ManagerStats {
         let mut s = self.stats;
         s.nodes = self.nodes.len();
+        s.nodes_created = self.unique.created;
         s.cache_hits = self.caches.hits;
         s.cache_misses = self.caches.misses;
         s.arena_bytes = self.current_bytes();
@@ -652,36 +658,6 @@ impl Manager {
         memo.insert(f.0, c);
         c
     }
-
-    /// Picks one satisfying assignment of `f`, if any, as a vector of
-    /// `(variable, value)` pairs mentioning exactly the variables on the
-    /// chosen path.
-    pub fn pick_one(&self, f: Bdd) -> Option<Vec<(Var, bool)>> {
-        if f.is_false() {
-            return None;
-        }
-        let mut path = Vec::new();
-        let mut cur = f;
-        while !cur.is_const() {
-            let v = Var(self.level(cur));
-            let (lo, hi) = self.cof(cur);
-            if hi != Bdd::FALSE {
-                path.push((v, true));
-                cur = hi;
-            } else {
-                path.push((v, false));
-                cur = lo;
-            }
-        }
-        debug_assert!(cur.is_true());
-        Some(path)
-    }
-
-    /// Clears all operation caches (but keeps the arena). O(1): bumps the
-    /// cache generation instead of touching the tables.
-    pub fn clear_caches(&mut self) {
-        self.caches.clear();
-    }
 }
 
 #[cfg(test)]
@@ -818,23 +794,6 @@ mod tests {
         assert_eq!(m.sat_count(g, 3), 3.0);
         assert_eq!(m.sat_count(Bdd::TRUE, 3), 8.0);
         assert_eq!(m.sat_count(Bdd::FALSE, 3), 0.0);
-    }
-
-    #[test]
-    fn pick_one_satisfies() {
-        let mut m = Manager::new();
-        let a = m.new_var();
-        let b = m.new_var();
-        let fa = m.var(a);
-        let nb = m.nvar(b);
-        let f = m.and(fa, nb);
-        let model = m.pick_one(f).expect("satisfiable");
-        let mut assignment = vec![false; 2];
-        for (v, val) in model {
-            assignment[v.level() as usize] = val;
-        }
-        assert!(m.eval(f, &assignment));
-        assert!(m.pick_one(Bdd::FALSE).is_none());
     }
 
     #[test]

@@ -34,23 +34,11 @@ impl Manager {
         self.exists(f, cube)
     }
 
-    /// Existential quantification over a list of variables.
-    pub fn exists_vars(&mut self, f: Bdd, vars: &[Var]) -> Bdd {
-        let cube = self.cube(vars);
-        self.exists(f, cube)
-    }
-
     /// Universal quantification `∀ vars. f`, via `¬∃ vars. ¬f`.
     pub fn forall(&mut self, f: Bdd, cube: Bdd) -> Bdd {
         let nf = self.not(f);
         let e = self.exists(nf, cube);
         self.not(e)
-    }
-
-    /// Universal quantification over a list of variables.
-    pub fn forall_vars(&mut self, f: Bdd, vars: &[Var]) -> Bdd {
-        let cube = self.cube(vars);
-        self.forall(f, cube)
     }
 
     /// The relational product `∃ cube. f ∧ g`, fused so the conjunction is
@@ -295,7 +283,8 @@ mod tests {
         let f = m.and(fa, fb);
         let e = m.exists_one(f, v[1]);
         assert_eq!(e, fa);
-        let e2 = m.exists_vars(f, &[v[0], v[1]]);
+        let both = m.cube(&[v[0], v[1]]);
+        let e2 = m.exists(f, both);
         assert!(e2.is_true());
     }
 
@@ -328,10 +317,12 @@ mod tests {
         let fb = m.var(v[1]);
         let f = m.or(fa, fb);
         // ∀b. a ∨ b == a
-        let g = m.forall_vars(f, &[v[1]]);
+        let b = m.cube(&[v[1]]);
+        let g = m.forall(f, b);
         assert_eq!(g, fa);
         // ∀a,b. a ∨ b == false
-        let h = m.forall_vars(f, &[v[0], v[1]]);
+        let both = m.cube(&[v[0], v[1]]);
+        let h = m.forall(f, both);
         assert!(h.is_false());
     }
 

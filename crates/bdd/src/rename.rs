@@ -152,12 +152,6 @@ impl Manager {
         self.rename_rec(f, map, id)
     }
 
-    /// Convenience wrapper: rename with an ad-hoc pair list.
-    pub fn rename_pairs(&mut self, f: Bdd, pairs: &[(Var, Var)]) -> Bdd {
-        let map = VarMap::new(pairs.iter().copied());
-        self.rename(f, &map)
-    }
-
     fn rename_rec(&mut self, f: Bdd, map: &VarMap, id: u32) -> Bdd {
         if f.is_const() {
             return f;

@@ -64,13 +64,22 @@ pub(crate) struct UniqueTable {
     /// Entries in `slots` (excludes entries still only in `old`).
     len: usize,
     old: Option<OldGeneration>,
+    /// Nodes appended to the arena since the manager was built; a
+    /// [`UniqueTable::rebuild`] keeps the count.
+    pub(crate) created: u64,
 }
 
 impl UniqueTable {
     /// A table pre-sized for roughly `nodes` arena entries.
     pub(crate) fn with_node_capacity(nodes: usize) -> UniqueTable {
         let cap = (nodes.saturating_mul(4) / 3 + 1).next_power_of_two().max(MIN_CAPACITY);
-        UniqueTable { slots: vec![EMPTY; cap], mask: (cap - 1) as u64, len: 0, old: None }
+        UniqueTable {
+            slots: vec![EMPTY; cap],
+            mask: (cap - 1) as u64,
+            len: 0,
+            old: None,
+            created: 0,
+        }
     }
 
     /// Bytes currently held by the slot arrays (both generations).
@@ -201,6 +210,7 @@ impl UniqueTable {
                 let idx = nodes.len() as u32;
                 assert!(idx < u32::MAX / 2, "BDD arena overflow (2^31 nodes)");
                 nodes.push(Node { var, lo, hi });
+                self.created += 1;
                 self.slots[slot] = idx;
                 self.len += 1;
                 idx
@@ -209,9 +219,11 @@ impl UniqueTable {
     }
 
     /// Rebuilds the table from scratch over `nodes` (used after GC
-    /// compaction). Every arena index ≥ 1 is inserted.
+    /// compaction). Every arena index ≥ 1 is inserted; none counts as
+    /// created.
     pub(crate) fn rebuild(&mut self, nodes: &[Node]) {
-        *self = UniqueTable::with_node_capacity(nodes.len());
+        *self =
+            UniqueTable { created: self.created, ..UniqueTable::with_node_capacity(nodes.len()) };
         for idx in 1..nodes.len() as u32 {
             self.insert_new(nodes, idx);
         }

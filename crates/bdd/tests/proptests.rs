@@ -149,7 +149,8 @@ proptest! {
         let ex = m.exists_one(f, vars[i]);
         let or = m.or(f0, f1);
         prop_assert_eq!(ex, or);
-        let fa = m.forall_vars(f, &[vars[i]]);
+        let cube = m.cube(&[vars[i]]);
+        let fa = m.forall(f, cube);
         let and = m.and(f0, f1);
         prop_assert_eq!(fa, and);
     }
@@ -275,6 +276,30 @@ proptest! {
         for env in assignments() {
             prop_assert_eq!(m.eval(fa2, &env), a.eval(&env));
             prop_assert_eq!(m.eval(fb2, &env), b.eval(&env));
+        }
+    }
+
+    /// The created-node counter accounts for the arena exactly: after
+    /// every build, quantification and collection, the arena holds the
+    /// terminal plus every node created minus every node reclaimed.
+    #[test]
+    fn created_nodes_account_for_the_arena(
+        steps in prop::collection::vec((expr_strategy(), 0..NVARS, any::<bool>(), any::<bool>()), 1..12)
+    ) {
+        let mut m = Manager::new();
+        let vars = m.new_vars(NVARS);
+        let mut roots = Vec::new();
+        for (e, i, keep, collect) in &steps {
+            let f = e.build(&mut m, &vars);
+            let g = m.exists_one(f, vars[*i]);
+            if *keep {
+                roots.extend([f, g]);
+            }
+            if *collect {
+                roots = m.gc(&roots).roots;
+            }
+            let s = m.stats();
+            prop_assert_eq!(s.nodes as u64, 1 + s.nodes_created - s.gc_reclaimed_nodes);
         }
     }
 

@@ -18,30 +18,22 @@ pub struct KernelBench {
     pub rounds: usize,
     /// Arena nodes at the end of the run.
     pub final_nodes: usize,
-    /// Nodes allocated per second (peak arena + reclaimed, over wall time).
+    /// Nodes created per second ([`ManagerStats::nodes_created`] over wall
+    /// time).
     pub nodes_per_sec: f64,
     pub stats: ManagerStats,
 }
 
 impl KernelBench {
-    fn from_run(
-        name: &'static str,
-        rounds: usize,
-        reclaimed: usize,
-        t0: Instant,
-        m: &Manager,
-    ) -> KernelBench {
+    fn from_run(name: &'static str, rounds: usize, t0: Instant, m: &Manager) -> KernelBench {
         let wall = t0.elapsed().as_secs_f64();
         let stats = m.stats();
-        // Peak live arena plus everything GC gave back approximates total
-        // allocation traffic.
-        let allocated = stats.peak_nodes + reclaimed;
         KernelBench {
             name,
             wall_ms: wall * 1e3,
             rounds,
             final_nodes: stats.nodes,
-            nodes_per_sec: rate_per_sec(allocated as f64, wall),
+            nodes_per_sec: rate_per_sec(stats.nodes_created as f64, wall),
             stats,
         }
     }
@@ -149,7 +141,7 @@ fn bench_and_exists_image(bits: usize) -> KernelBench {
         }
         reach = grown;
     }
-    KernelBench::from_run("and-exists-image", rounds, 0, t0, &m)
+    KernelBench::from_run("and-exists-image", rounds, t0, &m)
 }
 
 /// The same BFS with the fused image: the frontier lives on the next-state
@@ -176,7 +168,7 @@ fn bench_rename_and_exists_image(bits: usize) -> KernelBench {
         }
         reach = grown;
     }
-    KernelBench::from_run("rename-and-exists-image", rounds, 0, t0, &m)
+    KernelBench::from_run("rename-and-exists-image", rounds, t0, &m)
 }
 
 /// GC churn: rounds of building transient structure around one live
@@ -187,7 +179,6 @@ fn bench_gc_churn(bits: usize, rounds: usize) -> KernelBench {
     let vars = m.new_vars(bits);
     let t0 = Instant::now();
     let mut live = Bdd::FALSE;
-    let mut reclaimed = 0usize;
     for round in 0..rounds {
         // Transient garbage: xor/adder ladders offset by the round number.
         let mut junk = Bdd::TRUE;
@@ -199,12 +190,9 @@ fn bench_gc_churn(bits: usize, rounds: usize) -> KernelBench {
             junk = m.and(o, a);
         }
         let keep = m.xor(live, junk);
-        live = keep;
-        let result = m.gc(&[live]);
-        reclaimed += result.reclaimed();
-        live = result.roots[0];
+        live = m.gc(&[keep]).roots[0];
     }
-    KernelBench::from_run("gc-churn", rounds, reclaimed, t0, &m)
+    KernelBench::from_run("gc-churn", rounds, t0, &m)
 }
 
 /// Runs the group. `smoke` shrinks the state space so CI finishes in

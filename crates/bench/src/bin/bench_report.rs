@@ -12,7 +12,7 @@
 //! ```text
 //! cargo run --release -p getafix-bench --bin bench-report \
 //!     [-- --out PATH] [--out-fig3 PATH] [--out-bdd PATH] [--scale N] [--bits N]
-//!     [--jobs N] [--timeout SECS] [--compare BASELINE.json] [--compare-out PATH]
+//!     [--timeout SECS] [--compare BASELINE.json] [--compare-out PATH]
 //!     [--max-wall-regress R] [--bdd-smoke] [--skip-fig3]
 //! ```
 //!
@@ -31,13 +31,9 @@
 //! fails when the total matched worklist wall time exceeds
 //! `--max-wall-regress` (default 1.25) times the baseline.
 //!
-//! `--jobs N` (default 1; 0 = all cores) fans the independent cases of
-//! each fig2 workload, and the fig3 workloads themselves, across threads.
-//! Every case solves on a private BDD manager, so verdicts,
-//! re-evaluation counts and the strategy guard are bit-identical at any
-//! job count — only wall times change. The effective count is recorded
-//! as a top-level `jobs` field (the baseline comparison matches
-//! workloads by name/algorithm and ignores it).
+//! Every case runs on the calling thread, one after another, each on a
+//! BDD manager of its own, so the walls compare with the committed
+//! baselines, which were taken the same way.
 //!
 //! The JSON is emitted through [`getafix_telemetry::json::JsonWriter`]
 //! (the workspace builds offline, without serde; the telemetry crate's
@@ -70,7 +66,6 @@
 //! and re-evaluations on every run.
 
 use getafix::cli;
-use getafix_bench::parallel::{parallel_map, resolve_jobs};
 use getafix_bench::{
     dead_baggage_cases, regression_cases, slam_cases, terminator_cases, SeqCase, CLI,
 };
@@ -108,16 +103,11 @@ fn run_strategy(
     cases: &[SeqCase],
     algorithm: Algorithm,
     strategy: Strategy,
-    jobs: usize,
     limits: &ResourceLimits,
 ) -> StrategyNumbers {
     let t0 = Instant::now();
-    // Each case builds its own CFG, solver and BDD manager, so the batch
-    // fans out embarrassingly; verdict asserts run on the case's thread and
-    // stats are absorbed in case order afterwards, keeping the aggregate
-    // bit-identical at any job count.
-    let per_case = parallel_map(jobs, (0..cases.len()).collect(), |_, i| {
-        let case = &cases[i];
+    let mut stats = SolveStats::default();
+    for case in cases {
         let cfg = Cfg::build(&case.program).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         let pc = cfg
             .label(&case.label)
@@ -136,11 +126,7 @@ fn run_strategy(
             "{} ({strategy}): wrong verdict — a benchmark that measures wrong answers is worthless",
             case.name
         );
-        r.stats
-    });
-    let mut stats = SolveStats::default();
-    for s in &per_case {
-        stats.absorb(s);
+        stats.absorb(&r.stats);
     }
     StrategyNumbers { wall_ms: t0.elapsed().as_secs_f64() * 1e3, stats }
 }
@@ -148,6 +134,7 @@ fn run_strategy(
 /// The pre-solve slicer's effect on a workload, aggregated over its
 /// cases: encoded BDD variable counts before/after, CFG relations pruned,
 /// and the worklist re-evaluation count on the sliced programs.
+#[derive(Default)]
 struct SliceNumbers {
     /// Sum of solver manager variable counts over the unsliced cases.
     vars_before: usize,
@@ -161,15 +148,10 @@ struct SliceNumbers {
     wall_ms: f64,
 }
 
-fn run_slice(
-    cases: &[SeqCase],
-    algorithm: Algorithm,
-    jobs: usize,
-    limits: &ResourceLimits,
-) -> SliceNumbers {
+fn run_slice(cases: &[SeqCase], algorithm: Algorithm, limits: &ResourceLimits) -> SliceNumbers {
     let t0 = Instant::now();
-    let per_case = parallel_map(jobs, (0..cases.len()).collect(), |_, i| {
-        let case = &cases[i];
+    let mut n = SliceNumbers::default();
+    for case in cases {
         let cfg = Cfg::build(&case.program).unwrap_or_else(|e| panic!("{}: {e}", case.name));
         let pc = cfg
             .label(&case.label)
@@ -205,20 +187,10 @@ fn run_slice(
             "{}: --slice changed the verdict — slicing that rewrites answers is worthless",
             case.name
         );
-        (vars_before, vars_after, sliced.stats.relations_pruned(), reevals)
-    });
-    let mut n = SliceNumbers {
-        vars_before: 0,
-        vars_after: 0,
-        relations_pruned: 0,
-        reevaluations: 0,
-        wall_ms: 0.0,
-    };
-    for (vb, va, rp, re) in per_case {
-        n.vars_before += vb;
-        n.vars_after += va;
-        n.relations_pruned += rp;
-        n.reevaluations += re;
+        n.vars_before += vars_before;
+        n.vars_after += vars_after;
+        n.relations_pruned += sliced.stats.relations_pruned();
+        n.reevaluations += reevals;
     }
     n.wall_ms = t0.elapsed().as_secs_f64() * 1e3;
     n
@@ -338,39 +310,29 @@ fn fig3_workloads() -> Vec<(String, getafix_boolprog::ConcProgram, Vec<String>, 
 /// payload. Verdicts are asserted against the documented thresholds —
 /// a benchmark that measures wrong answers is worthless — and every
 /// reachable case must refine and guided-replay.
-fn fig3_report(jobs: usize, limits: &ResourceLimits) -> String {
-    // The workloads are independent merged systems, so they fan out whole:
-    // each one merges, solves both strategies and runs the witness
-    // pipeline on a private manager. Verdict asserts run on the
-    // workload's thread; the progress lines and the JSON are emitted
-    // afterwards in workload order so the report is byte-stable at any
-    // job count.
-    let rows =
-        parallel_map(jobs, fig3_workloads(), |_, (name, program, labels, switches, expect)| {
-            let t0 = Instant::now();
-            let merged = merge(&program).unwrap_or_else(|e| panic!("{name}: {e}"));
-            let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
-            let targets: Vec<Pc> = labels
-                .iter()
-                .map(|l| merged.cfg.label(l).unwrap_or_else(|| panic!("{name}: no label {l}")))
-                .collect();
-            let wl = run_conc(&merged, &targets, switches, Strategy::Worklist, limits);
-            let rr = run_conc(&merged, &targets, switches, Strategy::RoundRobin, limits);
-            for (strategy, n) in [("worklist", &wl), ("round-robin", &rr)] {
-                assert_eq!(
-                    n.reachable, expect,
-                    "{name} k={switches} ({strategy}): wrong verdict — a benchmark that \
-                 measures wrong answers is worthless"
-                );
-            }
-            (name, switches, expect, merge_ms, wl, rr)
-        });
+fn fig3_report(limits: &ResourceLimits) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("schema", "getafix-bench-fig3/1");
     w.key("workloads");
     w.begin_array();
-    for (name, switches, expect, merge_ms, wl, rr) in rows {
+    for (name, program, labels, switches, expect) in fig3_workloads() {
+        let t0 = Instant::now();
+        let merged = merge(&program).unwrap_or_else(|e| panic!("{name}: {e}"));
+        let merge_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let targets: Vec<Pc> = labels
+            .iter()
+            .map(|l| merged.cfg.label(l).unwrap_or_else(|| panic!("{name}: no label {l}")))
+            .collect();
+        let wl = run_conc(&merged, &targets, switches, Strategy::Worklist, limits);
+        let rr = run_conc(&merged, &targets, switches, Strategy::RoundRobin, limits);
+        for (strategy, n) in [("worklist", &wl), ("round-robin", &rr)] {
+            assert_eq!(
+                n.reachable, expect,
+                "{name} k={switches} ({strategy}): wrong verdict — a benchmark that \
+                 measures wrong answers is worthless"
+            );
+        }
         eprintln!(
             "{name} k={switches}: {} — worklist solve {:.1} ms + witness {:.1} ms \
              (explicit search {} states, guided {} steps), round-robin solve {:.1} ms",
@@ -417,7 +379,6 @@ fn main() {
     let bdd_smoke = args.has("--bdd-smoke");
     let scale: usize = args.value("--scale").unwrap_or(1);
     let bits: usize = args.value("--bits").unwrap_or(3);
-    let jobs = resolve_jobs(args.value("--jobs").unwrap_or(1));
     let max_ratio: f64 = args.value("--max-wall-regress").unwrap_or(1.25);
     // Every case receives a clone of these limits, so the whole run shares
     // one absolute deadline and one cancellation token: the first trip
@@ -455,15 +416,14 @@ fn main() {
     w.field_str("schema", "getafix-bench-fig2/3");
     w.field_u64("driver_scale", scale as u64);
     w.field_u64("terminator_bits", bits as u64);
-    w.field_u64("jobs", jobs as u64);
     w.key("workloads");
     w.begin_array();
     let mut guard_failures: Vec<String> = Vec::new();
     for (name, cases) in &workloads {
         for algorithm in algorithms {
-            let wl = run_strategy(cases, algorithm, Strategy::Worklist, jobs, &limits);
-            let rr = run_strategy(cases, algorithm, Strategy::RoundRobin, jobs, &limits);
-            let sl = run_slice(cases, algorithm, jobs, &limits);
+            let wl = run_strategy(cases, algorithm, Strategy::Worklist, &limits);
+            let rr = run_strategy(cases, algorithm, Strategy::RoundRobin, &limits);
+            let sl = run_slice(cases, algorithm, &limits);
             let (wl_re, rr_re) = (wl.stats.total_reevaluations(), rr.stats.total_reevaluations());
             eprintln!(
                 "{name} ({algorithm}): {} cases — worklist {:.1} ms / {} re-evals \
@@ -567,7 +527,7 @@ fn main() {
     // `--skip-fig3` leaves the previous fig3 report untouched — handy when
     // iterating on the sequential kernel/scheduler only.
     if !args.has("--skip-fig3") {
-        let fig3 = fig3_report(jobs, &limits);
+        let fig3 = fig3_report(&limits);
         std::fs::write(fig3_path, &fig3).unwrap_or_else(|e| panic!("{fig3_path}: {e}"));
         eprintln!("wrote {fig3_path}");
     }

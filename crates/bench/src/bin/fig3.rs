@@ -3,27 +3,21 @@
 //! 1..=6, reporting verdict, `Reach` set size and time.
 //!
 //! ```text
-//! cargo run --release -p getafix-bench --bin fig3 [-- --max-k K] [--jobs N]
+//! cargo run --release -p getafix-bench --bin fig3 [-- --max-k K]
 //! ```
-//!
-//! `--jobs N` (default 1; 0 = all cores) fans the independent switch-bound
-//! solves of each configuration across threads — every bound owns a
-//! private BDD manager, so the table is identical at any job count, only
-//! faster.
 
-use getafix_bench::{run_fig3_config_jobs, CLI};
+use getafix_bench::{run_fig3_config, CLI};
 use getafix_workloads::FIGURE3_CONFIGS;
 
 fn main() {
     let args = CLI.parse_env("fig3");
     let max_k: usize = args.value("--max-k").unwrap_or(6);
-    let jobs = args.value("--jobs").unwrap_or(1);
 
     println!("Figure 3 — Bluetooth driver, bounded context-switching reachability\n");
     println!("{:<9} {:<10} {:<14} {:<10} Time", "Context", "Reachable", "Reach set", "BDD");
     println!("{:<9} {:<10} {:<14} {:<10}", "switches", "", "size", "nodes");
     for &(name, adders, stoppers) in &FIGURE3_CONFIGS {
-        let (merged, rows) = run_fig3_config_jobs(adders, stoppers, max_k, jobs);
+        let (merged, rows) = run_fig3_config(adders, stoppers, max_k);
         let locals: usize = merged.cfg.procs.iter().map(|p| p.n_locals()).sum();
         println!(
             "\n{} processes: {name}\n({} local variables and {} shared variables)",

@@ -4,7 +4,6 @@
 
 pub mod bdd_kernel;
 pub mod compare;
-pub mod parallel;
 
 use getafix::cli::{self, Flag, Spec, Value::*};
 use getafix_bebop::bebop_reachable;
@@ -34,7 +33,6 @@ pub static CLI: Spec = Spec {
         Flag::new("--scale", Takes("N", cli::whole), &["bench-report", "fig2"]),
         Flag::new("--bits", Takes("N", cli::whole), &["bench-report", "fig2", "ablation_seq"]),
         Flag::new("--max-k", Takes("K", cli::whole), &["fig3", "ablation_conc"]),
-        Flag::new("--jobs", Takes("N", cli::whole), &["bench-report", "fig3"]),
         Flag::new("--timeout", Takes("SECS", cli::positive), REPORT),
         Flag::new("--compare", Takes("BASELINE.json", cli::text), REPORT),
         Flag::new("--compare-out", Takes("PATH", cli::text), REPORT),
@@ -314,58 +312,22 @@ pub struct Fig3Row {
 ///
 /// Panics on engine errors.
 pub fn run_fig3_config(adders: usize, stoppers: usize, max_k: usize) -> (Merged, Vec<Fig3Row>) {
-    run_fig3_config_jobs(adders, stoppers, max_k, 1)
-}
-
-/// [`run_fig3_config`] with the independent per-threshold solves fanned
-/// out across `jobs` threads (0 = all available parallelism). Each switch
-/// bound builds its own solver and BDD manager, so the solves share
-/// nothing and the verdict/tuple/node columns are identical at any job
-/// count — only the `time` column and total wall change.
-///
-/// # Panics
-///
-/// Panics on engine errors.
-pub fn run_fig3_config_jobs(
-    adders: usize,
-    stoppers: usize,
-    max_k: usize,
-    jobs: usize,
-) -> (Merged, Vec<Fig3Row>) {
     let conc = workloads::bluetooth(adders, stoppers);
     let merged = merge(&conc).expect("merge");
     let targets: Vec<Pc> = (0..adders)
         .map(|i| merged.cfg.label(&workloads::adder_err_label(i)).expect("ERR label"))
         .collect();
-    let rows = parallel::parallel_map(jobs, (1..=max_k).collect(), |_, k| {
-        let r = check_merged(&merged, &targets, k).unwrap_or_else(|e| panic!("k={k}: {e}"));
-        Fig3Row {
-            switches: k,
-            reachable: r.reachable,
-            reach_tuples: r.reach_tuples,
-            reach_nodes: r.reach_nodes,
-            time: r.solve_time,
-        }
-    });
+    let rows = (1..=max_k)
+        .map(|k| {
+            let r = check_merged(&merged, &targets, k).unwrap_or_else(|e| panic!("k={k}: {e}"));
+            Fig3Row {
+                switches: k,
+                reachable: r.reachable,
+                reach_tuples: r.reach_tuples,
+                reach_nodes: r.reach_nodes,
+                time: r.solve_time,
+            }
+        })
+        .collect();
     (merged, rows)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// Batch fan-out changes nothing but wall time: the switch bounds of
-    /// one configuration give the same rows on one thread and on two.
-    #[test]
-    fn fig3_rows_match_across_job_counts() {
-        let columns = |rows: Vec<Fig3Row>| -> Vec<(usize, bool, f64, usize)> {
-            rows.into_iter()
-                .map(|r| (r.switches, r.reachable, r.reach_tuples, r.reach_nodes))
-                .collect()
-        };
-        let one = columns(run_fig3_config_jobs(1, 1, 3, 1).1);
-        let two = columns(run_fig3_config_jobs(1, 1, 3, 2).1);
-        assert_eq!(one.len(), 3);
-        assert_eq!(one, two);
-    }
 }

@@ -52,4 +52,4 @@ pub use encode::{assign_bit, can_value, eq_except, install_templates, EncodeErro
 /// re-exported next to its own so that `conc` and the baselines import
 /// every relation builder from one place.
 pub use getafix_mucalc::{eq_const, eq_consts, eq_vars, lt_const};
-pub use systems::{system_ef, system_ef_trace, system_ef_witness, system_efopt, system_simple};
+pub use systems::{system_ef, system_ef_trace, system_efopt, system_simple};

@@ -385,20 +385,6 @@ pub fn system_ef_trace(cfg: &Cfg, split_return: bool) -> Result<System, SystemEr
     build_ef(cfg, split_return, false)
 }
 
-/// The historical dedicated witness system: split-return entry-forward
-/// without early termination. **Demoted to a test oracle** — production
-/// trace extraction peels the *verdict solver's* provenance
-/// ([`crate::emit_trace_system`] + `getafix-witness`), performing exactly
-/// one solve; this second system survives so the differential suites can
-/// cross-check that path against an independent solve.
-///
-/// # Errors
-///
-/// Propagates [`SystemError`]s (none expected for a well-formed CFG).
-pub fn system_ef_witness(cfg: &Cfg) -> Result<System, SystemError> {
-    system_ef_trace(cfg, true)
-}
-
 fn build_ef(cfg: &Cfg, split_return: bool, early_exit: bool) -> Result<System, SystemError> {
     let mut b = base_builder(cfg)?;
     let args = |x: &str| vec![v(x)];

@@ -330,18 +330,14 @@ fn emit_stats(args: &Args, stats: &SolveStats, limits: &ResourceLimits) {
 /// Prints the per-relation and per-SCC solver statistics (`--stats`).
 fn print_stats(stats: &SolveStats) {
     println!();
-    println!(
-        "{:<16} {:>6} {:>8} {:>10} {:>10} {:>5}",
-        "relation", "iters", "re-evals", "nodes", "peak", "scc"
-    );
+    println!("{:<16} {:>6} {:>8} {:>10} {:>5}", "relation", "iters", "re-evals", "nodes", "scc");
     for (name, r) in &stats.relations {
         println!(
-            "{:<16} {:>6} {:>8} {:>10} {:>10} {:>5}",
+            "{:<16} {:>6} {:>8} {:>10} {:>5}",
             name,
             r.iterations,
             r.reevaluations,
             r.final_nodes,
-            r.peak_nodes,
             r.scc.map(|s| s.to_string()).unwrap_or_else(|| "-".into())
         );
     }
@@ -464,24 +460,17 @@ fn print_topology(stats: &SolveStats) {
     println!("solve topology: {} SCCs (dependencies-first order)", stats.sccs.len());
     println!();
     println!(
-        "{:<5} {:<10} {:<8} {:>8} {:>9} {:>10} {:<10}  members",
-        "scc", "kind", "schedule", "evals", "wall ms", "peak", "deps"
+        "{:<5} {:<10} {:<8} {:>8} {:>9} {:<10}  members",
+        "scc", "kind", "schedule", "evals", "wall ms", "deps"
     );
     for (i, scc) in stats.sccs.iter().enumerate() {
-        let peak = scc
-            .members
-            .iter()
-            .filter_map(|m| stats.relations.get(m).map(|r| r.peak_nodes))
-            .max()
-            .unwrap_or(0);
         println!(
-            "{:<5} {:<10} {:<8} {:>8} {:>9.2} {:>10} {:<10}  {}",
+            "{:<5} {:<10} {:<8} {:>8} {:>9.2} {:<10}  {}",
             i,
             if scc.recursive { "recursive" } else { "straight" },
             scc.schedule(),
             scc.evaluations,
             scc.wall_ms,
-            peak,
             deps_cell(&scc.dep_sccs),
             scc.members.join(", ")
         );

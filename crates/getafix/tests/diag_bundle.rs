@@ -84,7 +84,7 @@ fn check_conc_writes_a_complete_valid_bundle() {
     let depgraph = parse(&read(&dir, "depgraph.json")).expect("depgraph.json parses");
     assert_eq!(
         depgraph.get("schema").and_then(Value::as_str),
-        Some("getafix-depgraph/1"),
+        Some("getafix-depgraph/2"),
         "topology schema"
     );
     let scc_count = depgraph.get("scc_count").and_then(Value::as_f64).expect("scc_count") as usize;

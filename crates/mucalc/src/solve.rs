@@ -266,10 +266,9 @@ pub struct RelationStats {
     /// Total body compilations of this relation, **including** nested
     /// re-evaluations — the work measure the worklist engine minimizes.
     pub reevaluations: usize,
-    /// DAG node count of the final interpretation.
+    /// DAG node count of the final interpretation: one walk per relation
+    /// per top-level solve, never one per round.
     pub final_nodes: usize,
-    /// Peak DAG node count of the interpretation across rounds.
-    pub peak_nodes: usize,
     /// Index of the relation's SCC in [`SolveStats::sccs`].
     pub scc: Option<usize>,
 }
@@ -330,12 +329,13 @@ pub struct DisjunctStats {
     /// Times this disjunct's formula was recompiled against a changed
     /// environment.
     pub recompilations: usize,
-    /// Total DAG nodes across all compiled results (growth pressure this
-    /// disjunct puts on the arena): what each recompilation compiled,
-    /// against the tuples added since the last one where the worklist
-    /// engine compiled against them, and factor by factor for a product.
+    /// BDD nodes the kernel created while recompiling this disjunct
+    /// ([`getafix_bdd::ManagerStats::nodes_created`], read before and
+    /// after each recompilation): the growth pressure it puts on the
+    /// arena. A node the arena already held is found, not built, so a
+    /// recompilation whose result already exists adds nothing.
     pub nodes_built: u64,
-    /// Largest single compiled result, in DAG nodes.
+    /// The most nodes one recompilation created.
     pub peak_nodes: usize,
     /// Wall-clock time spent compiling this disjunct, in microseconds.
     pub wall_us: u64,
@@ -428,7 +428,6 @@ impl SolveStats {
             w.field_u64("iterations", r.iterations as u64);
             w.field_u64("reevaluations", r.reevaluations as u64);
             w.field_u64("final_nodes", r.final_nodes as u64);
-            w.field_u64("peak_nodes", r.peak_nodes as u64);
             w.key("scc");
             match r.scc {
                 Some(s) => w.value_u64(s as u64),
@@ -531,7 +530,6 @@ impl SolveStats {
             e.iterations += r.iterations;
             e.reevaluations += r.reevaluations;
             e.final_nodes = e.final_nodes.max(r.final_nodes);
-            e.peak_nodes = e.peak_nodes.max(r.peak_nodes);
             e.scc = e.scc.or(r.scc);
         }
         if self.sccs.len() == other.sccs.len() {
@@ -931,6 +929,15 @@ impl Solver {
         entry_mut(&mut self.stats.relations, &self.system.relations()[rel].name, Default::default)
     }
 
+    /// Writes a solved relation's statistics, for every schedule: the
+    /// passes (or rounds) it took and the final size of its value.
+    pub(crate) fn record_relation(&mut self, rel: usize, iterations: usize, value: Bdd) {
+        let final_nodes = self.manager.node_count(value);
+        let entry = self.relation_stats(rel);
+        entry.iterations = iterations;
+        entry.final_nodes = final_nodes;
+    }
+
     /// Attributes one body compilation of fixpoint relation `rel` to the
     /// statistics.
     pub(crate) fn note_reevaluation(&mut self, rel: usize) {
@@ -964,7 +971,6 @@ impl Solver {
         let formals_domain = self.alloc.formals_domain(&mut self.manager, rel);
         let mut s = Bdd::FALSE;
         let mut iterations = 0usize;
-        let mut peak_nodes = 0usize;
         loop {
             iterations += 1;
             if iterations > self.options.max_iterations {
@@ -1003,7 +1009,6 @@ impl Solver {
             )
             .compile(body)?;
             let next = self.manager.and(raw, formals_domain);
-            peak_nodes = peak_nodes.max(self.manager.node_count(next));
             if let Some(sp) = &mut round_span {
                 sp.attr("changed", next != s);
             }
@@ -1016,11 +1021,7 @@ impl Solver {
             }
         }
         if top_level {
-            let final_nodes = self.manager.node_count(s);
-            let entry = self.relation_stats(rel);
-            entry.iterations = iterations;
-            entry.final_nodes = final_nodes;
-            entry.peak_nodes = peak_nodes;
+            self.record_relation(rel, iterations, s);
         }
         Ok(s)
     }

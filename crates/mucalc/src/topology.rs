@@ -41,19 +41,10 @@ fn dot_escape(s: &str) -> String {
     out
 }
 
-/// Peak interpretation size over the component's members, in DAG nodes.
-fn scc_peak_nodes(stats: &SolveStats, scc: &SccStats) -> usize {
-    scc.members
-        .iter()
-        .filter_map(|m| stats.relations.get(m).map(|r| r.peak_nodes))
-        .max()
-        .unwrap_or(0)
-}
-
 /// Renders the SCC dependency graph as a GraphViz `digraph`: one box per
-/// component (labelled with members, schedule, re-evaluations, wall time
-/// and peak interpretation size), one edge per SCC-level dependency,
-/// pointing from reader to read component.
+/// component (labelled with members, schedule, re-evaluations and wall
+/// time), one edge per SCC-level dependency, pointing from reader to read
+/// component.
 pub fn depgraph_dot(stats: &SolveStats) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "digraph depgraph {{");
@@ -63,12 +54,11 @@ pub fn depgraph_dot(stats: &SolveStats) -> String {
         let members = dot_escape(&scc.members.join(", "));
         let _ = writeln!(
             out,
-            "  scc{i} [label=\"scc {i}: {members}\\n{} · {} evals · {:.1} ms · peak {}\", \
+            "  scc{i} [label=\"scc {i}: {members}\\n{} · {} evals · {:.1} ms\", \
              fillcolor=\"{}\"];",
             scc.schedule(),
             scc.evaluations,
             scc.wall_ms,
-            scc_peak_nodes(stats, scc),
             schedule_color(scc)
         );
     }
@@ -81,14 +71,14 @@ pub fn depgraph_dot(stats: &SolveStats) -> String {
     out
 }
 
-/// Renders the same topology as JSON (`schema: getafix-depgraph/1`):
+/// Renders the same topology as JSON (`schema: getafix-depgraph/2`):
 /// per-SCC rows with members, flags, schedule, statistics and `deps`
 /// (indices of the components read). Indices match [`SolveStats::sccs`]
 /// positions, i.e. dependency-topological order.
 pub fn depgraph_json(stats: &SolveStats) -> String {
     let mut w = JsonWriter::new();
     w.begin_object();
-    w.field_str("schema", "getafix-depgraph/1");
+    w.field_str("schema", "getafix-depgraph/2");
     w.field_u64("scc_count", stats.sccs.len() as u64);
     w.key("sccs");
     w.begin_array();
@@ -106,7 +96,6 @@ pub fn depgraph_json(stats: &SolveStats) -> String {
         w.field_str("schedule", scc.schedule());
         w.field_u64("evaluations", scc.evaluations as u64);
         w.field_f64("wall_ms", scc.wall_ms);
-        w.field_u64("peak_nodes", scc_peak_nodes(stats, scc) as u64);
         w.key("deps");
         w.begin_array();
         for &d in &scc.dep_sccs {
@@ -163,15 +152,9 @@ pub fn check_depgraph_dot(dot: &str, expected_sccs: usize) -> Result<(), String>
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::solve::RelationStats;
 
     fn demo_stats() -> SolveStats {
-        let mut stats = SolveStats::default();
-        stats.relations.insert(
-            "Reach".into(),
-            RelationStats { peak_nodes: 420, scc: Some(1), ..RelationStats::default() },
-        );
-        stats.sccs = vec![
+        let sccs = vec![
             SccStats {
                 members: vec!["Edge\"s\\".into()],
                 recursive: false,
@@ -188,7 +171,7 @@ mod tests {
                 ..SccStats::default()
             },
         ];
-        stats
+        SolveStats { sccs, ..SolveStats::default() }
     }
 
     #[test]
@@ -198,8 +181,7 @@ mod tests {
         check_depgraph_dot(&dot, 2).expect("self-validates");
         assert!(dot.contains("scc1 -> scc0;"), "{dot}");
         assert!(dot.contains("Edge\\\"s\\\\"), "members escaped: {dot}");
-        assert!(dot.contains("chaotic · 12 evals"), "{dot}");
-        assert!(dot.contains("peak 420"), "{dot}");
+        assert!(dot.contains("chaotic · 12 evals · 3.2 ms\""), "{dot}");
         assert!(check_depgraph_dot(&dot, 3).is_err(), "wrong node count must fail");
         assert!(check_depgraph_dot("scc0 -> scc1;", 0).is_err());
     }
@@ -216,6 +198,6 @@ mod tests {
         let deps = sccs[1].get("deps").and_then(Value::as_array).expect("deps");
         assert_eq!(deps.len(), 1);
         assert_eq!(deps[0].as_f64(), Some(0.0));
-        assert_eq!(sccs[1].get("peak_nodes").and_then(Value::as_f64), Some(420.0));
+        assert_eq!(v.get("schema").and_then(Value::as_str), Some("getafix-depgraph/2"));
     }
 }

@@ -78,7 +78,9 @@
 //! pass therefore accumulates exactly the set a full compile would, and
 //! every value, pass and recompilation count is unchanged; only the size
 //! of what is compiled falls. A factor's cached value is gᵢ(S), so
-//! gᵢ(S) ∪ gᵢ(Δ) = gᵢ(X) is exact too.
+//! gᵢ(S) ∪ gᵢ(Δ) = gᵢ(X) is exact too. A step conjoins the member's domain
+//! D once, with the OR of the raw disjunct values: D ∧ ⋁ fᵢ = ⋁ (D ∧ fᵢ),
+//! and current ⊇ D ∧ f(S), so current ∪ (D ∧ f(Δ)) = current ∪ (D ∧ f(X)).
 //!
 //! **One S per member.** A step recompiles every stale disjunct of the
 //! member, and a fresh one read values that have not changed since, so
@@ -266,9 +268,10 @@ fn part_label(formula: &Formula) -> String {
     out
 }
 
-/// One disjunct's last compilation: its value, the clock it was compiled
-/// at and, for a [`Shape::Product`] in an accumulating step, each factor's
-/// value then (`None` for a factor past the ⊥ stop, never compiled).
+/// One disjunct's last compilation: its value before the member's domain
+/// conjunction, the clock it was compiled at and, for a [`Shape::Product`]
+/// in an accumulating step, each factor's value then (`None` for a factor
+/// past the ⊥ stop, never compiled).
 #[derive(Clone)]
 struct PartCache {
     value: Bdd,
@@ -552,7 +555,6 @@ impl Solver {
         let mut queue: VecDeque<usize> = (0..n).collect();
         let mut queued = vec![true; n];
         let mut passes = vec![0usize; n];
-        let mut peak = vec![0usize; n];
         while let Some(i) = queue.pop_front() {
             queued[i] = false;
             passes[i] += 1;
@@ -564,7 +566,6 @@ impl Solver {
             }
             self.note_step()?;
             let next = self.eval_member(&mut st, i)?;
-            peak[i] = peak[i].max(self.manager.node_count(next));
             if next != st.value(i) {
                 st.set(i, next);
                 let rel = st.members[i];
@@ -581,7 +582,7 @@ impl Solver {
             }
         }
         for (i, &rel) in st.members.iter().enumerate() {
-            self.record_relation(rel, passes[i], st.value(i), peak[i]);
+            self.record_relation(rel, passes[i], st.value(i));
             self.values[rel] = Some(st.value(i));
         }
         Ok(())
@@ -604,7 +605,6 @@ impl Solver {
         let a = plan.ranks.len();
         let bound = self.options.max_iterations;
         let mut rounds = 0usize;
-        let mut peak_nodes = 0usize;
         loop {
             rounds += 1;
             if rounds > bound {
@@ -656,7 +656,6 @@ impl Solver {
                 }
             }
             let next = self.eval_member(&mut st, a)?;
-            peak_nodes = peak_nodes.max(self.manager.node_count(next));
             if round_span.is_recording() {
                 round_span.attr("reevals", self.stats.ordered_reevaluations - reevals_before);
                 round_span.attr("changed", next != st.value(a));
@@ -673,16 +672,17 @@ impl Solver {
         }
 
         self.stats.sccs[idx].ordered = true;
-        self.record_relation(plan.anchor, rounds, st.value(a), peak_nodes);
+        self.record_relation(plan.anchor, rounds, st.value(a));
         Ok(st.value(a))
     }
 
     /// The one evaluation step: recompiles exactly the disjuncts of member
-    /// `i` that were never compiled or whose reads changed since, and
-    /// returns the member's next value — accumulated in a monotone
-    /// component, recombined otherwise (see the module docs). An
-    /// accumulating step compiles against Δ where the disjunct's shape
-    /// allows. Counts a re-evaluation when it recompiled anything.
+    /// `i` that were never compiled or whose reads changed since, ORs
+    /// their raw values, conjoins the member's domain once, and returns
+    /// the member's next value — accumulated in a monotone component,
+    /// recombined otherwise (see the module docs). An accumulating step
+    /// compiles against Δ where the disjunct's shape allows. Counts a
+    /// re-evaluation when it recompiled anything.
     fn eval_member(&mut self, st: &mut Component, i: usize) -> Result<Bdd, SolveError> {
         let rel = st.members[i];
         let mut span = telemetry::span(Phase::Solve, "reeval");
@@ -702,8 +702,7 @@ impl Solver {
                 Some(value) => value,
                 None => {
                     recompiled = true;
-                    let (raw, factors) = self.compile_part(st, i, part)?;
-                    let value = self.manager.and(raw, st.domains[i]);
+                    let (value, factors) = self.compile_part(st, i, part)?;
                     // An accumulating step never reads a cached value
                     // back, so its cache keeps the clock (and the factors)
                     // only and pins no more nodes.
@@ -723,6 +722,7 @@ impl Solver {
                 self.stats.ordered_reevaluations += 1;
             }
         }
+        let acc = self.manager.and(acc, st.domains[i]);
         let current = st.value(i);
         let next = if st.monotone { self.manager.or(current, acc) } else { acc };
         span.attr("recompiled", recompiled);
@@ -786,16 +786,6 @@ impl Solver {
         Ok(env)
     }
 
-    /// Writes a solved member's statistics: the passes (or rounds) it
-    /// took, and the final and peak sizes of its interpretation.
-    fn record_relation(&mut self, rel: usize, iterations: usize, value: Bdd, peak_nodes: usize) {
-        let final_nodes = self.manager.node_count(value);
-        let entry = self.relation_stats(rel);
-        entry.iterations = iterations;
-        entry.final_nodes = final_nodes;
-        entry.peak_nodes = entry.peak_nodes.max(peak_nodes);
-    }
-
     /// Recompiles member `i`'s disjunct `part` and returns its value before
     /// the domain conjunction, with the factor values to cache. An
     /// accumulating step compiles a disjunct it compiled before against Δ,
@@ -803,8 +793,9 @@ impl Solver {
     /// module docs); everything else compiles against the full values.
     ///
     /// The work is attributed to the disjunct: one recompilation however
-    /// many pieces it compiled, the summed size of their results, and one
-    /// Δ compile when any piece compiled against Δ. Every disjunct
+    /// many pieces it compiled, the nodes the kernel created meanwhile
+    /// (two reads of [`getafix_bdd::ManagerStats::nodes_created`]), and
+    /// one Δ compile when any piece compiled against Δ. Every disjunct
     /// compilation in every schedule funnels through here, so this one
     /// call site is the whole attribution story; it costs a map lookup
     /// next to a BDD compilation, so it is always on and `--profile` needs
@@ -816,15 +807,15 @@ impl Solver {
         part: &Part,
     ) -> Result<(Bdd, Vec<Option<Bdd>>), SolveError> {
         let compile_start = Instant::now();
+        let created = self.manager.stats().nodes_created;
         let rel = st.members[i];
         let previous = if st.monotone { st.cache[i][part.index].take() } else { None };
-        let mut built = Built::default();
         let mut delta = false;
         let (raw, factor_values) = match (&part.shape, previous) {
             (Shape::Linear, Some(_)) => {
                 st.use_deltas(i, true);
                 delta = true;
-                (self.compile_piece(rel, part, None, &st.env, &mut built)?, Vec::new())
+                (self.compile_piece(rel, part, None, &st.env)?, Vec::new())
             }
             (Shape::Product(factors), previous) if st.monotone => {
                 let (old, at) = previous
@@ -846,13 +837,12 @@ impl Solver {
                         Some(old) => {
                             st.use_deltas(i, true);
                             delta = true;
-                            let image =
-                                self.compile_piece(rel, part, piece, &st.env, &mut built)?;
+                            let image = self.compile_piece(rel, part, piece, &st.env)?;
                             self.manager.or(old, image)
                         }
                         None => {
                             st.use_deltas(i, false);
-                            self.compile_piece(rel, part, piece, &st.env, &mut built)?
+                            self.compile_piece(rel, part, piece, &st.env)?
                         }
                     };
                     acc = self.manager.and(acc, value);
@@ -862,32 +852,31 @@ impl Solver {
             }
             _ => {
                 st.use_deltas(i, false);
-                (self.compile_piece(rel, part, None, &st.env, &mut built)?, Vec::new())
+                (self.compile_piece(rel, part, None, &st.env)?, Vec::new())
             }
         };
         self.stats.delta_compiles += u64::from(delta);
+        let built = self.manager.stats().nodes_created - created;
         let stats = entry_mut(&mut self.stats.disjuncts, &part.key, || DisjunctStats {
             label: part.label.clone(),
             ..DisjunctStats::default()
         });
         stats.recompilations += 1;
-        stats.nodes_built += built.nodes;
-        stats.peak_nodes = stats.peak_nodes.max(built.peak);
+        stats.nodes_built += built;
+        stats.peak_nodes = stats.peak_nodes.max(built as usize);
         stats.wall_us += compile_start.elapsed().as_micros() as u64;
         Ok((raw, factor_values))
     }
 
     /// Compiles disjunct `part` of relation `rel` — or, given
     /// `(k, factor)`, its conjunct `k` — under `env`, with the binder
-    /// numbering resumed at its offset, and adds the result's size to
-    /// `built`.
+    /// numbering resumed at its offset.
     fn compile_piece(
         &mut self,
         rel: usize,
         part: &Part,
         factor: Option<(usize, &Factor)>,
         env: &[Option<Bdd>],
-        built: &mut Built,
     ) -> Result<Bdd, SolveError> {
         let body = self.system.relations()[rel].body.as_ref().expect("fixpoint body");
         let f = &disjuncts(body)[part.index];
@@ -895,7 +884,7 @@ impl Solver {
             Some((k, factor)) => (&conjuncts(f)[k], factor.binder_offset),
             None => (f, part.binder_offset),
         };
-        let raw = CompileCtx::new(
+        CompileCtx::new(
             &mut self.manager,
             &self.system,
             &self.alloc,
@@ -903,21 +892,8 @@ impl Solver {
             Body::Relation(rel),
             binder_offset,
         )
-        .compile(f)?;
-        let nodes = self.manager.node_count(raw);
-        built.nodes += nodes as u64;
-        built.peak = built.peak.max(nodes);
-        Ok(raw)
+        .compile(f)
     }
-}
-
-/// The sizes of the results one recompilation compiled.
-#[derive(Default)]
-struct Built {
-    /// Their sum, in DAG nodes.
-    nodes: u64,
-    /// The largest.
-    peak: usize,
 }
 
 #[cfg(test)]
@@ -1038,5 +1014,26 @@ mod tests {
         }
         assert!(counts[0] > 0, "the worklist engine compiled nothing against Δ");
         assert_eq!(counts[1], 0);
+    }
+
+    /// `nodes_built` counts the nodes a recompilation creates, not the
+    /// size of what it returns. Supplying the same input again drops every
+    /// fixpoint value, so the next solve recompiles every disjunct along
+    /// the same operations, and every node it needs is already in the
+    /// arena: it recompiles as much as the first and builds nothing.
+    #[test]
+    fn a_recompilation_whose_result_exists_builds_no_node() {
+        let mut solver = solver(Strategy::Worklist);
+        set_tuples(&mut solver, "Init", &[&[0]]);
+        set_tuples(&mut solver, "Edge", &[&[0, 1], &[1, 2], &[2, 1], &[3, 3]]);
+        let work = |solver: &mut Solver| {
+            solver.evaluate("C").expect("solves");
+            let disjuncts = solver.stats().disjuncts.values();
+            disjuncts.fold((0, 0), |(r, n), d| (r + d.recompilations, n + d.nodes_built))
+        };
+        let (recompiled, built) = work(&mut solver);
+        assert!(recompiled > 0 && built > 0);
+        set_tuples(&mut solver, "Init", &[&[0]]);
+        assert_eq!(work(&mut solver), (2 * recompiled, built));
     }
 }

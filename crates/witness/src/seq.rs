@@ -21,10 +21,12 @@
 //!   disjunct ([`getafix_core::system_ef_trace`]).
 //!
 //! The legacy [`sequential_witness`] entry point still performs a
-//! dedicated solve of [`getafix_core::system_ef_witness`] — demoted to a
-//! differential oracle against the single-solve path (and a fallback for
-//! the `simple` algorithm, whose all-entries summaries carry no
-//! entry-reachability provenance).
+//! dedicated solve of the split-return [`getafix_core::system_ef_trace`],
+//! as a differential oracle against the single-solve path. `getafix check
+//! --trace` on the `simple` algorithm, whose all-entries summaries carry
+//! no entry-reachability provenance, and on the baselines peels its
+//! witness from a second, `ef-opt` trace solver with
+//! [`sequential_witness_from`].
 //!
 //! # How the peeling works
 //!
@@ -58,7 +60,7 @@ use getafix_boolprog::{
     admits, enumerate_choices, frame_mask, next_states, read_var, replay, write_var, Bits, Cfg,
     Edge, LExpr, Pc, VarRef,
 };
-use getafix_core::{install_templates, system_ef_witness};
+use getafix_core::{install_templates, system_ef_trace};
 use getafix_mucalc::{eq_const, LimitKind, ResourceLimits, SolveError, SolveOptions, Solver};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
@@ -139,9 +141,9 @@ struct Conf {
 }
 
 /// Extracts a concrete error trace for `targets`, or `None` when no target
-/// is reachable, by solving the **dedicated witness system**
-/// ([`getafix_core::system_ef_witness`]). The trace is replay-validated
-/// before being returned.
+/// is reachable, by solving a **dedicated witness system**, the
+/// split-return [`getafix_core::system_ef_trace`]. The trace is
+/// replay-validated before being returned.
 ///
 /// This is the demoted oracle path: it pays a full second solve, so
 /// production callers that already hold a provenance-recording verdict
@@ -171,7 +173,7 @@ pub fn sequential_witness_with(
     options: SolveOptions,
     limits: WitnessLimits,
 ) -> Result<Option<Trace>, WitnessError> {
-    let system = system_ef_witness(cfg).map_err(|e| WitnessError::Solve(e.to_string()))?;
+    let system = system_ef_trace(cfg, true).map_err(|e| WitnessError::Solve(e.to_string()))?;
     let options = SolveOptions { record_provenance: true, ..options };
     let mut solver =
         Solver::with_options(system, options).map_err(|e| WitnessError::Solve(e.to_string()))?;

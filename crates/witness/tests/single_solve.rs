@@ -1,7 +1,7 @@
 //! The single-solve witness suite, run over the `crates/workloads`
 //! corpora (SLAM-shaped drivers, Terminator counters, the regression
 //! suite, and the Bluetooth concurrent workload): extraction must peel the
-//! **verdict solver's own provenance** — no `system_ef_witness` re-solve —
+//! **verdict solver's own provenance** — no dedicated witness re-solve —
 //! and agree, under both scheduling strategies and all three trace-capable
 //! algorithms (`ef-opt`'s ordered non-monotone schedule and the non-split
 //! `ef-naive` return clause included), with
