@@ -11,13 +11,14 @@
 //!
 //! ```text
 //! cargo run --release -p getafix-bench --bin bench-report \
-//!     [-- --out PATH] [--out-fig3 PATH] [--out-bdd PATH] [--scale N] [--bits N]
-//!     [--timeout SECS] [--compare BASELINE.json] [--compare-out PATH]
-//!     [--max-wall-regress R] [--bdd-smoke] [--skip-fig3]
+//!     [-- --out PATH] [--out-fig3 PATH] [--out-bdd PATH] [--timeout SECS]
+//!     [--compare BASELINE.json] [--compare-out PATH] [--bdd-smoke] [--skip-fig3]
 //! ```
 //!
 //! The whole command line is checked before any work: a mistake exits 2
-//! with the argument named.
+//! with the argument named. The drivers run at [`SCALE`] and the
+//! Terminator counters at [`BITS`] bits, the sizes the committed baselines
+//! were taken at.
 //!
 //! `--timeout SECS` (env fallback `GETAFIX_TIMEOUT`) puts one wall-clock
 //! deadline over the whole run: every case of every workload shares the
@@ -28,8 +29,8 @@
 //! `--compare BASELINE.json` diffs the fresh fig2 report against a
 //! committed baseline — per-workload wall/re-eval/cache-hit/peak-arena
 //! deltas printed as a table and written to `BENCH_compare.json` — and
-//! fails when the total matched worklist wall time exceeds
-//! `--max-wall-regress` (default 1.25) times the baseline.
+//! fails when the total matched worklist wall time exceeds 1.25 times the
+//! baseline.
 //!
 //! Every case runs on the calling thread, one after another, each on a
 //! BDD manager of its own, so the walls compare with the committed
@@ -73,13 +74,19 @@ use getafix_boolprog::analysis::{slice, AnalysisOptions};
 use getafix_boolprog::{parse_concurrent, Cfg, Pc};
 use getafix_conc::{
     build_conc_solver_with, check_conc_solver, conc_refine_schedule, conc_replay_guided, merge,
-    ConcError, ConcExplicitError, ConcLimits, Merged,
+    ConcError, ConcExplicitError, Merged,
 };
 use getafix_core::{build_solver_with, check_reachability_with, Algorithm, AnalysisError};
 use getafix_mucalc::{ResourceLimits, SolveError, SolveOptions, SolveStats, Strategy};
 use getafix_telemetry::json::JsonWriter;
 use getafix_witness::{concurrent_witness_from, WitnessError};
 use std::time::Instant;
+
+/// The SLAM driver suites' scale.
+const SCALE: usize = 1;
+
+/// The Terminator counters' width in bits.
+const BITS: usize = 3;
 
 /// Terminates the run on a tripped resource limit with the documented
 /// exit code 3 — distinct from a panic (broken benchmark, nonzero abort)
@@ -242,14 +249,12 @@ fn run_conc(
         schedule.is_some(),
         "{strategy}: witness extraction disagreed with the verdict"
     );
-    // The explicit refine/replay searches poll the same token as the
+    // The explicit refine/replay searches poll the same limits as the
     // symbolic solves: one `--timeout` governs the whole pipeline.
-    let conc_limits = ConcLimits { resources: limits.clone(), ..ConcLimits::default() };
     let (explicit_search_states, guided_steps) = match &schedule {
         Some(s) => {
             let rounds = s.to_replay();
-            let refined = match conc_refine_schedule(merged, targets, &rounds, conc_limits.clone())
-            {
+            let refined = match conc_refine_schedule(merged, targets, &rounds, limits.clone()) {
                 Ok(r) => r,
                 Err(e @ ConcExplicitError::ResourceLimit { .. }) => {
                     exit_limit(&format!("{strategy}: refine"), &e)
@@ -257,7 +262,7 @@ fn run_conc(
                 Err(e) => panic!("{strategy}: refine: {e}"),
             }
             .unwrap_or_else(|| panic!("{strategy}: schedule does not refine"));
-            match conc_replay_guided(merged, targets, &rounds, &refined.steps, conc_limits) {
+            match conc_replay_guided(merged, targets, &rounds, &refined.steps, limits.clone()) {
                 Ok(_) => {}
                 Err(e @ ConcExplicitError::ResourceLimit { .. }) => {
                     exit_limit(&format!("{strategy}: guided replay"), &e)
@@ -377,9 +382,6 @@ fn main() {
     let fig3_path = args.text("--out-fig3").unwrap_or("BENCH_fig3.json");
     let bdd_path = args.text("--out-bdd").unwrap_or("BENCH_bdd.json");
     let bdd_smoke = args.has("--bdd-smoke");
-    let scale: usize = args.value("--scale").unwrap_or(1);
-    let bits: usize = args.value("--bits").unwrap_or(3);
-    let max_ratio: f64 = args.value("--max-wall-regress").unwrap_or(1.25);
     // Every case receives a clone of these limits, so the whole run shares
     // one absolute deadline and one cancellation token: the first trip
     // stops every in-flight solve.
@@ -400,10 +402,10 @@ fn main() {
     let (pos, neg) = regression_cases();
     workloads.push(("regression-positive".into(), pos));
     workloads.push(("regression-negative".into(), neg));
-    for (name, cases) in slam_cases(scale) {
+    for (name, cases) in slam_cases(SCALE) {
         workloads.push((format!("driver-{}", slug(&name)), cases));
     }
-    workloads.push((format!("terminator-{bits}bit"), terminator_cases(bits)));
+    workloads.push((format!("terminator-{BITS}bit"), terminator_cases(BITS)));
     workloads.push(("dead-baggage".into(), dead_baggage_cases()));
 
     // `ef` is a monotone fixpoint; `ef-opt` is the non-monotone §4.3
@@ -414,8 +416,8 @@ fn main() {
     let mut w = JsonWriter::new();
     w.begin_object();
     w.field_str("schema", "getafix-bench-fig2/3");
-    w.field_u64("driver_scale", scale as u64);
-    w.field_u64("terminator_bits", bits as u64);
+    w.field_u64("driver_scale", SCALE as u64);
+    w.field_u64("terminator_bits", BITS as u64);
     w.key("workloads");
     w.begin_array();
     let mut guard_failures: Vec<String> = Vec::new();
@@ -521,7 +523,7 @@ fn main() {
         doc.push('\n');
         std::fs::write(compare_out, doc).unwrap_or_else(|e| panic!("{compare_out}: {e}"));
         eprintln!("wrote {compare_out}");
-        cmp.gate(max_ratio).unwrap_or_else(|e| panic!("{e}"));
+        cmp.gate().unwrap_or_else(|e| panic!("{e}"));
     }
 
     // `--skip-fig3` leaves the previous fig3 report untouched — handy when

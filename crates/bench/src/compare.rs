@@ -14,6 +14,11 @@
 use getafix_telemetry::json::{parse, JsonWriter, Value};
 use std::fmt::Write as _;
 
+/// The most the total matched worklist wall time may grow over the
+/// baseline before [`Comparison::gate`] fails: runner noise aside, a >25%
+/// slowdown must not land silently.
+const MAX_WALL_RATIO: f64 = 1.25;
+
 /// One strategy's numbers for one workload, as read from a report. All
 /// fields beyond wall time are optional — older baselines may predate
 /// them.
@@ -81,22 +86,21 @@ impl Comparison {
     }
 
     /// The regression gate: total matched worklist wall time must not
-    /// exceed `max_ratio` × baseline (CI uses 1.25 — runner noise aside,
-    /// a >25% slowdown must not land silently).
+    /// exceed `MAX_WALL_RATIO` (1.25) × baseline.
     ///
     /// # Errors
     ///
     /// A message with both totals and the ratio.
-    pub fn gate(&self, max_ratio: f64) -> Result<(), String> {
+    pub fn gate(&self) -> Result<(), String> {
         if self.rows.is_empty() {
             return Err("no workloads matched between baseline and current report".into());
         }
         let (base, cur) = self.total_wall_ms();
         let ratio = self.wall_ratio();
-        if ratio > max_ratio {
+        if ratio > MAX_WALL_RATIO {
             return Err(format!(
                 "fig2 worklist wall time regressed: {cur:.1} ms vs baseline {base:.1} ms \
-                 ({ratio:.2}x > {max_ratio:.2}x allowed)"
+                 ({ratio:.2}x > {MAX_WALL_RATIO:.2}x allowed)"
             ));
         }
         Ok(())
@@ -331,8 +335,7 @@ mod tests {
         // Matched totals: 150 → 190; the unmatched 10/99 ms never count.
         let (b, c) = cmp.total_wall_ms();
         assert_eq!((b, c), (150.0, 190.0));
-        assert!(cmp.gate(1.30).is_ok());
-        let err = cmp.gate(1.25).expect_err("26.7% regression trips the gate");
+        let err = cmp.gate().expect_err("26.7% regression trips the gate");
         assert!(err.contains("1.27x"), "{err}");
 
         let table = cmp.render();
@@ -371,7 +374,7 @@ mod tests {
         assert_eq!(r.base.reevaluations, None);
         assert_eq!(r.base.cache_hit_rate, None);
         assert_eq!(r.cur.reevaluations, Some(7));
-        assert!(cmp.gate(1.25).is_ok());
+        assert!(cmp.gate().is_ok());
         assert!(cmp.render().contains('-'), "absent fields render as dashes");
     }
 
@@ -382,6 +385,6 @@ mod tests {
         let a = report(&[("a", "ef", 1.0, 1)]);
         let b = report(&[("b", "ef", 1.0, 1)]);
         let cmp = compare_fig2(&a, &b).expect("parses");
-        assert!(cmp.gate(1.25).is_err(), "nothing matched — the gate must not silently pass");
+        assert!(cmp.gate().is_err(), "nothing matched — the gate must not silently pass");
     }
 }

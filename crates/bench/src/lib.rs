@@ -30,13 +30,12 @@ pub static CLI: Spec = Spec {
         Flag::new("--out-fig3", Takes("PATH", cli::text), REPORT),
         Flag::new("--out-bdd", Takes("PATH", cli::text), REPORT),
         Flag::new("--suite", OneOf("SUITE", &SUITES), &["fig2"]),
-        Flag::new("--scale", Takes("N", cli::whole), &["bench-report", "fig2"]),
-        Flag::new("--bits", Takes("N", cli::whole), &["bench-report", "fig2", "ablation_seq"]),
+        Flag::new("--scale", Takes("N", cli::whole), &["fig2"]),
+        Flag::new("--bits", Takes("N", cli::whole), &["fig2", "ablation_seq"]),
         Flag::new("--max-k", Takes("K", cli::whole), &["fig3", "ablation_conc"]),
         Flag::new("--timeout", Takes("SECS", cli::positive), REPORT),
         Flag::new("--compare", Takes("BASELINE.json", cli::text), REPORT),
         Flag::new("--compare-out", Takes("PATH", cli::text), REPORT),
-        Flag::new("--max-wall-regress", Takes("R", cli::positive), REPORT),
         Flag::new("--bdd-smoke", Switch, REPORT),
         Flag::new("--skip-fig3", Switch, REPORT),
     ],

@@ -13,8 +13,8 @@ use std::process::{Command, Output};
 #[rustfmt::skip]
 const PAIRS: &[(&str, &[&str])] = &[
     (env!("CARGO_BIN_EXE_bench-report"), &[
-        "--out", "--out-fig3", "--out-bdd", "--bdd-smoke", "--skip-fig3", "--scale", "--bits",
-        "--timeout", "--compare", "--compare-out", "--max-wall-regress",
+        "--out", "--out-fig3", "--out-bdd", "--bdd-smoke", "--skip-fig3", "--timeout", "--compare",
+        "--compare-out",
     ]),
     (env!("CARGO_BIN_EXE_fig2"), &["--suite", "--scale", "--bits"]),
     (env!("CARGO_BIN_EXE_fig3"), &["--max-k"]),
@@ -32,7 +32,6 @@ const VALUES: &[(&str, &str)] = &[
     ("--timeout", "5"),
     ("--compare", "baseline.json"),
     ("--compare-out", "compare.json"),
-    ("--max-wall-regress", "1.5"),
     ("--suite", "regression"),
     ("--max-k", "1"),
 ];
@@ -74,7 +73,6 @@ fn assert_rejected(cases: &[(&str, &[&str], &str)]) {
 
 #[test]
 fn unparsable_numeric_flags_exit_2() {
-    let bench_report = env!("CARGO_BIN_EXE_bench-report");
     let fig2 = env!("CARGO_BIN_EXE_fig2");
     let fig3 = env!("CARGO_BIN_EXE_fig3");
     let ablation_seq = env!("CARGO_BIN_EXE_ablation_seq");
@@ -84,9 +82,6 @@ fn unparsable_numeric_flags_exit_2() {
         (fig2, &["--bits", "x"], "--bits"),
         (ablation_seq, &["--bits", "abc"], "--bits"),
         (ablation_conc, &["--max-k", "abc"], "--max-k"),
-        (bench_report, &["--scale", "abc"], "--scale"),
-        (bench_report, &["--bits", "abc"], "--bits"),
-        (bench_report, &["--max-wall-regress", "x"], "--max-wall-regress"),
         (fig3, &["--max-k", "abc"], "--max-k"),
     ]);
 }
@@ -107,7 +102,7 @@ fn unknown_flags_and_stray_arguments_exit_2() {
         (ablation_conc, &["--max-k", "2", "stray"], "stray"),
         (bench_report, &["--bogus-flag"], "--bogus-flag"),
         (bench_report, &["--bdd-smoke", "--skip-fig2"], "--skip-fig2"),
-        (bench_report, &["--scale", "1", "stray"], "stray"),
+        (bench_report, &["--timeout", "5", "stray"], "stray"),
         (bench_report, &["--bdd-smoke", "--compare"], "--compare"),
         (fig3, &["--bogus"], "--bogus"),
         (fig3, &["--max-k", "2", "--jobs", "2"], "--jobs"),
@@ -120,7 +115,7 @@ fn unknown_flags_and_stray_arguments_exit_2() {
 /// before any benchmark work.
 #[test]
 fn each_bench_binary_accepts_exactly_its_flags() {
-    assert_eq!(PAIRS.iter().map(|(_, flags)| flags.len()).sum::<usize>(), 17);
+    assert_eq!(PAIRS.iter().map(|(_, flags)| flags.len()).sum::<usize>(), 14);
     let mut every_flag: Vec<&str> = PAIRS.iter().flat_map(|(_, f)| f.iter().copied()).collect();
     every_flag.sort_unstable();
     every_flag.dedup();

@@ -40,14 +40,15 @@ use std::fmt;
 pub enum ConcExplicitError {
     /// The state budget was exhausted.
     StateLimit(usize),
-    /// A shared resource bound tripped ([`ConcLimits::resources`]):
-    /// deadline, step budget, or an external cancellation. Carries the
-    /// number of distinct configurations searched up to the trip, so the
-    /// budget overrun is reported against the work actually done.
+    /// A bound of the [`ResourceLimits`] the entry point was handed
+    /// tripped: the deadline, or a cancellation of its token (Ctrl-C, or
+    /// an earlier trip elsewhere in the run). Carries the work done up to
+    /// the trip.
     ResourceLimit {
         /// Which bound tripped.
         kind: LimitKind,
-        /// Distinct configurations visited when the limit fired.
+        /// Distinct configurations a search visited when the limit fired;
+        /// for [`conc_replay_guided`], the scripted steps replayed.
         search_states: usize,
     },
     /// A stack exceeded the depth limit (recursion too deep to explore
@@ -81,8 +82,8 @@ impl fmt::Display for ConcExplicitError {
             ConcExplicitError::ResourceLimit { kind, search_states } => {
                 write!(
                     f,
-                    "resource limit exceeded ({kind}) after searching {search_states} \
-                     configurations"
+                    "resource limit exceeded ({kind}) after {search_states} configurations \
+                     searched or steps replayed"
                 )
             }
             ConcExplicitError::StackLimit(n) => write!(f, "stack depth limit {n} exceeded"),
@@ -100,25 +101,18 @@ impl fmt::Display for ConcExplicitError {
 
 impl std::error::Error for ConcExplicitError {}
 
-/// Exploration limits.
-#[derive(Debug, Clone)]
-pub struct ConcLimits {
-    /// Maximum distinct configurations.
-    pub max_states: usize,
-    /// Maximum call-stack depth per thread.
-    pub max_stack: usize,
-    /// Shared resource governance (deadline, step budget, cancel token):
-    /// every BFS expansion accounts one step, so the same budget that
-    /// bounds the symbolic solve also bounds the explicit search. Off by
-    /// default.
-    pub resources: ResourceLimits,
-}
+/// The limits the explicit engines take: the run's [`ResourceLimits`],
+/// which every search expansion and every guided-replay step polls. The
+/// name stays for callers that spell `ConcLimits::default()`, the
+/// benchmark's pipeline among them.
+pub type ConcLimits = ResourceLimits;
 
-impl Default for ConcLimits {
-    fn default() -> Self {
-        ConcLimits { max_states: 2_000_000, max_stack: 12, resources: ResourceLimits::default() }
-    }
-}
+/// Most distinct configurations a search visits before
+/// [`ConcExplicitError::StateLimit`].
+const MAX_STATES: usize = 2_000_000;
+
+/// Deepest call stack per thread before [`ConcExplicitError::StackLimit`].
+const MAX_STACK: usize = 12;
 
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 struct Config {
@@ -172,7 +166,7 @@ pub fn conc_explicit_reachable(
     merged: &Merged,
     targets: &[Pc],
     switches: usize,
-    limits: ConcLimits,
+    limits: ResourceLimits,
 ) -> Result<bool, ConcExplicitError> {
     check_input(merged, None)?;
     // §5 fixes the whole schedule vector t̄, t0 included: any thread may
@@ -243,7 +237,7 @@ pub fn conc_refine_schedule(
     merged: &Merged,
     targets: &[Pc],
     schedule: &[ScheduleRound],
-    limits: ConcLimits,
+    limits: ResourceLimits,
 ) -> Result<Option<RefinedTrace>, ConcExplicitError> {
     check_input(merged, Some(schedule))?;
     search(merged, targets, [schedule[0].0], Switches::Scheduled(schedule), &limits)
@@ -259,7 +253,7 @@ fn search(
     targets: &[Pc],
     first: impl IntoIterator<Item = usize>,
     switches: Switches<'_>,
-    limits: &ConcLimits,
+    limits: &ResourceLimits,
 ) -> Result<Option<RefinedTrace>, ConcExplicitError> {
     // States are interned: `index` deduplicates, and `links` holds the
     // predecessor id and the step taken into each state by discovery id,
@@ -281,11 +275,10 @@ fn search(
             }
         }
         let Some((id, c)) = queue.pop_front() else { return Ok(None) };
-        if links.len() > limits.max_states {
-            return Err(ConcExplicitError::StateLimit(limits.max_states));
+        if links.len() > MAX_STATES {
+            return Err(ConcExplicitError::StateLimit(MAX_STATES));
         }
-        // One governed step per expansion: deadline poll + step budget.
-        limits.resources.note_steps(1).map_err(|kind| ConcExplicitError::ResourceLimit {
+        limits.poll().map_err(|kind| ConcExplicitError::ResourceLimit {
             kind,
             search_states: links.len(),
         })?;
@@ -305,7 +298,7 @@ fn search(
             return Ok(Some(RefinedTrace { steps, search_states: links.len() }));
         }
         let mut stepped: Vec<(Config, ReplayStep)> = Vec::new();
-        step_active(merged, &c, limits.max_stack, &mut stepped)?;
+        step_active(merged, &c, &mut stepped)?;
         let (round, thread) = (c.switches_used, c.active);
         found.extend(
             stepped
@@ -354,7 +347,7 @@ pub fn conc_replay_guided(
     targets: &[Pc],
     schedule: &[ScheduleRound],
     steps: &[GuidedStep],
-    limits: ConcLimits,
+    limits: ResourceLimits,
 ) -> Result<(), ConcExplicitError> {
     check_input(merged, Some(schedule))?;
     let reject = |step: usize, message: String| ConcExplicitError::ScriptRejected { step, message };
@@ -380,6 +373,9 @@ pub fn conc_replay_guided(
     };
 
     for (i, gs) in steps.iter().enumerate() {
+        limits
+            .poll()
+            .map_err(|kind| ConcExplicitError::ResourceLimit { kind, search_states: i })?;
         if gs.round < c.switches_used {
             return Err(reject(
                 i,
@@ -412,8 +408,8 @@ pub fn conc_replay_guided(
             ));
         }
         let stack = &mut c.stacks[c.active];
-        if matches!(gs.step, ReplayStep::Call { .. }) && stack.len() >= limits.max_stack {
-            return Err(reject(i, format!("stack depth limit {} exceeded", limits.max_stack)));
+        if matches!(gs.step, ReplayStep::Call { .. }) && stack.len() >= MAX_STACK {
+            return Err(reject(i, format!("stack depth limit {MAX_STACK} exceeded")));
         }
         replay_step(&merged.cfg, &mut c.globals, stack, &gs.step).map_err(|m| reject(i, m))?;
     }
@@ -458,7 +454,6 @@ fn check_input(
 fn step_active(
     merged: &Merged,
     c: &Config,
-    max_stack: usize,
     out: &mut Vec<(Config, ReplayStep)>,
 ) -> Result<(), ConcExplicitError> {
     let cfg = &merged.cfg;
@@ -533,8 +528,8 @@ fn step_active(
                 }
             }
             Edge::Call { callee, args, rets, ret_to } => {
-                if depth >= max_stack {
-                    return Err(ConcExplicitError::StackLimit(max_stack));
+                if depth >= MAX_STACK {
+                    return Err(ConcExplicitError::StackLimit(MAX_STACK));
                 }
                 let entry = cfg.procs[*callee].entry;
                 let sets: Vec<(bool, bool)> = args.iter().map(|a| a.value_set(&read)).collect();
@@ -677,7 +672,7 @@ mod tests {
         let cfg = &merged.cfg;
         let step = |c: &Config| {
             let mut out = Vec::new();
-            step_active(&merged, c, 12, &mut out).map(|()| out.len())
+            step_active(&merged, c, &mut out).map(|()| out.len())
         };
         let malformed = |r: Result<usize, ConcExplicitError>| {
             assert!(
@@ -884,7 +879,7 @@ mod tests {
             let mut work: Vec<Config> = seen.iter().cloned().collect();
             while let Some(c) = work.pop() {
                 let mut out = Vec::new();
-                step_active(&merged, &c, 12, &mut out).unwrap();
+                step_active(&merged, &c, &mut out).unwrap();
                 let before = (c.globals, c.stacks[c.active].clone());
                 for (c2, step) in &out {
                     let (mut g, mut stack) = before.clone();

@@ -68,8 +68,8 @@ pub enum AnalysisError {
     Encode(String),
     /// Fixpoint evaluation failed.
     Solve(String),
-    /// A resource bound tripped (deadline, node budget, step budget or an
-    /// external cancellation). Kept structured — unlike
+    /// A resource bound tripped (deadline, node budget or an external
+    /// cancellation). Kept structured — unlike
     /// [`AnalysisError::Solve`]'s stringified surface — so the CLI can
     /// print the partial statistics and exit with the dedicated resource
     /// code. Equality compares the limit kind only.

@@ -74,7 +74,7 @@ pub mod prelude {
     pub use getafix_mucalc::{SolveOptions, Strategy};
     pub use getafix_pds::{poststar, prestar};
     pub use getafix_witness::{
-        concurrent_trace, concurrent_trace_from_schedule, concurrent_witness,
-        concurrent_witness_from, sequential_witness, sequential_witness_from, WitnessLimits,
+        concurrent_trace_from_schedule, concurrent_witness, concurrent_witness_from,
+        sequential_witness, sequential_witness_from, WitnessLimits,
     };
 }

@@ -12,7 +12,7 @@
 use getafix::boolprog::analysis::{lint as lint_cfg, slice as slice_cfg, AnalysisOptions};
 use getafix::boolprog::{ParseError, SliceStats};
 use getafix::cli::{self, Args, Flag, Spec, Usage, Value::*};
-use getafix::conc::{slice_merged, ConcError, ConcLimits};
+use getafix::conc::{slice_merged, ConcError};
 use getafix::lint::{has_warnings, render_json, render_table};
 use getafix::prelude::*;
 use getafix::witness::{concurrent_trace_from_schedule, WitnessError};
@@ -135,12 +135,12 @@ STRAT: worklist (default) | round-robin   -- fixed-point solver scheduling strat
          unreachable under ANY context-switch bound
 --timeout SECS: wall-clock deadline for the whole solve (fractional values
          allowed). On expiry every cooperating loop — fixpoint re-evaluations,
-         explicit search, witness extraction — stops at its next poll point and
-         the run exits 3 with the partial statistics collected so far. The
-         GETAFIX_TIMEOUT environment variable supplies a default when the flag
-         is absent. Ctrl-C (SIGINT) rides the same cancellation token: the first
-         interrupt stops the solve cooperatively (exit 3, partial stats); a
-         second one kills the process
+         witness extraction, explicit search, guided replay — stops at its next
+         poll point and the run exits 3 with the partial statistics collected so
+         far. The GETAFIX_TIMEOUT environment variable supplies a default when
+         the flag is absent. Ctrl-C (SIGINT) rides the same cancellation token:
+         the first interrupt stops the solve cooperatively (exit 3, partial
+         stats); a second one kills the process
 --memory-budget MB: bound the BDD arena. On pressure the solver degrades
          gracefully first — forces a garbage collection, dropping computed
          caches and dead intermediates — and only if the live set itself still
@@ -389,8 +389,9 @@ fn print_stats(stats: &SolveStats) {
 }
 
 /// The `--stats` `limits:` line — what resource governance was configured
-/// (none by default) and how much of it the run consumed. The per-relation
-/// counters above are the work done *within* those bounds.
+/// (none by default), what of the deadline is left and which bound
+/// tripped. The per-relation counters above are the work done *within*
+/// those bounds.
 fn print_limits_line(limits: &ResourceLimits) {
     if !limits.any_configured() && limits.cancel.cancelled().is_none() {
         println!("limits: none");
@@ -404,13 +405,8 @@ fn print_limits_line(limits: &ResourceLimits) {
         },
     };
     let nodes = limits.node_budget.map_or_else(|| "-".to_string(), |n| format!("{n} nodes"));
-    let steps_budget = limits.step_budget.map_or_else(|| "-".to_string(), |n| n.to_string());
     let tripped = limits.cancel.cancelled().map_or_else(|| "none".to_string(), |k| k.to_string());
-    println!(
-        "limits: deadline {deadline}, node-budget {nodes}, step-budget {steps_budget}, \
-         steps used {}, tripped: {tripped}",
-        limits.cancel.steps()
-    );
+    println!("limits: deadline {deadline}, node-budget {nodes}, tripped: {tripped}");
 }
 
 /// The exit-3 surface of a witness step that a resource limit stopped
@@ -795,8 +791,7 @@ fn check(
                     .ok_or("ef-opt has no trace-capable system")?
             }
         };
-        let wl = WitnessLimits { resources: limits.clone(), ..WitnessLimits::default() };
-        let t = match sequential_witness_from(&mut solver, cfg, &[pc], wl) {
+        let t = match sequential_witness_from(&mut solver, cfg, &[pc], limits.clone()) {
             Ok(t) => t.ok_or("witness extraction disagreed with the verdict")?,
             Err(WitnessError::ResourceLimit(kind)) => {
                 return Ok(stopped("witness extraction", kind, args, solver_stats, &limits));
@@ -888,11 +883,9 @@ fn check_conc(
         // so witnesses needing unbounded recursion exceed the
         // explicit engine's limits — degrade to the round-level
         // schedule (structural guarantee only) instead of failing
-        // the command.
-        // The explicit refinement polls the same limits: its BFS
-        // expansions count against the shared step budget/deadline.
-        let refine_limits = ConcLimits { resources: limits.clone(), ..ConcLimits::default() };
-        match concurrent_trace_from_schedule(&merged, &[pc], &schedule, refine_limits) {
+        // the command. Refinement and guided replay poll the same
+        // limits as the solve.
+        match concurrent_trace_from_schedule(&merged, &[pc], &schedule, limits.clone()) {
             Ok(trace) => {
                 println!(
                     "trace ({} statement steps over {} rounds, {} of ≤ {switches} \

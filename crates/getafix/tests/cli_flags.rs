@@ -8,8 +8,9 @@
 //! for its verb exits 2 naming the verb that takes it, `lint --deny`
 //! exits 1 exactly when there is a warning, `check --trace` on `simple`
 //! or a baseline exits 1 with a witness, or 3 when a deadline stops its
-//! extraction, and `check-conc --trace` on a frame too wide for the
-//! explicit engine exits 1 with the solved schedule.
+//! extraction, a deadline trip prints its `--stats` limits line, and
+//! `check-conc --trace` on a frame too wide for the explicit engine exits
+//! 1 with the solved schedule.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -259,6 +260,10 @@ fn bad_values_and_clashes_exit_2_before_any_work() {
         (&["check", "missing.bp", "--label", "L", "--timeout", "nan"], &["--timeout"]),
         (&["check", "missing.bp", "--label", "L", "--timeout", "1e300"], &["--timeout"]),
         (&["inspect", "missing.bp", "--strategy", "bogus"], &["--strategy", "bogus"]),
+        (
+            &["check", "missing.bp", "--label", "L", "--strategy", "rr"],
+            &["--strategy", "`rr`", "`worklist` or `round-robin`"],
+        ),
     ];
     for (args, named) in cases {
         let dir = empty_dir("bad-values");
@@ -479,6 +484,29 @@ fn check_trace_on_simple_and_baselines_exits_1_or_3() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(3), "{stdout}{}", error_line(&out));
     assert!(stdout.contains("resource-limit:"), "{stdout}");
+}
+
+/// A run its deadline stops exits 3, and its `--stats` limits line shows
+/// the configured bounds and the one that tripped.
+#[test]
+fn a_deadline_trip_prints_the_limits_line() {
+    let out = getafix(&[
+        "check",
+        COUNTDOWN,
+        "--label",
+        "HIT",
+        "--timeout",
+        "0.2",
+        "--max-iter",
+        "100000000",
+        "--memory-budget",
+        "100",
+        "--stats",
+    ]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(3), "{stdout}{}", error_line(&out));
+    let line = "limits: deadline expired, node-budget 3276800 nodes, tripped: deadline";
+    assert!(stdout.lines().any(|l| l == line), "{stdout}");
 }
 
 /// A thread with 70 locals solves symbolically, but its frame does not fit

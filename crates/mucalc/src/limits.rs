@@ -1,14 +1,16 @@
-//! Resource governance: deadlines, node budgets, step budgets and
-//! cooperative cancellation.
+//! Resource governance: deadlines, node budgets and cooperative
+//! cancellation.
 //!
 //! A solve can blow up in time (fixpoint rounds over exploding BDDs) or
 //! space (arena growth) long before [`crate::SolveOptions::max_iterations`]
-//! trips. [`ResourceLimits`] bounds both, and a shared [`CancelToken`]
-//! lets *anything* — a deadline check, a SIGINT handler, a sibling case
-//! of a batch run sharing the same limits — stop every cooperating loop
-//! at its next poll point.
+//! trips. [`ResourceLimits`] bounds both, and its [`CancelToken`] lets
+//! *anything* — a deadline check, a SIGINT handler, a caller holding a
+//! clone of the limits — stop every cooperating loop at its next poll
+//! point. The same value governs a whole run: the solve, witness
+//! extraction and the explicit engines each take it, and every loop that
+//! takes it polls it with [`ResourceLimits::poll`].
 //!
-//! Poll points are cheap by construction: one relaxed atomic load per
+//! Poll points are cheap by construction: one atomic load per
 //! re-evaluation / search expansion / onion-peel step, a clock read only
 //! when a deadline is actually configured. When a limit trips the solver
 //! returns a structured [`crate::SolveError::LimitExceeded`] carrying the
@@ -17,7 +19,7 @@
 //! instead of a hang, an OOM kill, or a `^C` abort.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU8, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -29,10 +31,6 @@ pub enum LimitKind {
     /// The BDD arena exceeded the node budget even after a forced
     /// collection ([`ResourceLimits::node_budget`]).
     NodeBudget,
-    /// The global step counter (re-evaluations + search expansions +
-    /// witness peel steps, summed over every holder of the token) exceeded
-    /// the step budget ([`ResourceLimits::step_budget`]).
-    StepBudget,
     /// An external cancellation — SIGINT, or a caller-side
     /// [`CancelToken::cancel`].
     Interrupted,
@@ -43,8 +41,7 @@ impl LimitKind {
         match self {
             LimitKind::Deadline => 1,
             LimitKind::NodeBudget => 2,
-            LimitKind::StepBudget => 3,
-            LimitKind::Interrupted => 4,
+            LimitKind::Interrupted => 3,
         }
     }
 
@@ -52,8 +49,7 @@ impl LimitKind {
         match code {
             1 => Some(LimitKind::Deadline),
             2 => Some(LimitKind::NodeBudget),
-            3 => Some(LimitKind::StepBudget),
-            4 => Some(LimitKind::Interrupted),
+            3 => Some(LimitKind::Interrupted),
             _ => None,
         }
     }
@@ -64,7 +60,6 @@ impl fmt::Display for LimitKind {
         match self {
             LimitKind::Deadline => write!(f, "deadline"),
             LimitKind::NodeBudget => write!(f, "node-budget"),
-            LimitKind::StepBudget => write!(f, "step-budget"),
             LimitKind::Interrupted => write!(f, "interrupted"),
         }
     }
@@ -74,29 +69,21 @@ impl fmt::Display for LimitKind {
 struct TokenInner {
     /// 0 = live; otherwise a [`LimitKind::code`]. First cancel wins.
     state: AtomicU8,
-    /// Global step counter, shared by every clone of the token — the
-    /// denominator [`ResourceLimits::step_budget`] is checked against.
-    steps: AtomicU64,
 }
 
-/// A shared, lock-free cancellation flag plus global step counter.
+/// A shared, lock-free cancellation flag.
 ///
-/// Cloning shares the underlying state: every clone of one
-/// `ResourceLimits` sees one budget and one flag, even across threads (a
-/// batch run hands each case a clone). The first [`CancelToken::cancel`]
-/// wins; later calls are no-ops, so the *reason* a run stopped is stable
-/// however many holders trip at once.
+/// Cloning shares the flag: the CLI keeps one clone of the limits for its
+/// `--stats` line and hands others to the solve, witness extraction and
+/// the explicit engines, and the SIGINT handler flips the same flag. The
+/// first [`CancelToken::cancel`] wins; later calls are no-ops, so the
+/// *reason* a run stopped is stable however many holders trip.
 #[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     inner: Arc<TokenInner>,
 }
 
 impl CancelToken {
-    /// A fresh, un-cancelled token.
-    pub fn new() -> CancelToken {
-        CancelToken::default()
-    }
-
     /// Requests cancellation with the given reason. Returns `true` if this
     /// call was the first to cancel (its reason sticks), `false` if the
     /// token was already cancelled.
@@ -112,24 +99,11 @@ impl CancelToken {
     pub fn cancelled(&self) -> Option<LimitKind> {
         LimitKind::from_code(self.inner.state.load(Ordering::Acquire))
     }
-
-    /// Adds `n` to the shared step counter and returns the new total.
-    pub fn add_steps(&self, n: u64) -> u64 {
-        self.inner.steps.fetch_add(n, Ordering::Relaxed) + n
-    }
-
-    /// The steps accounted so far across every holder of this token.
-    pub fn steps(&self) -> u64 {
-        self.inner.steps.load(Ordering::Relaxed)
-    }
-
-    /// Do two tokens share the same underlying state?
-    pub fn same_token(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.inner, &other.inner)
-    }
 }
 
-/// Resource bounds for a solve, all optional and off by default.
+/// Resource bounds for a run, all optional and off by default: the one
+/// limits value the solve, witness extraction and the explicit engines
+/// take.
 ///
 /// The deadline is an absolute [`Instant`], so cloning the limits (as the
 /// CLI does to carry them from the solve into witness extraction) keeps
@@ -145,25 +119,16 @@ pub struct ResourceLimits {
     /// only surfaces [`LimitKind::NodeBudget`] if the live set itself
     /// exceeds the budget.
     pub node_budget: Option<usize>,
-    /// Max total steps (re-evaluations, explicit-search expansions,
-    /// witness peel steps) summed over every holder of the shared
-    /// [`CancelToken`] counter.
-    pub step_budget: Option<u64>,
-    /// Shared cancellation flag + step counter.
+    /// Shared cancellation flag.
     pub cancel: CancelToken,
 }
 
 impl ResourceLimits {
-    /// No limits, fresh token.
-    pub fn new() -> ResourceLimits {
-        ResourceLimits::default()
-    }
-
-    /// Are any bounds configured (deadline, node budget or step budget)?
-    /// An unlimited run with a live token still polls, so SIGINT works,
-    /// but reports `limits: none` in stats.
+    /// Are any bounds configured (deadline or node budget)? An unlimited
+    /// run with a live token still polls, so SIGINT works, but reports
+    /// `limits: none` in stats.
     pub fn any_configured(&self) -> bool {
-        self.deadline.is_some() || self.node_budget.is_some() || self.step_budget.is_some()
+        self.deadline.is_some() || self.node_budget.is_some()
     }
 
     /// Sets a relative timeout: the deadline becomes `now + timeout`.
@@ -178,16 +143,7 @@ impl ResourceLimits {
         self
     }
 
-    /// Sets the step budget.
-    pub fn with_step_budget(mut self, steps: u64) -> ResourceLimits {
-        self.step_budget = Some(steps);
-        self
-    }
-
     /// One poll: token first (cancellation by any holder), then deadline.
-    /// The step budget is checked by callers that *account* steps
-    /// ([`ResourceLimits::note_steps`]); pure poll points skip it so a
-    /// trip is attributed where the work happened.
     pub fn poll(&self) -> Result<(), LimitKind> {
         if let Some(kind) = self.cancel.cancelled() {
             return Err(kind);
@@ -201,19 +157,6 @@ impl ResourceLimits {
             }
         }
         Ok(())
-    }
-
-    /// Accounts `n` steps against the shared counter, then polls. Trips
-    /// [`LimitKind::StepBudget`] when the global total crosses the budget.
-    pub fn note_steps(&self, n: u64) -> Result<(), LimitKind> {
-        let total = self.cancel.add_steps(n);
-        if let Some(budget) = self.step_budget {
-            if total > budget {
-                self.cancel.cancel(LimitKind::StepBudget);
-                return Err(self.cancel.cancelled().unwrap_or(LimitKind::StepBudget));
-            }
-        }
-        self.poll()
     }
 }
 
@@ -326,7 +269,7 @@ mod tests {
 
     #[test]
     fn first_cancel_wins() {
-        let t = CancelToken::new();
+        let t = CancelToken::default();
         assert_eq!(t.cancelled(), None);
         assert!(t.cancel(LimitKind::Deadline));
         assert!(!t.cancel(LimitKind::Interrupted));
@@ -335,13 +278,13 @@ mod tests {
 
     #[test]
     fn clone_shares_state() {
-        let limits = ResourceLimits::new().with_step_budget(10);
+        let limits = ResourceLimits::default();
         let clone = limits.clone();
-        assert!(limits.cancel.same_token(&clone.cancel));
-        assert!(clone.note_steps(6).is_ok());
-        // The second holder sees the shared total cross the budget.
-        assert_eq!(limits.note_steps(6), Err(LimitKind::StepBudget));
-        assert_eq!(clone.cancel.cancelled(), Some(LimitKind::StepBudget));
+        assert!(clone.poll().is_ok());
+        // A cancel through one clone is seen by the other.
+        assert!(clone.cancel.cancel(LimitKind::Interrupted));
+        assert_eq!(limits.poll(), Err(LimitKind::Interrupted));
+        assert_eq!(limits.cancel.cancelled(), Some(LimitKind::Interrupted));
     }
 
     #[test]
@@ -352,10 +295,9 @@ mod tests {
 
     #[test]
     fn unconfigured_limits_poll_ok() {
-        let limits = ResourceLimits::new();
+        let limits = ResourceLimits::default();
         assert!(!limits.any_configured());
         assert!(limits.poll().is_ok());
-        assert!(limits.note_steps(1_000_000).is_ok());
     }
 
     #[test]
@@ -364,7 +306,7 @@ mod tests {
         let b = LimitReport { kind: LimitKind::Deadline, partial: Default::default() };
         a.partial.gcs = 7;
         assert_eq!(a, b);
-        let c = LimitReport { kind: LimitKind::StepBudget, partial: Default::default() };
+        let c = LimitReport { kind: LimitKind::Interrupted, partial: Default::default() };
         assert_ne!(a, c);
     }
 }

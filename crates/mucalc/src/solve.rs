@@ -103,7 +103,7 @@ pub enum SolveError {
     /// Invalid solver options (e.g. a zero iteration bound).
     Options(String),
     /// A resource bound tripped ([`crate::ResourceLimits`]): deadline,
-    /// node budget, step budget, or an external cancellation. The boxed
+    /// node budget, or an external cancellation. The boxed
     /// [`LimitReport`] carries the partial [`SolveStats`] collected up to
     /// the trip. Equality compares the limit kind only.
     LimitExceeded(Box<LimitReport>),
@@ -169,8 +169,8 @@ impl FromStr for Strategy {
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         match s {
-            "round-robin" | "roundrobin" | "rr" => Ok(Strategy::RoundRobin),
-            "worklist" | "wl" => Ok(Strategy::Worklist),
+            "round-robin" => Ok(Strategy::RoundRobin),
+            "worklist" => Ok(Strategy::Worklist),
             other => {
                 Err(format!("unknown strategy `{other}` (expected `worklist` or `round-robin`)"))
             }
@@ -204,12 +204,12 @@ pub struct SolveOptions {
     /// `None` disables collection. Only the worklist strategy collects;
     /// the round-robin reference never does.
     pub gc_threshold: Option<usize>,
-    /// Resource bounds: wall-clock deadline, arena node budget, global
-    /// step budget, plus the shared cancellation token every poll point
-    /// checks. All off by default. Cloning the limits *shares* the
-    /// deadline and token, so one budget governs the solve and whatever
-    /// else the caller runs under the same clone (witness extraction,
-    /// explicit refinement). On a trip the solver returns
+    /// Resource bounds: wall-clock deadline and arena node budget, plus
+    /// the shared cancellation token every poll point checks. All off by
+    /// default. Cloning the limits *shares* the deadline and token, so one
+    /// value governs the solve and whatever else the caller runs under the
+    /// same clone (witness extraction, explicit refinement, guided
+    /// replay). On a trip the solver returns
     /// [`SolveError::LimitExceeded`] with partial statistics; on node
     /// pressure it first forces a collection and only fails if the live
     /// set itself exceeds the budget.
@@ -875,18 +875,12 @@ impl Solver {
         }
     }
 
-    /// Accounts one step against the global budget, then polls — at every
-    /// pass and round of a fixpoint iteration. The step counter lives in
-    /// the shared token, so the budget bounds the *total* work of
-    /// everything run under the same limits (solve, witness extraction,
-    /// explicit refinement). It is also where the solver offers the
-    /// `--progress` heartbeat, which the collector throttles.
+    /// The poll point of every pass and round of a fixpoint iteration,
+    /// and where the solver offers the `--progress` heartbeat, which the
+    /// collector throttles.
     pub(crate) fn note_step(&mut self) -> Result<(), SolveError> {
         telemetry::heartbeat(|t_us| self.heartbeat(t_us));
-        match self.options.limits.note_steps(1) {
-            Ok(()) => Ok(()),
-            Err(kind) => Err(self.limit_error(kind)),
-        }
+        self.check_limits()
     }
 
     /// The `--progress` line at collector time `t_us`, from the solver's
@@ -979,8 +973,7 @@ impl Solver {
                     bound: self.options.max_iterations,
                 });
             }
-            // One governed step per round: deadline/cancellation poll plus
-            // step-budget accounting, before any BDD work for the round.
+            // One poll per round, before any BDD work for the round.
             self.note_step()?;
             let mut round_span = top_level.then(|| {
                 let mut sp = telemetry::span(Phase::Solve, "round");

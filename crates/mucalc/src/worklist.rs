@@ -87,7 +87,8 @@
 //! after each step every disjunct of the member has compiled against the
 //! current values. S is therefore kept once per member (the values of the
 //! members its Δ-compiled disjuncts read, as of its last step), each Δ is
-//! computed once per step and swapped into the environment in place.
+//! computed once per step, and the step's Δ environment is the component
+//! environment with each of those members' values replaced by its Δ.
 //! Recombining steps (the ordered schedule) and the nested fallback
 //! always compile against X: their values may shrink.
 //!
@@ -150,7 +151,7 @@ pub(crate) struct Plan {
     /// The body's top-level disjuncts.
     parts: Vec<Part>,
     /// The component members the Δ-compiled disjuncts read, by id: the
-    /// values an accumulating step swaps for their Δ.
+    /// values an accumulating step replaces by their Δ.
     delta_reads: Vec<usize>,
 }
 
@@ -304,11 +305,9 @@ struct Component {
     /// Per member, by its plan's `delta_reads`: the values as of the
     /// member's last accumulating step (S, see the module docs).
     seen: Vec<Vec<Bdd>>,
-    /// The running step's Δ by `delta_reads`, or — while `swapped` — the
-    /// full values they replace in `env`.
-    delta: Vec<Option<Bdd>>,
-    /// Does `env` hold the running step's Δ?
-    swapped: bool,
+    /// The running accumulating step's Δ environment: `env` with each of
+    /// the member's `delta_reads` replaced by its Δ.
+    delta_env: Vec<Option<Bdd>>,
 }
 
 impl Component {
@@ -317,34 +316,20 @@ impl Component {
         self.env[self.members[i]].expect("member values are always set")
     }
 
-    /// Computes member `i`'s Δ = X ∧ ¬S for every relation its Δ-compiled
-    /// disjuncts read, once per step; a value unchanged since the last
-    /// step has Δ = ⊥.
+    /// Builds member `i`'s Δ environment: Δ = X ∧ ¬S for every relation
+    /// its Δ-compiled disjuncts read, once per step; a value unchanged
+    /// since the last step has Δ = ⊥.
     fn load_deltas(&mut self, manager: &mut Manager, i: usize) {
-        self.delta.clear();
+        self.delta_env.clone_from(&self.env);
         for (&r, &s) in self.plans[i].delta_reads.iter().zip(&self.seen[i]) {
             let x = self.env[r].expect("member values are always set");
-            self.delta.push(Some(if x == s { Bdd::FALSE } else { manager.diff(x, s) }));
+            self.delta_env[r] = Some(if x == s { Bdd::FALSE } else { manager.diff(x, s) });
         }
     }
 
-    /// Puts member `i`'s Δ (`on`) or the full values into `env`, swapping
-    /// in place.
-    fn use_deltas(&mut self, i: usize, on: bool) {
-        if self.swapped != on {
-            for (&r, d) in self.plans[i].delta_reads.iter().zip(&mut self.delta) {
-                std::mem::swap(&mut self.env[r], d);
-            }
-            self.swapped = on;
-        }
-    }
-
-    /// Ends member `i`'s accumulating step: the full values go back into
-    /// `env`, and they are what every disjunct of the member has now
-    /// compiled against.
+    /// Ends member `i`'s accumulating step: the current values are what
+    /// every disjunct of the member has now compiled against.
     fn end_step(&mut self, i: usize) {
-        self.use_deltas(i, false);
-        self.delta.clear();
         for (s, &r) in self.seen[i].iter_mut().zip(&self.plans[i].delta_reads) {
             *s = self.env[r].expect("member values are always set");
         }
@@ -751,8 +736,7 @@ impl Solver {
             clock: 0,
             cache,
             seen,
-            delta: Vec::new(),
-            swapped: false,
+            delta_env: Vec::new(),
         })
     }
 
@@ -813,9 +797,8 @@ impl Solver {
         let mut delta = false;
         let (raw, factor_values) = match (&part.shape, previous) {
             (Shape::Linear, Some(_)) => {
-                st.use_deltas(i, true);
                 delta = true;
-                (self.compile_piece(rel, part, None, &st.env)?, Vec::new())
+                (self.compile_piece(rel, part, None, &st.delta_env)?, Vec::new())
             }
             (Shape::Product(factors), previous) if st.monotone => {
                 let (old, at) = previous
@@ -835,25 +818,18 @@ impl Solver {
                     let value = match old {
                         Some(old) if st.unchanged_since(factor, at) => old,
                         Some(old) => {
-                            st.use_deltas(i, true);
                             delta = true;
-                            let image = self.compile_piece(rel, part, piece, &st.env)?;
+                            let image = self.compile_piece(rel, part, piece, &st.delta_env)?;
                             self.manager.or(old, image)
                         }
-                        None => {
-                            st.use_deltas(i, false);
-                            self.compile_piece(rel, part, piece, &st.env)?
-                        }
+                        None => self.compile_piece(rel, part, piece, &st.env)?,
                     };
                     acc = self.manager.and(acc, value);
                     values.push(Some(value));
                 }
                 (acc, values)
             }
-            _ => {
-                st.use_deltas(i, false);
-                (self.compile_piece(rel, part, None, &st.env)?, Vec::new())
-            }
+            _ => (self.compile_piece(rel, part, None, &st.env)?, Vec::new()),
         };
         self.stats.delta_compiles += u64::from(delta);
         let built = self.manager.stats().nodes_created - created;

@@ -19,10 +19,9 @@ use crate::trace::{ConcTrace, Round, Schedule};
 use getafix_bdd::{Bdd, Var};
 use getafix_boolprog::Pc;
 use getafix_conc::{
-    build_conc_solver_with, conc_refine_schedule, conc_replay_guided, ConcExplicitError,
-    ConcLimits, Merged,
+    build_conc_solver_with, conc_refine_schedule, conc_replay_guided, ConcExplicitError, Merged,
 };
-use getafix_mucalc::{eq_const, SolveOptions, Solver};
+use getafix_mucalc::{eq_const, ResourceLimits, SolveOptions, Solver};
 
 /// Extracts a schedule reaching `targets` within `switches` context
 /// switches, or `None` when unreachable.
@@ -131,48 +130,25 @@ pub fn concurrent_witness_from(
     Ok(Some(schedule))
 }
 
-/// Extracts a **statement-granular** concurrent witness: the schedule of
-/// [`concurrent_witness`] refined into an explicit interleaved step
-/// sequence (every scheduler choice and every nondeterministic value
-/// pinned), validated by the deterministic guided replayer before being
-/// returned. Returns `None` when the target is unreachable.
+/// Refines an already-extracted [`Schedule`] into a **statement-granular**
+/// [`ConcTrace`]: the explicit engine searches *within* the schedule's
+/// script ([`getafix_conc::conc_refine_schedule`]) for the interleaving,
+/// with every nondeterministic choice pinned, and the result must survive
+/// deterministic guided replay ([`getafix_conc::conc_replay_guided`]) — an
+/// extracted trace is evidence, not a claim. Both run under `limits`.
 ///
 /// The refinement materializes call stacks, so programs whose witnesses
-/// need unbounded recursion exceed `limits` —
+/// need unbounded recursion exceed the explicit engine's caps —
 /// [`WitnessError::Limit`] — and callers should degrade to the
 /// round-level [`Schedule`] (the CLI does).
 ///
 /// # Errors
 ///
-/// See [`WitnessError`].
-pub fn concurrent_trace(
-    merged: &Merged,
-    targets: &[Pc],
-    switches: usize,
-    options: SolveOptions,
-    limits: ConcLimits,
-) -> Result<Option<ConcTrace>, WitnessError> {
-    match concurrent_witness(merged, targets, switches, options)? {
-        None => Ok(None),
-        Some(schedule) => {
-            concurrent_trace_from_schedule(merged, targets, &schedule, limits).map(Some)
-        }
-    }
-}
-
-/// Refines an already-extracted [`Schedule`] into a [`ConcTrace`]: the
-/// explicit engine searches *within* the schedule's script
-/// ([`getafix_conc::conc_refine_schedule`]) for the statement-granular
-/// interleaving, and the result must survive deterministic guided replay
-/// ([`getafix_conc::conc_replay_guided`]) — an extracted trace is
-/// evidence, not a claim.
-///
-/// # Errors
-///
 /// [`WitnessError::Limit`] when the explicit refinement exceeds its state
-/// or stack budget (unbounded recursion), [`WitnessError::TooManyVariables`]
+/// or stack cap (unbounded recursion), [`WitnessError::TooManyVariables`]
 /// when a frame does not fit the explicit engine's 64 bits
-/// ([`getafix_boolprog::Cfg::check_frame_width`]), and
+/// ([`getafix_boolprog::Cfg::check_frame_width`]),
+/// [`WitnessError::ResourceLimit`] when `limits` trip, and
 /// [`WitnessError::Internal`] when the schedule does not refine or the
 /// refined script fails guided replay (both extractor bugs, kept dead by
 /// the differential suites).
@@ -180,7 +156,7 @@ pub fn concurrent_trace_from_schedule(
     merged: &Merged,
     targets: &[Pc],
     schedule: &Schedule,
-    limits: ConcLimits,
+    limits: ResourceLimits,
 ) -> Result<ConcTrace, WitnessError> {
     let _span = getafix_telemetry::span(getafix_telemetry::Phase::Witness, "refine_schedule");
     let rounds = schedule.to_replay();
@@ -192,8 +168,10 @@ pub fn concurrent_trace_from_schedule(
                  (infeasible under the explicit semantics): {schedule:?}"
             ))
         })?;
-    conc_replay_guided(merged, targets, &rounds, &refined.steps, limits)
-        .map_err(|e| WitnessError::Internal(format!("refined trace failed guided replay: {e}")))?;
+    conc_replay_guided(merged, targets, &rounds, &refined.steps, limits).map_err(|e| match e {
+        ConcExplicitError::ResourceLimit { kind, .. } => WitnessError::ResourceLimit(kind),
+        e => WitnessError::Internal(format!("refined trace failed guided replay: {e}")),
+    })?;
     Ok(ConcTrace::from_guided(schedule.clone(), &refined.steps))
 }
 

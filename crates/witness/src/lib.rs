@@ -20,7 +20,7 @@
 //!   engine: who runs in each context and the shared-global valuation at
 //!   every switch. A schedule is executable exactly when the explicit
 //!   engine refines it ([`getafix_conc::conc_refine_schedule`]).
-//! * [`concurrent_trace`] — the schedule refined into a
+//! * [`concurrent_trace_from_schedule`] — the schedule refined into a
 //!   **statement-granular** interleaved [`ConcTrace`]: an explicit
 //!   `(round, thread, pc, valuation)` step sequence with every
 //!   nondeterministic choice pinned, validated by the *deterministic*
@@ -62,11 +62,6 @@ mod conc;
 mod seq;
 mod trace;
 
-pub use conc::{
-    concurrent_trace, concurrent_trace_from_schedule, concurrent_witness, concurrent_witness_from,
-};
-pub use seq::{
-    sequential_witness, sequential_witness_from, sequential_witness_with, WitnessError,
-    WitnessLimits,
-};
+pub use conc::{concurrent_trace_from_schedule, concurrent_witness, concurrent_witness_from};
+pub use seq::{sequential_witness, sequential_witness_from, WitnessError, WitnessLimits};
 pub use trace::{ConcStep, ConcTrace, Round, Schedule, Step, StepKind, Trace};

@@ -73,10 +73,10 @@ pub enum WitnessError {
     /// The program exceeds the extractor's concrete-state limits
     /// (more than 64 globals or locals per frame).
     TooManyVariables(String),
-    /// Exploration exceeded the configured state budget.
+    /// Exploration exceeded the extractor's state cap.
     Limit(usize),
-    /// A shared resource bound tripped ([`WitnessLimits::resources`]):
-    /// deadline, step budget, or an external cancellation.
+    /// A bound of the [`ResourceLimits`] extraction was handed tripped:
+    /// the deadline, or a cancellation of its token.
     ResourceLimit(LimitKind),
     /// Extraction contradicted itself — a bug in the solver, the encoding
     /// or the extractor (the differential suites exist to keep this arm
@@ -111,24 +111,15 @@ impl From<SolveError> for WitnessError {
     }
 }
 
-/// Extraction tuning knobs.
-#[derive(Debug, Clone)]
-pub struct WitnessLimits {
-    /// Cap on BFS states per invocation and on enumerated candidate
-    /// tuples; exceeding it is [`WitnessError::Limit`].
-    pub max_states: usize,
-    /// Shared resource governance (deadline, step budget, cancel token):
-    /// every onion-peel step and path-BFS expansion accounts one step, so
-    /// the budget that bounds the verdict solve also bounds extraction.
-    /// Off by default.
-    pub resources: ResourceLimits,
-}
+/// The limits witness extraction takes: the run's [`ResourceLimits`],
+/// which every onion-peel step and path-BFS expansion polls. The name
+/// stays for callers that spell `WitnessLimits::default()`, the
+/// benchmark's pipeline among them.
+pub type WitnessLimits = ResourceLimits;
 
-impl Default for WitnessLimits {
-    fn default() -> Self {
-        WitnessLimits { max_states: 1_000_000, resources: ResourceLimits::default() }
-    }
-}
+/// Cap on BFS states per invocation and on enumerated candidate tuples;
+/// exceeding it is [`WitnessError::Limit`].
+const MAX_STATES: usize = 1_000_000;
 
 /// A concrete summary tuple: one point of the `Reachable` relation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -148,8 +139,8 @@ struct Conf {
 /// This is the demoted oracle path: it pays a full second solve, so
 /// production callers that already hold a provenance-recording verdict
 /// solver should use [`sequential_witness_from`] instead. The `options`'
-/// strategy and iteration bound are honoured (provenance recording is
-/// forced on).
+/// strategy, iteration bound and limits are honoured (provenance
+/// recording is forced on); extraction runs under the same limits.
 ///
 /// # Errors
 ///
@@ -159,21 +150,8 @@ pub fn sequential_witness(
     targets: &[Pc],
     options: SolveOptions,
 ) -> Result<Option<Trace>, WitnessError> {
-    sequential_witness_with(cfg, targets, options, WitnessLimits::default())
-}
-
-/// As [`sequential_witness`], with explicit extraction limits.
-///
-/// # Errors
-///
-/// See [`WitnessError`].
-pub fn sequential_witness_with(
-    cfg: &Cfg,
-    targets: &[Pc],
-    options: SolveOptions,
-    limits: WitnessLimits,
-) -> Result<Option<Trace>, WitnessError> {
     let system = system_ef_trace(cfg, true).map_err(|e| WitnessError::Solve(e.to_string()))?;
+    let limits = options.limits.clone();
     let options = SolveOptions { record_provenance: true, ..options };
     let mut solver =
         Solver::with_options(system, options).map_err(|e| WitnessError::Solve(e.to_string()))?;
@@ -198,7 +176,7 @@ pub fn sequential_witness_from(
     solver: &mut Solver,
     cfg: &Cfg,
     targets: &[Pc],
-    limits: WitnessLimits,
+    limits: ResourceLimits,
 ) -> Result<Option<Trace>, WitnessError> {
     let mut span = getafix_telemetry::span(getafix_telemetry::Phase::Witness, "sequential_witness");
     span.attr("targets", targets.len());
@@ -304,7 +282,7 @@ struct Extractor<'a> {
     solver: &'a mut Solver,
     frontiers: Vec<Bdd>,
     vars: ConfVars,
-    limits: WitnessLimits,
+    limits: ResourceLimits,
 }
 
 /// How the BFS reached a state.
@@ -326,7 +304,7 @@ impl<'a> Extractor<'a> {
         rel: &str,
         conf_formal: usize,
         frontiers: Vec<Bdd>,
-        limits: WitnessLimits,
+        limits: ResourceLimits,
     ) -> Result<Self, WitnessError> {
         let inst = solver.alloc().formal(rel, conf_formal).clone();
         // A missing field is a system/solver mismatch (a hand-built system
@@ -417,7 +395,7 @@ impl<'a> Extractor<'a> {
         let mut frames: Vec<(Conf, Conf)> = Vec::new(); // (entry, goal)
         let mut goal = target;
         loop {
-            self.limits.resources.note_steps(1).map_err(WitnessError::ResourceLimit)?;
+            self.limits.poll().map_err(WitnessError::ResourceLimit)?;
             let entry = self.entry_of(goal);
             frames.push((entry, goal));
             if entry == self.init_conf() {
@@ -543,10 +521,10 @@ impl<'a> Extractor<'a> {
 
         let cfg = self.cfg;
         'bfs: while let Some(cur) = queue.pop_front() {
-            if prev.len() > self.limits.max_states {
-                return Err(WitnessError::Limit(self.limits.max_states));
+            if prev.len() > MAX_STATES {
+                return Err(WitnessError::Limit(MAX_STATES));
             }
-            self.limits.resources.note_steps(1).map_err(WitnessError::ResourceLimit)?;
+            self.limits.poll().map_err(WitnessError::ResourceLimit)?;
             let proc = cfg.proc_of(cur.pc);
             let edges = match proc.edges.get(&cur.pc) {
                 Some(es) => es,
@@ -744,7 +722,6 @@ impl<'a> Extractor<'a> {
         over: &[Var],
         expand: &[bool],
     ) -> Result<Vec<Vec<bool>>, WitnessError> {
-        let cap = self.limits.max_states;
         let m = self.solver.manager_ref();
         let mut out = Vec::new();
         for cube in m.cubes(f) {
@@ -756,7 +733,7 @@ impl<'a> Extractor<'a> {
                 .map(|(i, _)| i)
                 .collect();
             if free.len() >= usize::BITS as usize {
-                return Err(WitnessError::Limit(cap));
+                return Err(WitnessError::Limit(MAX_STATES));
             }
             let mut base: Vec<bool> =
                 over.iter().map(|v| fixed.get(&v.0).copied().unwrap_or(false)).collect();
@@ -765,8 +742,8 @@ impl<'a> Extractor<'a> {
                     base[idx] = (bits >> j) & 1 == 1;
                 }
                 out.push(base.clone());
-                if out.len() > cap {
-                    return Err(WitnessError::Limit(cap));
+                if out.len() > MAX_STATES {
+                    return Err(WitnessError::Limit(MAX_STATES));
                 }
             }
         }

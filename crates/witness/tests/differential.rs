@@ -12,9 +12,16 @@
 //! evidence here.
 
 use getafix_boolprog::{explicit_reachable, parse_concurrent, parse_program, replay, Cfg};
-use getafix_conc::{conc_replay_guided, merge, ConcLimits};
-use getafix_mucalc::{SolveOptions, Strategy};
-use getafix_witness::{concurrent_trace_from_schedule, concurrent_witness, sequential_witness};
+use getafix_conc::{
+    conc_explicit_reachable, conc_refine_schedule, conc_replay_guided, merge, ConcExplicitError,
+    ConcLimits,
+};
+use getafix_core::{build_trace_solver_with, Algorithm};
+use getafix_mucalc::{LimitKind, ResourceLimits, SolveError, SolveOptions, Strategy};
+use getafix_witness::{
+    concurrent_trace_from_schedule, concurrent_witness, sequential_witness,
+    sequential_witness_from, WitnessError,
+};
 
 /// Extract under one strategy and cross-check against the explicit oracle.
 fn check_seq(src: &str, label: &str) {
@@ -832,4 +839,60 @@ fn conc_recursive_thread_schedule_is_well_formed() {
         endthread
     "#;
     check_conc(src, "t0__HIT", 2, false);
+}
+
+/// One cancelled limits value stops every entry point that takes it, each
+/// with its own resource-limit error before any work: the solve (with
+/// partial statistics), sequential extraction, the explicit search,
+/// schedule refinement, guided replay and statement-trace refinement.
+#[test]
+fn a_cancelled_limits_value_stops_every_entry_point() {
+    let limits = ResourceLimits::default();
+    limits.cancel.cancel(LimitKind::Interrupted);
+
+    let (src, label) = SEQ_CASES[0];
+    let cfg = Cfg::build(&parse_program(src).unwrap()).unwrap();
+    let pc = cfg.label(label).unwrap();
+    let trace_solver = |options| {
+        build_trace_solver_with(&cfg, &[pc], Algorithm::EntryForwardOpt, options).unwrap().unwrap()
+    };
+    let options = SolveOptions { limits: limits.clone(), ..SolveOptions::default() };
+    match trace_solver(options).eval_query("reach") {
+        Err(SolveError::LimitExceeded(report)) => {
+            assert_eq!(report.kind, LimitKind::Interrupted);
+            assert_eq!(report.partial.total_reevaluations(), 0, "stopped before any work");
+            assert!(!report.partial.sccs.is_empty(), "partial stats carry the solve's shape");
+            assert!(report.partial.peak_arena_bytes > 0, "partial stats carry the arena");
+        }
+        other => panic!("expected an interrupted solve, got {other:?}"),
+    }
+    let mut solver = trace_solver(SolveOptions::default());
+    assert!(solver.eval_query("reach").unwrap());
+    assert_eq!(
+        sequential_witness_from(&mut solver, &cfg, &[pc], limits.clone()),
+        Err(WitnessError::ResourceLimit(LimitKind::Interrupted))
+    );
+
+    let merged = merge(&parse_concurrent(HANDSHAKE).unwrap()).unwrap();
+    let pc = merged.cfg.label("t0__HIT").unwrap();
+    let schedule = concurrent_witness(&merged, &[pc], 2, SolveOptions::default()).unwrap().unwrap();
+    let rounds = schedule.to_replay();
+    let steps = conc_refine_schedule(&merged, &[pc], &rounds, ConcLimits::default())
+        .unwrap()
+        .unwrap()
+        .steps;
+    assert!(!steps.is_empty());
+    let stopped = |e: ConcExplicitError| {
+        assert!(
+            matches!(e, ConcExplicitError::ResourceLimit { kind: LimitKind::Interrupted, .. }),
+            "{e}"
+        );
+    };
+    stopped(conc_explicit_reachable(&merged, &[pc], 2, limits.clone()).unwrap_err());
+    stopped(conc_refine_schedule(&merged, &[pc], &rounds, limits.clone()).unwrap_err());
+    stopped(conc_replay_guided(&merged, &[pc], &rounds, &steps, limits.clone()).unwrap_err());
+    assert_eq!(
+        concurrent_trace_from_schedule(&merged, &[pc], &schedule, limits),
+        Err(WitnessError::ResourceLimit(LimitKind::Interrupted))
+    );
 }
