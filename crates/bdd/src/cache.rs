@@ -30,6 +30,13 @@
 //! never touch an operation never pay for its table, and the full set
 //! totals a few MiB. The committed `BENCH_bdd.json` pins the kernel
 //! counters these sizes produce.
+//!
+//! # Counted per table
+//!
+//! Every lookup counts one hit or one miss against its own table
+//! ([`CacheTable`]), an O(1) increment, so a run's kernel work splits by
+//! operation family; [`crate::ManagerStats::cache_hits`] and
+//! [`crate::ManagerStats::cache_misses`] are the sums over the tables.
 
 use crate::manager::{Bdd, Var};
 use crate::table::hash_node;
@@ -53,6 +60,59 @@ const RENAME_AND_EXISTS_BITS: u32 = 15;
 const RESTRICT_BITS: u32 = 12;
 /// The cube-cofactor ([`crate::Manager::restrict_cube`]) cache.
 const COFACTOR_BITS: u32 = 12;
+
+/// The computed tables, one per operation family: [`CacheTable::And`]
+/// serves disjunction too (through complement edges).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CacheTable {
+    And,
+    Xor,
+    Ite,
+    Exists,
+    AndExists,
+    Rename,
+    RenameAndExists,
+    Restrict,
+    Cofactor,
+}
+
+impl CacheTable {
+    /// Every table, in [`crate::ManagerStats::cache_tables`] order.
+    pub const ALL: [CacheTable; 9] = [
+        CacheTable::And,
+        CacheTable::Xor,
+        CacheTable::Ite,
+        CacheTable::Exists,
+        CacheTable::AndExists,
+        CacheTable::Rename,
+        CacheTable::RenameAndExists,
+        CacheTable::Restrict,
+        CacheTable::Cofactor,
+    ];
+
+    /// The table's name in statistics output.
+    pub fn name(self) -> &'static str {
+        match self {
+            CacheTable::And => "and",
+            CacheTable::Xor => "xor",
+            CacheTable::Ite => "ite",
+            CacheTable::Exists => "exists",
+            CacheTable::AndExists => "and_exists",
+            CacheTable::Rename => "rename",
+            CacheTable::RenameAndExists => "rename_and_exists",
+            CacheTable::Restrict => "restrict",
+            CacheTable::Cofactor => "cofactor",
+        }
+    }
+}
+
+/// One computed table's lookups: those that found their key and those
+/// that did not.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TableCounts {
+    pub hits: u64,
+    pub misses: u64,
+}
 
 /// A two-key direct-mapped entry.
 #[derive(Debug, Clone, Copy, Default)]
@@ -99,8 +159,8 @@ pub(crate) struct Caches {
     /// Current generation; slots stamped with anything else are empty.
     /// Starts at 1 so zero-initialized slots read as empty.
     gen: u32,
-    pub(crate) hits: u64,
-    pub(crate) misses: u64,
+    /// Per table, in [`CacheTable::ALL`] order.
+    pub(crate) counts: [TableCounts; 9],
 }
 
 #[inline]
@@ -136,8 +196,7 @@ impl Caches {
             restrict: Vec::new(),
             cofactor: Vec::new(),
             gen: 1,
-            hits: 0,
-            misses: 0,
+            counts: [TableCounts::default(); 9],
         }
     }
 
@@ -232,23 +291,19 @@ impl Caches {
     }
 
     #[inline]
-    fn record(&mut self, hit: Option<Bdd>) -> Option<Bdd> {
+    fn record(&mut self, table: CacheTable, hit: Option<Bdd>) -> Option<Bdd> {
+        let counts = &mut self.counts[table as usize];
         match hit {
-            Some(v) => {
-                self.hits += 1;
-                Some(v)
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
+            Some(_) => counts.hits += 1,
+            None => counts.misses += 1,
         }
+        hit
     }
 
     #[inline]
     pub(crate) fn and_get(&mut self, f: Bdd, g: Bdd) -> Option<Bdd> {
         let hit = Self::get2(&self.and, self.gen, f.0, g.0);
-        self.record(hit)
+        self.record(CacheTable::And, hit)
     }
 
     #[inline]
@@ -259,7 +314,7 @@ impl Caches {
     #[inline]
     pub(crate) fn xor_get(&mut self, f: Bdd, g: Bdd) -> Option<Bdd> {
         let hit = Self::get2(&self.xor, self.gen, f.0, g.0);
-        self.record(hit)
+        self.record(CacheTable::Xor, hit)
     }
 
     #[inline]
@@ -270,7 +325,7 @@ impl Caches {
     #[inline]
     pub(crate) fn ite_get(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Option<Bdd> {
         let hit = Self::get3(&self.ite, self.gen, f.0, g.0, h.0);
-        self.record(hit)
+        self.record(CacheTable::Ite, hit)
     }
 
     #[inline]
@@ -281,7 +336,7 @@ impl Caches {
     #[inline]
     pub(crate) fn exists_get(&mut self, f: Bdd, cube: Bdd) -> Option<Bdd> {
         let hit = Self::get2(&self.exists, self.gen, f.0, cube.0);
-        self.record(hit)
+        self.record(CacheTable::Exists, hit)
     }
 
     #[inline]
@@ -292,7 +347,7 @@ impl Caches {
     #[inline]
     pub(crate) fn and_exists_get(&mut self, f: Bdd, g: Bdd, cube: Bdd) -> Option<Bdd> {
         let hit = Self::get3(&self.and_exists, self.gen, f.0, g.0, cube.0);
-        self.record(hit)
+        self.record(CacheTable::AndExists, hit)
     }
 
     #[inline]
@@ -303,7 +358,7 @@ impl Caches {
     #[inline]
     pub(crate) fn rename_get(&mut self, f: Bdd, map_id: u32) -> Option<Bdd> {
         let hit = Self::get2(&self.rename, self.gen, f.0, map_id);
-        self.record(hit)
+        self.record(CacheTable::Rename, hit)
     }
 
     #[inline]
@@ -320,7 +375,7 @@ impl Caches {
         cube: Bdd,
     ) -> Option<Bdd> {
         let hit = Self::get4(&self.rename_and_exists, self.gen, f.0, map_id, g.0, cube.0);
-        self.record(hit)
+        self.record(CacheTable::RenameAndExists, hit)
     }
 
     #[inline]
@@ -338,7 +393,7 @@ impl Caches {
     pub(crate) fn restrict_get(&mut self, f: Bdd, v: Var, value: bool) -> Option<Bdd> {
         let key = (v.0 << 1) | u32::from(value);
         let hit = Self::get2(&self.restrict, self.gen, f.0, key);
-        self.record(hit)
+        self.record(CacheTable::Restrict, hit)
     }
 
     #[inline]
@@ -350,7 +405,7 @@ impl Caches {
     #[inline]
     pub(crate) fn cofactor_get(&mut self, f: Bdd, cube: Bdd) -> Option<Bdd> {
         let hit = Self::get2(&self.cofactor, self.gen, f.0, cube.0);
-        self.record(hit)
+        self.record(CacheTable::Cofactor, hit)
     }
 
     #[inline]

@@ -61,6 +61,7 @@ mod quant;
 mod rename;
 mod table;
 
+pub use cache::{CacheTable, TableCounts};
 pub use explore::CubeIter;
 pub use gc::GcResult;
 pub use manager::{Bdd, Manager, ManagerStats, Var};

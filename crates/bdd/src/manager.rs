@@ -22,7 +22,7 @@
 //! stored edge — so traversal code sees ordinary Shannon cofactors and
 //! never needs to know about the encoding.
 
-use crate::cache::Caches;
+use crate::cache::{Caches, TableCounts};
 use crate::explore::VisitSet;
 use crate::hasher::FxHashMap;
 use crate::table::UniqueTable;
@@ -132,10 +132,16 @@ pub struct ManagerStats {
     pub nodes_created: u64,
     /// Number of distinct variables created so far.
     pub vars: usize,
-    /// Hits across all operation caches since construction.
+    /// Hits across all operation caches since construction: the sum of
+    /// [`ManagerStats::cache_tables`]' hits.
     pub cache_hits: u64,
-    /// Misses across all operation caches since construction.
+    /// Misses across all operation caches since construction: the sum of
+    /// [`ManagerStats::cache_tables`]' misses.
     pub cache_misses: u64,
+    /// Hits and misses of each computed table since construction, in
+    /// [`CacheTable::ALL`](crate::CacheTable::ALL) order: which operation
+    /// family the kernel's lookups went to.
+    pub cache_tables: [TableCounts; 9],
     /// Number of garbage collections performed.
     pub gcs: u64,
     /// Total nodes reclaimed by those collections.
@@ -259,8 +265,9 @@ impl Manager {
         let mut s = self.stats;
         s.nodes = self.nodes.len();
         s.nodes_created = self.unique.created;
-        s.cache_hits = self.caches.hits;
-        s.cache_misses = self.caches.misses;
+        s.cache_tables = self.caches.counts;
+        s.cache_hits = s.cache_tables.iter().map(|t| t.hits).sum();
+        s.cache_misses = s.cache_tables.iter().map(|t| t.misses).sum();
         s.arena_bytes = self.current_bytes();
         s.peak_arena_bytes = self.stats.peak_arena_bytes.max(s.arena_bytes);
         s
@@ -847,5 +854,32 @@ mod tests {
             }
             assert_eq!(f, g, "hash-consing must find the original node after growth");
         }
+    }
+
+    /// Each lookup counts against its own table, and the global pair is
+    /// the sum over the tables.
+    #[test]
+    fn cache_counts_are_kept_per_table_and_sum_to_the_totals() {
+        use crate::{CacheTable, VarMap};
+        let mut m = Manager::new();
+        let v = m.new_vars(4);
+        let (a, b, c) = (m.var(v[0]), m.var(v[1]), m.var(v[2]));
+        let ab = m.and(a, b);
+        let f = m.or(ab, c);
+        let again = m.and(a, b);
+        assert_eq!(again, ab);
+        let cube = m.cube(&[v[1]]);
+        let _ = m.and_exists(f, c, cube);
+        let map = VarMap::new([(v[0], v[3])]);
+        let _ = m.rename(f, &map);
+        let s = m.stats();
+        let table = |t: CacheTable| s.cache_tables[t as usize];
+        assert!(table(CacheTable::And).hits >= 1, "the repeated conjunction is a hit");
+        assert!(table(CacheTable::AndExists) != TableCounts::default());
+        assert!(table(CacheTable::Rename).misses >= 1);
+        assert_eq!(table(CacheTable::Restrict), TableCounts::default());
+        assert_eq!(s.cache_hits, s.cache_tables.iter().map(|t| t.hits).sum::<u64>());
+        assert_eq!(s.cache_misses, s.cache_tables.iter().map(|t| t.misses).sum::<u64>());
+        assert!(s.cache_hits > 0 && s.cache_misses > 0);
     }
 }

@@ -7,7 +7,10 @@
 //! The implementation is a vector compose: at each node the substituted
 //! variable is re-introduced with `ite`, which is correct for **any**
 //! injective map — including order-reversing maps and swaps — not just
-//! monotone ones. Monotone maps degenerate to a cheap single pass.
+//! monotone ones. Wherever the target lies above both renamed children,
+//! `ite` would build exactly the node `(target, lo, hi)`, so the node is
+//! made directly; a monotone map therefore degenerates to a cheap single
+//! pass that never touches the ITE cache.
 //!
 //! # Fusion is decided by the map
 //!
@@ -167,11 +170,14 @@ impl Manager {
         let (g0, g1) = self.cof(g);
         let lo = self.rename_rec(g0, map, id);
         let hi = self.rename_rec(g1, map, id);
-        let target = map.apply(Var(var));
-        let r = if target.0 == var && target.0 < self.level(lo).min(self.level(hi)) {
-            self.mk(var, lo, hi)
+        // A target above both renamed children makes `mk` the canonical
+        // node `ite(target, hi, lo)` would build, without the ITE cache or
+        // the literal `var(target)`.
+        let target = map.apply(Var(var)).0;
+        let r = if target < self.level(lo).min(self.level(hi)) {
+            self.mk(target, lo, hi)
         } else {
-            let tv = self.var(target);
+            let tv = self.var(Var(target));
             self.ite(tv, hi, lo)
         };
         self.caches.rename_put(g, id, r);

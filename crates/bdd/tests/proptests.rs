@@ -72,6 +72,17 @@ fn expr_strategy() -> impl Strategy<Value = Expr> {
     })
 }
 
+/// The substitution `map` applied to `f` as the vector compose defines
+/// it, through the public API only: `ite(var(map(v)), hi, lo)` at every
+/// node, children first.
+fn ite_compose(m: &mut Manager, f: Bdd, map: &VarMap) -> Bdd {
+    let Some(v) = m.root_var(f) else { return f };
+    let (lo, hi) = (m.lo(f), m.hi(f));
+    let (lo, hi) = (ite_compose(m, lo, map), ite_compose(m, hi, map));
+    let target = m.var(map.apply(v));
+    m.ite(target, hi, lo)
+}
+
 fn assignments() -> impl Iterator<Item = Vec<bool>> {
     (0..(1u32 << NVARS)).map(|bits| (0..NVARS).map(|i| (bits >> i) & 1 == 1).collect())
 }
@@ -247,6 +258,31 @@ proptest! {
         let renamed = m.rename(fa, &map);
         let unfused = m.and_exists(renamed, fb, cube);
         prop_assert_eq!(fused, unfused);
+    }
+
+    /// `rename` makes a node directly wherever its target lies above both
+    /// renamed children; it must equal the plain vector compose, an `ite`
+    /// at every node, on order-preserving and scrambled maps alike.
+    #[test]
+    fn rename_equals_the_ite_compose(e in expr_strategy(),
+                                     keys in prop::collection::vec(
+                                         0u64..1_000_000, 2 * NVARS..2 * NVARS + 1),
+                                     sorted in any::<bool>()) {
+        let mut m = Manager::new();
+        let vars = m.new_vars(2 * NVARS);
+        let f = e.build(&mut m, &vars[..NVARS]);
+        // Targets: an arbitrary injective choice among all the variables,
+        // or that choice in increasing order, which preserves the order.
+        let mut order: Vec<usize> = (0..2 * NVARS).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let mut targets: Vec<Var> = order[..NVARS].iter().map(|&j| vars[j]).collect();
+        if sorted {
+            targets.sort();
+        }
+        let map = VarMap::new(vars[..NVARS].iter().copied().zip(targets));
+        prop_assert!(map.is_order_preserving() || !sorted);
+        let want = ite_compose(&mut m, f, &map);
+        prop_assert_eq!(m.rename(f, &map), want);
     }
 
     /// Multi-root node counting never exceeds the per-root sum and equals

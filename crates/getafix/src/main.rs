@@ -138,9 +138,10 @@ STRAT: worklist (default) | round-robin   -- fixed-point solver scheduling strat
          witness extraction, explicit search, guided replay — stops at its next
          poll point and the run exits 3 with the partial statistics collected so
          far. The GETAFIX_TIMEOUT environment variable supplies a default when
-         the flag is absent. Ctrl-C (SIGINT) rides the same cancellation token:
-         the first interrupt stops the solve cooperatively (exit 3, partial
-         stats); a second one kills the process
+         the flag is absent; like the flag, it is refused with a baseline --algo.
+         Ctrl-C (SIGINT) rides the same cancellation token: the first interrupt
+         stops the solve cooperatively (exit 3, partial stats); a second one
+         kills the process
 --memory-budget MB: bound the BDD arena. On pressure the solver degrades
          gracefully first — forces a garbage collection, dropping computed
          caches and dead intermediates — and only if the live set itself still
@@ -203,11 +204,14 @@ fn parse(argv: &[String]) -> Result<(Args, SolveOptions), Usage> {
     let command = if command == "--help" || command == "-h" { "help" } else { command };
     let args = SPEC.parse(command, tokens)?;
     if let Some(algo) = args.text("--algo").filter(|a| BASELINES.contains(a)) {
-        if let Some(flag) = SPEC.flags.iter().find(|f| f.solver && args.has(f.name)) {
+        // `GETAFIX_TIMEOUT` stands in for `--timeout`, a solver flag, so a
+        // baseline refuses it too rather than ignore it.
+        let flag = SPEC.flags.iter().find(|f| f.solver && args.has(f.name)).map(|f| f.name);
+        let env = std::env::var_os("GETAFIX_TIMEOUT").map(|_| "GETAFIX_TIMEOUT");
+        if let Some(name) = flag.or(env) {
             return Err(Usage(format!(
-                "`{}` configures or reports the fixed-point solver, which the `{algo}` \
-                 baseline does not run (use a formula algorithm: ef-opt, ef, ef-naive, simple)",
-                flag.name
+                "`{name}` configures or reports the fixed-point solver, which the `{algo}` \
+                 baseline does not run (use a formula algorithm: ef-opt, ef, ef-naive, simple)"
             )));
         }
     }

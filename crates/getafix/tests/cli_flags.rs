@@ -7,8 +7,9 @@
 //! usage. Also the exit codes around them: a program of the wrong kind
 //! for its verb exits 2 naming the verb that takes it, `lint --deny`
 //! exits 1 exactly when there is a warning, `check --trace` on `simple`
-//! or a baseline exits 1 with a witness, or 3 when a deadline stops its
-//! extraction, a deadline trip prints its `--stats` limits line, and
+//! or a baseline exits 1 with a witness, and on `simple` 3 when a deadline
+//! stops it, a baseline refuses `GETAFIX_TIMEOUT` as it refuses
+//! `--timeout`, a deadline trip prints its `--stats` limits line, and
 //! `check-conc --trace` on a frame too wide for the explicit engine exits
 //! 1 with the solved schedule.
 
@@ -463,9 +464,9 @@ fn lint_deny_exits_1_exactly_when_there_is_a_warning() {
 }
 
 /// `simple` and the baselines take their witness from an ef-opt trace
-/// solve: a reachable verdict exits 1 with a replayed trace, and an
-/// expired deadline stops the extraction with exit 3, as on the
-/// single-solve path, instead of failing the run.
+/// solve: a reachable verdict exits 1 with a replayed trace. An expired
+/// deadline stops `simple` with exit 3, as on the single-solve path,
+/// instead of failing the run; a baseline takes no deadline (below).
 #[test]
 fn check_trace_on_simple_and_baselines_exits_1_or_3() {
     for algo in ["bebop", "simple"] {
@@ -475,15 +476,42 @@ fn check_trace_on_simple_and_baselines_exits_1_or_3() {
         assert_eq!(out.status.code(), Some(1), "{algo}: {stdout}{}", error_line(&out));
         assert!(stdout.contains("REACHABLE") && stdout.contains("replay-validated"), "{stdout}");
     }
-    let out = Command::new(env!("CARGO_BIN_EXE_getafix"))
-        .args(["check", DOUBLE_LOCK_BUG, "--label", "DOUBLE_LOCK", "--algo", "bebop", "--trace"])
-        .current_dir(env!("CARGO_TARGET_TMPDIR"))
-        .env("GETAFIX_TIMEOUT", "0.000001")
-        .output()
-        .expect("the binary runs");
+    let args = ["check", DOUBLE_LOCK_BUG, "--label", "DOUBLE_LOCK", "--algo", "simple", "--trace"];
+    let out = getafix_with_timeout(&args, "0.000001");
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(3), "{stdout}{}", error_line(&out));
     assert!(stdout.contains("resource-limit:"), "{stdout}");
+}
+
+/// Runs the binary with `GETAFIX_TIMEOUT` set to `secs`.
+fn getafix_with_timeout(args: &[&str], secs: &str) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_getafix"))
+        .args(args)
+        .current_dir(env!("CARGO_TARGET_TMPDIR"))
+        .env("GETAFIX_TIMEOUT", secs)
+        .output()
+        .expect("the binary runs")
+}
+
+/// `GETAFIX_TIMEOUT` stands in for `--timeout`, a solver flag: every
+/// baseline `--algo` refuses it as it refuses the flag, exit 2 before any
+/// work with the variable named, instead of ignoring it; a formula
+/// algorithm still honours it.
+#[test]
+fn a_baseline_refuses_getafix_timeout_and_the_solver_honours_it() {
+    for algo in ["oracle", "bebop", "moped-fwd", "moped-bwd"] {
+        let args = ["check", DOUBLE_LOCK, "--label", "DOUBLE_LOCK", "--algo", algo];
+        let out = getafix_with_timeout(&args, "0.000001");
+        let line = error_line(&out);
+        assert_eq!(out.status.code(), Some(2), "{algo}: {line}");
+        assert!(line.contains("`GETAFIX_TIMEOUT`"), "{algo} must name the variable: {line}");
+        assert!(line.contains(&format!("`{algo}`")), "{algo} must be named: {line}");
+        assert!(out.stdout.is_empty(), "{algo} ran before refusing the variable");
+    }
+    let args =
+        ["check", COUNTDOWN, "--label", "HIT", "--algo", "ef-opt", "--max-iter", "100000000"];
+    let out = getafix_with_timeout(&args, "0.000001");
+    assert_eq!(out.status.code(), Some(3), "{}", error_line(&out));
 }
 
 /// A run its deadline stops exits 3, and its `--stats` limits line shows

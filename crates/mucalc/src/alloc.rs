@@ -68,6 +68,12 @@
 //! offset, without a name or an owner key. Columns are numbered the same
 //! way, instance by instance and leaf by leaf ([`LeafAlloc::column`]).
 //! Names are looked up only at the public edge, [`Allocation::formal`].
+//!
+//! Compile *sites* — every application and every `∃`, the formulae whose
+//! pass-invariant parts the solver stages (`compile.rs`) — are numbered
+//! the same way: body by body, each body's in preorder. A [`Position`]
+//! holds both counters, so a compilation that starts inside a body (one
+//! top-level disjunct, one factor) resumes both numberings at once.
 
 use crate::ast::{Formula, Term};
 use crate::system::{RelationKind, System, SystemError};
@@ -134,6 +140,41 @@ pub(crate) enum Body {
     Query(usize),
 }
 
+/// A position in the preorder numbering of binders and compile sites (see
+/// the module docs): how many of each come before it, in its body or, as
+/// an absolute position, in the whole system.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Position {
+    /// Quantifier binders before the position.
+    pub(crate) binder: usize,
+    /// Compile sites before the position.
+    pub(crate) site: usize,
+}
+
+impl Position {
+    /// The position just past `f`, for an `f` that starts here.
+    pub(crate) fn past(self, f: &Formula) -> Position {
+        let mut next = self;
+        f.walk(&mut |g| match g {
+            Formula::App(..) => next.site += 1,
+            Formula::Exists(binders, _) => {
+                next.site += 1;
+                next.binder += binders.len();
+            }
+            Formula::Forall(binders, _) => next.binder += binders.len(),
+            _ => {}
+        });
+        next
+    }
+
+    /// Moves past `f`, which starts here, and returns where `f` starts.
+    pub(crate) fn step_over(&mut self, f: &Formula) -> Position {
+        let start = *self;
+        *self = start.past(f);
+        start
+    }
+}
+
 /// Where an application sends one argument (see [`Routing`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Route {
@@ -180,9 +221,11 @@ pub struct Allocation {
     ids: BTreeMap<String, usize>,
     /// Relation id -> the instance ids of its formals.
     formals: Vec<Range<usize>>,
-    /// The instance id of each body's first binder: relation bodies by
-    /// id, then query bodies by position.
-    binders: Vec<usize>,
+    /// Each body's first binder and first site: relation bodies by id,
+    /// then query bodies by position.
+    starts: Vec<Position>,
+    /// Compile sites in the whole system.
+    sites: usize,
     /// channel -> scratch columns (each a `Vec<Var>` of the channel's width).
     scratch: BTreeMap<String, Vec<Vec<Var>>>,
     /// Per-instance domain constraints, built eagerly in [`Allocation::build`]
@@ -220,19 +263,22 @@ impl Allocation {
         // 2. Quantifier binders, in the same preorder the compiler uses,
         //    with every application's scratch columns and every fixpoint
         //    application's constraints (constraint 1).
-        let mut binders = Vec::new();
+        let mut starts = Vec::new();
+        let mut sites = 0;
         for (rel, def) in system.relations().iter().enumerate() {
-            binders.push(planner.instances.len());
+            starts.push(Position { binder: planner.instances.len(), site: sites });
             if let Some(body) = &def.body {
                 let formals = planner.formals[rel].clone();
                 planner.scope = def.params.iter().map(|(n, _)| n.as_str()).zip(formals).collect();
                 planner.scan(body)?;
+                sites += Position::default().past(body).site;
             }
         }
         for q in system.queries() {
-            binders.push(planner.instances.len());
+            starts.push(Position { binder: planner.instances.len(), site: sites });
             planner.scope.clear();
             planner.scan(&q.body)?;
+            sites += Position::default().past(&q.body).site;
         }
 
         // 3. Order each channel and hand out interleaved levels.
@@ -271,7 +317,7 @@ impl Allocation {
 
         let ids = system.relations().iter().enumerate().map(|(i, r)| (r.name.clone(), i)).collect();
         let mut alloc =
-            Allocation { instances, ids, formals, binders, scratch, domains: Vec::new() };
+            Allocation { instances, ids, formals, starts, sites, scratch, domains: Vec::new() };
         alloc.rebuild_domains(manager);
         Ok(alloc)
     }
@@ -303,13 +349,19 @@ impl Allocation {
         acc
     }
 
-    /// The instance id of `body`'s first binder; the body's later binders
-    /// follow it consecutively.
-    pub(crate) fn first_binder(&self, body: Body) -> usize {
+    /// The absolute position where `body` starts: the instance id of its
+    /// first binder and the id of its first site. The body's later binders
+    /// and sites follow consecutively.
+    pub(crate) fn start(&self, body: Body) -> Position {
         match body {
-            Body::Relation(rel) => self.binders[rel],
-            Body::Query(q) => self.binders[self.formals.len() + q],
+            Body::Relation(rel) => self.starts[rel],
+            Body::Query(q) => self.starts[self.formals.len() + q],
         }
+    }
+
+    /// Compile sites in the whole system: the size of a solver's stage.
+    pub(crate) fn site_count(&self) -> usize {
+        self.sites
     }
 
     /// The instance with id `id`.
@@ -872,7 +924,7 @@ pub(crate) mod tests {
         );
         let mut solver = Solver::new(b.build().unwrap()).unwrap();
         let alloc = solver.alloc();
-        let first = alloc.first_binder(Body::Relation(solver.system().relation_id("R").unwrap()));
+        let first = alloc.start(Body::Relation(solver.system().relation_id("R").unwrap())).binder;
         let (y, x) = (alloc.instance(first), alloc.instance(first + 1));
         let (ra, rb) = (alloc.formal("R", 0), alloc.formal("R", 1));
         assert!(level(ra) < level(rb), "R's formals keep their order");

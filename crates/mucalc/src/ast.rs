@@ -220,19 +220,6 @@ impl Formula {
         out
     }
 
-    /// Total number of quantifier binders in the formula, counted in the
-    /// same preorder the allocator and compiler replay. Used to resume
-    /// binder numbering when a top-level disjunct is compiled on its own.
-    pub fn binder_count(&self) -> usize {
-        let mut n = 0usize;
-        self.walk(&mut |f| {
-            if let Formula::Exists(binders, _) | Formula::Forall(binders, _) = f {
-                n += binders.len();
-            }
-        });
-        n
-    }
-
     /// Does relation `name` occur under an odd number of negations?
     ///
     /// Implications and biconditionals count as the usual derived forms.
@@ -284,7 +271,17 @@ impl Formula {
         }
     }
 
-    fn walk(&self, visit: &mut impl FnMut(&Formula)) {
+    /// The top-level conjuncts: the operands of an `And`, or the formula
+    /// itself.
+    pub(crate) fn conjuncts(&self) -> &[Formula] {
+        match self {
+            Formula::And(gs) => gs,
+            other => std::slice::from_ref(other),
+        }
+    }
+
+    /// Visits `self` and every subformula, in preorder.
+    pub(crate) fn walk(&self, visit: &mut impl FnMut(&Formula)) {
         visit(self);
         match self {
             Formula::Const(_) | Formula::Atom(_) | Formula::Cmp(..) | Formula::App(..) => {}

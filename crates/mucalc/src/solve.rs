@@ -71,14 +71,14 @@
 //! relation — or a disjunct — whose inputs did not change.
 //! [`SolveStats::total_reevaluations`] makes the difference measurable.
 
-use crate::alloc::{Allocation, Body};
-use crate::compile::CompileCtx;
+use crate::alloc::{Allocation, Body, Position};
+use crate::compile::{CompileCtx, Stage};
 use crate::deps::DepGraph;
 use crate::limits::{LimitKind, LimitReport, ResourceLimits};
 use crate::provenance::Provenance;
 use crate::system::{RelationKind, System, SystemError};
 use crate::worklist::Plan;
-use getafix_bdd::{Bdd, Manager};
+use getafix_bdd::{Bdd, CacheTable, Manager, TableCounts};
 use getafix_telemetry::json::JsonWriter;
 use getafix_telemetry::{self as telemetry, Phase};
 use std::collections::BTreeMap;
@@ -376,6 +376,11 @@ pub struct SolveStats {
     pub cache_hits: u64,
     /// BDD operation-cache misses, from [`getafix_bdd::ManagerStats`].
     pub cache_misses: u64,
+    /// Hits and misses of each of the kernel's computed tables, in
+    /// [`CacheTable::ALL`] order, from
+    /// [`getafix_bdd::ManagerStats::cache_tables`]; they sum to
+    /// `cache_hits` and `cache_misses`.
+    pub cache_tables: [TableCounts; 9],
     /// Image steps whose rename map did not keep the variable order, so
     /// the relation was renamed before it was conjoined and quantified,
     /// from [`getafix_bdd::ManagerStats::rename_fallbacks`]. The
@@ -416,6 +421,16 @@ impl SolveStats {
         w.field_f64("gc_pause_ms", self.gc_pause_ms);
         w.field_u64("cache_hits", self.cache_hits);
         w.field_u64("cache_misses", self.cache_misses);
+        w.key("cache_tables");
+        w.begin_array();
+        for (table, counts) in CacheTable::ALL.iter().zip(&self.cache_tables) {
+            w.begin_object();
+            w.field_str("table", table.name());
+            w.field_u64("hits", counts.hits);
+            w.field_u64("misses", counts.misses);
+            w.end_object();
+        }
+        w.end_array();
         w.field_u64("rename_fallbacks", self.rename_fallbacks);
         w.field_u64("arena_nodes", self.arena_nodes as u64);
         w.field_u64("arena_bytes", self.arena_bytes as u64);
@@ -562,6 +577,10 @@ impl SolveStats {
         self.gc_pause_ms += other.gc_pause_ms;
         self.cache_hits += other.cache_hits;
         self.cache_misses += other.cache_misses;
+        for (mine, theirs) in self.cache_tables.iter_mut().zip(&other.cache_tables) {
+            mine.hits += theirs.hits;
+            mine.misses += theirs.misses;
+        }
         self.rename_fallbacks += other.rename_fallbacks;
         self.arena_nodes = self.arena_nodes.max(other.arena_nodes);
         self.arena_bytes = self.arena_bytes.max(other.arena_bytes);
@@ -596,6 +615,10 @@ pub struct Solver {
     /// Each fixpoint relation's compilation plan, by relation id, built
     /// on first use ([`Solver::plan`]).
     pub(crate) plans: Vec<Option<Rc<Plan>>>,
+    /// The pass-invariant parts of every compile site, built on first use
+    /// by the worklist engine's disjunct compiles (see `compile.rs`):
+    /// cleared by [`Solver::set_input`] and by every collection.
+    pub(crate) stage: Stage,
     pub(crate) options: SolveOptions,
     pub(crate) stats: SolveStats,
     /// Rank provenance of every top-level fixpoint evaluation (see
@@ -648,6 +671,7 @@ impl Solver {
             });
         }
         let n = system.relations().len();
+        let stage = Stage::new(alloc.site_count());
         Ok(Solver {
             manager,
             system,
@@ -655,6 +679,7 @@ impl Solver {
             deps,
             values: vec![None; n],
             plans: vec![None; n],
+            stage,
             options,
             stats,
             provenance: Provenance::default(),
@@ -751,6 +776,7 @@ impl Solver {
         }
         self.values[rel] = Some(bdd);
         self.provenance.clear();
+        self.stage.clear();
         Ok(())
     }
 
@@ -812,6 +838,7 @@ impl Solver {
         let ms = self.manager.stats();
         self.stats.cache_hits = ms.cache_hits;
         self.stats.cache_misses = ms.cache_misses;
+        self.stats.cache_tables = ms.cache_tables;
         self.stats.rename_fallbacks = ms.rename_fallbacks;
         self.stats.gcs = ms.gcs as usize;
         self.stats.gc_reclaimed_nodes = ms.gc_reclaimed_nodes as usize;
@@ -830,9 +857,10 @@ impl Solver {
     /// [`crate::ResourceLimits::node_budget`]. The extras are remapped in
     /// place, which is what lets a collection fire in the middle of a
     /// long-running component instead of only at its boundary. Computed
-    /// caches are dropped, and so are the allocation's lazily cached
-    /// domain constraints (they rebuild on demand and re-deduplicate by
-    /// hash-consing). Only if the *live* set itself still exceeds the
+    /// caches are dropped, and so are the allocation's cached domain
+    /// constraints (rebuilt at once; they re-deduplicate by hash-consing)
+    /// and the [`Stage`]'s staged parts, which are not roots and refill on
+    /// their next use. Only if the *live* set itself still exceeds the
     /// budget does it surface [`LimitKind::NodeBudget`], with peak-arena
     /// diagnostics in the partial stats.
     pub(crate) fn collect(&mut self, extras: &mut [&mut Bdd]) -> Result<(), SolveError> {
@@ -849,6 +877,7 @@ impl Solver {
             **b = remapped.next().expect("gc root count mismatch");
         }
         self.alloc.rebuild_domains(&mut self.manager);
+        self.stage.clear();
         if self.options.limits.node_budget.is_some_and(|b| self.manager.stats().nodes > b) {
             return Err(self.limit_error(LimitKind::NodeBudget));
         }
@@ -997,8 +1026,9 @@ impl Solver {
                 &self.system,
                 &self.alloc,
                 &interp,
+                None,
                 Body::Relation(rel),
-                0,
+                Position::default(),
             )
             .compile(body)?;
             let next = self.manager.and(raw, formals_domain);
@@ -1043,8 +1073,9 @@ impl Solver {
             &self.system,
             &self.alloc,
             &self.values,
+            None,
             Body::Query(q),
-            0,
+            Position::default(),
         )
         .compile(body)?;
         self.sync_manager_stats();

@@ -16,8 +16,9 @@
 //! graph, the allocation and the compiler use too; a name is read only
 //! for errors, statistics keys and telemetry. Each fixpoint relation gets
 //! its [`Plan`] once per solver, on first use: its top-level disjuncts by
-//! position in the body, with their binder offsets, the relations they
-//! read, their labels and their statistics keys.
+//! position in the body, with where each starts in the binder and site
+//! numbering (`alloc.rs`), the relations they read, their labels and
+//! their statistics keys.
 //!
 //! # One evaluation step
 //!
@@ -129,7 +130,7 @@
 //! the next step reads is a root of the component state, so an arena over
 //! pressure is collected there and the state remapped in place.
 
-use crate::alloc::Body;
+use crate::alloc::{Body, Position};
 use crate::ast::Formula;
 use crate::compile::CompileCtx;
 use crate::deps::OrderedPlan;
@@ -163,8 +164,8 @@ struct Part {
     index: usize,
     /// Every relation the disjunct applies, by id.
     reads: Vec<usize>,
-    /// Binder-numbering offset of the disjunct within the whole body.
-    binder_offset: usize,
+    /// Where the disjunct starts in its body's binder and site numbering.
+    start: Position,
     /// How an accumulating step recompiles it.
     shape: Shape,
     /// Pretty-printed prefix of the formula, for the offenders table.
@@ -192,9 +193,9 @@ enum Shape {
 struct Factor {
     /// Every relation the factor applies, by id.
     reads: Vec<usize>,
-    /// Binder-numbering offset of the factor within the whole body: the
-    /// disjunct's offset plus the binders of the conjuncts before it.
-    binder_offset: usize,
+    /// Where the factor starts in its body's binder and site numbering:
+    /// the disjunct's start plus the conjuncts before it.
+    start: Position,
 }
 
 /// The top-level disjuncts of a body: the operands of an `Or`, or the
@@ -202,15 +203,6 @@ struct Factor {
 fn disjuncts(body: &Formula) -> &[Formula] {
     match body {
         Formula::Or(parts) => parts,
-        other => std::slice::from_ref(other),
-    }
-}
-
-/// The top-level conjuncts of a disjunct: the operands of an `And`, or
-/// the disjunct itself.
-fn conjuncts(f: &Formula) -> &[Formula] {
-    match f {
-        Formula::And(gs) => gs,
         other => std::slice::from_ref(other),
     }
 }
@@ -230,24 +222,20 @@ fn degree(f: &Formula, member: &dyn Fn(&str) -> bool) -> Option<usize> {
     }
 }
 
-/// The [`Shape`] of a disjunct `f` whose binders start `binder_offset`
-/// into the body; `ids` maps a formula to the ids of the relations it
-/// applies.
+/// The [`Shape`] of a disjunct `f` that starts at `start` in its body;
+/// `ids` maps a formula to the ids of the relations it applies.
 fn shape(
     f: &Formula,
-    binder_offset: usize,
+    start: Position,
     member: &dyn Fn(&str) -> bool,
     ids: &dyn Fn(&Formula) -> Vec<usize>,
 ) -> Shape {
     match degree(f, member) {
         Some(1) => Shape::Linear,
-        Some(2..) if conjuncts(f).iter().all(|g| degree(g, member).is_some_and(|d| d <= 1)) => {
-            let mut offset = binder_offset;
-            let factors = conjuncts(f).iter().map(|g| {
-                let factor = Factor { reads: ids(g), binder_offset: offset };
-                offset += g.binder_count();
-                factor
-            });
+        Some(2..) if f.conjuncts().iter().all(|g| degree(g, member).is_some_and(|d| d <= 1)) => {
+            let mut next = start;
+            let factors =
+                f.conjuncts().iter().map(|g| Factor { reads: ids(g), start: next.step_over(g) });
             Shape::Product(factors.collect())
         }
         _ => Shape::Full,
@@ -394,17 +382,17 @@ impl Solver {
                 && deps.scc_of(r) == deps.scc_of(rel)
         };
         let member = |name: &str| system.relation_id(name).is_some_and(is_member);
-        let mut binder_offset = 0;
+        let mut next = Position::default();
         let mut parts = Vec::new();
         let mut delta_reads: Vec<usize> = Vec::new();
         for (index, f) in disjuncts(body).iter().enumerate() {
             let (label, key) = (part_label(f), format!("{}#{index}", def.name));
-            let (reads, shape) = (ids(f), shape(f, binder_offset, &member, &ids));
+            let start = next.step_over(f);
+            let (reads, shape) = (ids(f), shape(f, start, &member, &ids));
             if shape != Shape::Full {
                 delta_reads.extend(reads.iter().filter(|&&r| is_member(r)));
             }
-            parts.push(Part { index, reads, binder_offset, shape, label, key });
-            binder_offset += f.binder_count();
+            parts.push(Part { index, reads, start, shape, label, key });
         }
         delta_reads.sort_unstable();
         delta_reads.dedup();
@@ -845,8 +833,9 @@ impl Solver {
     }
 
     /// Compiles disjunct `part` of relation `rel` — or, given
-    /// `(k, factor)`, its conjunct `k` — under `env`, with the binder
-    /// numbering resumed at its offset.
+    /// `(k, factor)`, its conjunct `k` — under `env`, with the binder and
+    /// site numbering resumed at its start, reading and filling the
+    /// solver's stage (`compile.rs`).
     fn compile_piece(
         &mut self,
         rel: usize,
@@ -856,17 +845,18 @@ impl Solver {
     ) -> Result<Bdd, SolveError> {
         let body = self.system.relations()[rel].body.as_ref().expect("fixpoint body");
         let f = &disjuncts(body)[part.index];
-        let (f, binder_offset) = match factor {
-            Some((k, factor)) => (&conjuncts(f)[k], factor.binder_offset),
-            None => (f, part.binder_offset),
+        let (f, start) = match factor {
+            Some((k, factor)) => (&f.conjuncts()[k], factor.start),
+            None => (f, part.start),
         };
         CompileCtx::new(
             &mut self.manager,
             &self.system,
             &self.alloc,
             env,
+            Some(&mut self.stage),
             Body::Relation(rel),
-            binder_offset,
+            start,
         )
         .compile(f)
     }
@@ -921,7 +911,7 @@ mod tests {
             disjuncts(body).iter().map(|f| degree(f, &member)).collect();
         assert_eq!(degrees, [Some(0), Some(1), Some(2), Some(2), None, None]);
         let factors: Vec<Option<usize>> =
-            conjuncts(&disjuncts(body)[2]).iter().map(|g| degree(g, &member)).collect();
+            disjuncts(body)[2].conjuncts().iter().map(|g| degree(g, &member)).collect();
         assert_eq!(factors, [Some(1), Some(0), Some(1)]);
     }
 
@@ -933,10 +923,11 @@ mod tests {
         let mut solver = solver(Strategy::Worklist);
         let [init, edge, a, b, c] = ["Init", "Edge", "A", "B", "C"].map(|n| id(&solver, n));
         let plan = solver.plan(a);
+        let at = |binder, site| Position { binder, site };
         let product = Shape::Product(vec![
-            Factor { reads: vec![a, edge], binder_offset: 1 },
-            Factor { reads: vec![init], binder_offset: 2 },
-            Factor { reads: vec![b, edge], binder_offset: 3 },
+            Factor { reads: vec![a, edge], start: at(1, 5) },
+            Factor { reads: vec![init], start: at(2, 8) },
+            Factor { reads: vec![b, edge], start: at(3, 10) },
         ]);
         let want = [Shape::Full, Shape::Linear, product, Shape::Full, Shape::Full, Shape::Full];
         assert_eq!(shapes(&plan), want.iter().collect::<Vec<_>>());

@@ -8,6 +8,7 @@
 //! documented rules — additive counters add, high-water marks max, SCC
 //! tables of equal length merge positionally.
 
+use getafix_bdd::{CacheTable, TableCounts};
 use getafix_mucalc::{DisjunctStats, RelationStats, SccStats, SolveStats};
 use getafix_telemetry::json::{parse, Value};
 use proptest::prelude::*;
@@ -82,14 +83,16 @@ fn stats_strategy() -> impl Strategy<Value = SolveStats> {
         0u64..1 << 40,
         0u64..1 << 40,
     );
+    let tables = prop::collection::vec((0u64..1 << 36, 0u64..1 << 36), 9..10);
     (
         prop::collection::vec((0usize..30, rel_strategy()), 0..6),
         prop::collection::vec(scc_strategy(), 0..4),
         counters,
         sizes,
         prop::collection::vec(disjunct_strategy(), 0..5),
+        tables,
     )
-        .prop_map(|(rels, sccs, counters, sizes, disjuncts)| {
+        .prop_map(|(rels, sccs, counters, sizes, disjuncts, tables)| {
             let (
                 ordered_reevaluations,
                 provenance_nodes,
@@ -119,6 +122,10 @@ fn stats_strategy() -> impl Strategy<Value = SolveStats> {
                 gc_pause_ms: pause8 as f64 / 8.0,
                 cache_hits,
                 cache_misses,
+                cache_tables: std::array::from_fn(|i| TableCounts {
+                    hits: tables[i].0,
+                    misses: tables[i].1,
+                }),
                 rename_fallbacks,
                 arena_nodes,
                 arena_bytes,
@@ -149,6 +156,13 @@ proptest! {
         prop_assert_eq!(num(&v, "gc_pause_ms"), stats.gc_pause_ms);
         prop_assert_eq!(num(&v, "cache_hits") as u64, stats.cache_hits);
         prop_assert_eq!(num(&v, "cache_misses") as u64, stats.cache_misses);
+        let tables = v.get("cache_tables").and_then(Value::as_array).expect("cache_tables array");
+        prop_assert_eq!(tables.len(), CacheTable::ALL.len());
+        for ((row, table), counts) in tables.iter().zip(CacheTable::ALL).zip(&stats.cache_tables) {
+            prop_assert_eq!(row.get("table").and_then(Value::as_str), Some(table.name()));
+            prop_assert_eq!(num(row, "hits") as u64, counts.hits);
+            prop_assert_eq!(num(row, "misses") as u64, counts.misses);
+        }
         prop_assert_eq!(num(&v, "rename_fallbacks") as u64, stats.rename_fallbacks);
         prop_assert_eq!(num(&v, "arena_nodes") as usize, stats.arena_nodes);
         prop_assert_eq!(num(&v, "arena_bytes") as usize, stats.arena_bytes);
@@ -222,6 +236,12 @@ proptest! {
                 num(&vm, key), num(&va, key).max(num(&vb, key)),
                 "high-water mark `{}` did not max", key
             );
+        }
+        // Kernel tables add position by position.
+        for (i, counts) in merged.cache_tables.iter().enumerate() {
+            let (ta, tb) = (a.cache_tables[i], b.cache_tables[i]);
+            prop_assert_eq!(counts.hits, ta.hits + tb.hits);
+            prop_assert_eq!(counts.misses, ta.misses + tb.misses);
         }
         // SCC tables: equal lengths merge positionally (additive wall/evals),
         // unequal lengths concatenate.
