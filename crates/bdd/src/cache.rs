@@ -1,27 +1,28 @@
 //! Lossy computed tables (operation caches) for the manager.
 //!
 //! Every recursive BDD operation memoizes results keyed on operand handles.
-//! Unlike the previous growable `FxHashMap`s, each table here is a
-//! **fixed-size direct-mapped array**: a key hashes to exactly one slot, a
-//! colliding insert overwrites whatever lived there, and a lookup compares
-//! the stored key exactly before returning the stored result.
+//! Each table is a **fixed-size direct-mapped array**: a key hashes to
+//! exactly one slot, a colliding insert overwrites whatever lived there,
+//! and a lookup compares the stored key exactly before returning the
+//! stored result.
 //!
 //! # Why lossiness is sound
 //!
 //! Canonicity of the arena makes cache keys *exact*: equal keys always
-//! denote equal results, so a hit can never return a wrong value — only a
-//! stale-generation or overwritten entry can be *missed*, in which case the
-//! operation simply recomputes (and, being deterministic over a canonical
-//! arena, recomputes the identical handle). Lossiness therefore affects
-//! throughput, never results.
+//! denote equal results, so a hit can never return a wrong value — only an
+//! overwritten entry can be *missed*, in which case the operation simply
+//! recomputes (and, being deterministic over a canonical arena, recomputes
+//! the identical handle). Lossiness therefore affects throughput, never
+//! results.
 //!
-//! # Generations instead of `clear()`
+//! # A zeroed slot is empty
 //!
-//! Invalidating after a GC (cached results may reference reclaimed nodes)
-//! does not touch the arrays at all: a single generation counter is bumped,
-//! and every slot stamped with an older generation reads as empty. This
-//! makes [`Caches::clear`] O(1) — important now that GC can run in the
-//! middle of a long stratum.
+//! Every lookup's first key is a non-constant handle (raw value ≥ 2): each
+//! operation returns on its constant cases before it consults its table.
+//! So an all-zero slot never matches a key, and a table needs no occupancy
+//! mark. A collection (cached results may reference reclaimed nodes) drops
+//! the tables with [`Caches::clear`]; each is allocated again, zeroed, on
+//! its next insert.
 //!
 //! # Fixed sizes
 //!
@@ -114,13 +115,16 @@ pub struct TableCounts {
     pub misses: u64,
 }
 
+// The slots below carry no occupancy mark: the first key `a` of every
+// lookup is a non-constant handle (≥ 2), so an all-zero slot never matches
+// (see the module docs). `get2`, `get3` and `get4` assert it.
+
 /// A two-key direct-mapped entry.
 #[derive(Debug, Clone, Copy, Default)]
 struct Slot2 {
     a: u32,
     b: u32,
     r: u32,
-    gen: u32,
 }
 
 /// A three-key direct-mapped entry.
@@ -130,7 +134,6 @@ struct Slot3 {
     b: u32,
     c: u32,
     r: u32,
-    gen: u32,
 }
 
 /// A four-key direct-mapped entry.
@@ -141,10 +144,9 @@ struct Slot4 {
     c: u32,
     d: u32,
     r: u32,
-    gen: u32,
 }
 
-/// All computed tables plus the shared generation counter.
+/// All computed tables and their lookup counts.
 #[derive(Debug)]
 pub(crate) struct Caches {
     and: Vec<Slot2>,
@@ -156,9 +158,6 @@ pub(crate) struct Caches {
     rename_and_exists: Vec<Slot4>,
     restrict: Vec<Slot2>,
     cofactor: Vec<Slot2>,
-    /// Current generation; slots stamped with anything else are empty.
-    /// Starts at 1 so zero-initialized slots read as empty.
-    gen: u32,
     /// Per table, in [`CacheTable::ALL`] order.
     pub(crate) counts: [TableCounts; 9],
 }
@@ -195,7 +194,6 @@ impl Caches {
             rename_and_exists: Vec::new(),
             restrict: Vec::new(),
             cofactor: Vec::new(),
-            gen: 1,
             counts: [TableCounts::default(); 9],
         }
     }
@@ -213,81 +211,68 @@ impl Caches {
             + self.cofactor.len() * std::mem::size_of::<Slot2>()
     }
 
-    /// Invalidates every entry in O(1) by bumping the generation. On the
-    /// (practically unreachable) 2³²-nd clear the arrays are zeroed to keep
-    /// stale stamps from aliasing the restarted counter.
+    /// Drops every table, keeping the lookup counts: after a collection
+    /// a cached result may name a reclaimed node.
     pub(crate) fn clear(&mut self) {
-        self.gen = self.gen.wrapping_add(1);
-        getafix_telemetry::event(getafix_telemetry::Phase::Bdd, "cache_generation_bump", || {
-            vec![("generation", self.gen.into())]
-        });
-        if self.gen == 0 {
-            self.and.fill(Slot2::default());
-            self.xor.fill(Slot2::default());
-            self.ite.fill(Slot3::default());
-            self.exists.fill(Slot2::default());
-            self.and_exists.fill(Slot3::default());
-            self.rename.fill(Slot2::default());
-            self.rename_and_exists.fill(Slot4::default());
-            self.restrict.fill(Slot2::default());
-            self.cofactor.fill(Slot2::default());
-            self.gen = 1;
-        }
+        *self = Caches { counts: self.counts, ..Caches::new() };
     }
 
     #[inline]
-    fn get2(table: &[Slot2], gen: u32, a: u32, b: u32) -> Option<Bdd> {
+    fn get2(table: &[Slot2], a: u32, b: u32) -> Option<Bdd> {
+        debug_assert!(a >= 2, "a computed-table key starts with a constant handle");
         if table.is_empty() {
             return None;
         }
         let s = &table[index2(table.len(), a, b)];
-        (s.gen == gen && s.a == a && s.b == b).then_some(Bdd(s.r))
+        (s.a == a && s.b == b).then_some(Bdd(s.r))
     }
 
     #[inline]
-    fn put2(table: &mut Vec<Slot2>, bits: u32, gen: u32, a: u32, b: u32, r: u32) {
+    fn put2(table: &mut Vec<Slot2>, bits: u32, a: u32, b: u32, r: u32) {
         if table.is_empty() {
             table.resize(1usize << bits, Slot2::default());
         }
         let i = index2(table.len(), a, b);
-        table[i] = Slot2 { a, b, r, gen };
+        table[i] = Slot2 { a, b, r };
     }
 
     #[inline]
-    fn get3(table: &[Slot3], gen: u32, a: u32, b: u32, c: u32) -> Option<Bdd> {
+    fn get3(table: &[Slot3], a: u32, b: u32, c: u32) -> Option<Bdd> {
+        debug_assert!(a >= 2, "a computed-table key starts with a constant handle");
         if table.is_empty() {
             return None;
         }
         let s = &table[index3(table.len(), a, b, c)];
-        (s.gen == gen && s.a == a && s.b == b && s.c == c).then_some(Bdd(s.r))
+        (s.a == a && s.b == b && s.c == c).then_some(Bdd(s.r))
     }
 
     #[inline]
-    fn put3(table: &mut Vec<Slot3>, bits: u32, gen: u32, a: u32, b: u32, c: u32, r: u32) {
+    fn put3(table: &mut Vec<Slot3>, bits: u32, a: u32, b: u32, c: u32, r: u32) {
         if table.is_empty() {
             table.resize(1usize << bits, Slot3::default());
         }
         let i = index3(table.len(), a, b, c);
-        table[i] = Slot3 { a, b, c, r, gen };
+        table[i] = Slot3 { a, b, c, r };
     }
 
     #[inline]
-    fn get4(table: &[Slot4], gen: u32, a: u32, b: u32, c: u32, d: u32) -> Option<Bdd> {
+    fn get4(table: &[Slot4], a: u32, b: u32, c: u32, d: u32) -> Option<Bdd> {
+        debug_assert!(a >= 2, "a computed-table key starts with a constant handle");
         if table.is_empty() {
             return None;
         }
         let s = &table[index4(table.len(), a, b, c, d)];
-        (s.gen == gen && s.a == a && s.b == b && s.c == c && s.d == d).then_some(Bdd(s.r))
+        (s.a == a && s.b == b && s.c == c && s.d == d).then_some(Bdd(s.r))
     }
 
     #[inline]
-    fn put4(table: &mut Vec<Slot4>, bits: u32, gen: u32, key: (u32, u32, u32, u32), r: u32) {
+    fn put4(table: &mut Vec<Slot4>, bits: u32, key: (u32, u32, u32, u32), r: u32) {
         if table.is_empty() {
             table.resize(1usize << bits, Slot4::default());
         }
         let (a, b, c, d) = key;
         let i = index4(table.len(), a, b, c, d);
-        table[i] = Slot4 { a, b, c, d, r, gen };
+        table[i] = Slot4 { a, b, c, d, r };
     }
 
     #[inline]
@@ -302,68 +287,68 @@ impl Caches {
 
     #[inline]
     pub(crate) fn and_get(&mut self, f: Bdd, g: Bdd) -> Option<Bdd> {
-        let hit = Self::get2(&self.and, self.gen, f.0, g.0);
+        let hit = Self::get2(&self.and, f.0, g.0);
         self.record(CacheTable::And, hit)
     }
 
     #[inline]
     pub(crate) fn and_put(&mut self, f: Bdd, g: Bdd, r: Bdd) {
-        Self::put2(&mut self.and, AND_BITS, self.gen, f.0, g.0, r.0);
+        Self::put2(&mut self.and, AND_BITS, f.0, g.0, r.0);
     }
 
     #[inline]
     pub(crate) fn xor_get(&mut self, f: Bdd, g: Bdd) -> Option<Bdd> {
-        let hit = Self::get2(&self.xor, self.gen, f.0, g.0);
+        let hit = Self::get2(&self.xor, f.0, g.0);
         self.record(CacheTable::Xor, hit)
     }
 
     #[inline]
     pub(crate) fn xor_put(&mut self, f: Bdd, g: Bdd, r: Bdd) {
-        Self::put2(&mut self.xor, XOR_BITS, self.gen, f.0, g.0, r.0);
+        Self::put2(&mut self.xor, XOR_BITS, f.0, g.0, r.0);
     }
 
     #[inline]
     pub(crate) fn ite_get(&mut self, f: Bdd, g: Bdd, h: Bdd) -> Option<Bdd> {
-        let hit = Self::get3(&self.ite, self.gen, f.0, g.0, h.0);
+        let hit = Self::get3(&self.ite, f.0, g.0, h.0);
         self.record(CacheTable::Ite, hit)
     }
 
     #[inline]
     pub(crate) fn ite_put(&mut self, f: Bdd, g: Bdd, h: Bdd, r: Bdd) {
-        Self::put3(&mut self.ite, ITE_BITS, self.gen, f.0, g.0, h.0, r.0);
+        Self::put3(&mut self.ite, ITE_BITS, f.0, g.0, h.0, r.0);
     }
 
     #[inline]
     pub(crate) fn exists_get(&mut self, f: Bdd, cube: Bdd) -> Option<Bdd> {
-        let hit = Self::get2(&self.exists, self.gen, f.0, cube.0);
+        let hit = Self::get2(&self.exists, f.0, cube.0);
         self.record(CacheTable::Exists, hit)
     }
 
     #[inline]
     pub(crate) fn exists_put(&mut self, f: Bdd, cube: Bdd, r: Bdd) {
-        Self::put2(&mut self.exists, EXISTS_BITS, self.gen, f.0, cube.0, r.0);
+        Self::put2(&mut self.exists, EXISTS_BITS, f.0, cube.0, r.0);
     }
 
     #[inline]
     pub(crate) fn and_exists_get(&mut self, f: Bdd, g: Bdd, cube: Bdd) -> Option<Bdd> {
-        let hit = Self::get3(&self.and_exists, self.gen, f.0, g.0, cube.0);
+        let hit = Self::get3(&self.and_exists, f.0, g.0, cube.0);
         self.record(CacheTable::AndExists, hit)
     }
 
     #[inline]
     pub(crate) fn and_exists_put(&mut self, f: Bdd, g: Bdd, cube: Bdd, r: Bdd) {
-        Self::put3(&mut self.and_exists, AND_EXISTS_BITS, self.gen, f.0, g.0, cube.0, r.0);
+        Self::put3(&mut self.and_exists, AND_EXISTS_BITS, f.0, g.0, cube.0, r.0);
     }
 
     #[inline]
     pub(crate) fn rename_get(&mut self, f: Bdd, map_id: u32) -> Option<Bdd> {
-        let hit = Self::get2(&self.rename, self.gen, f.0, map_id);
+        let hit = Self::get2(&self.rename, f.0, map_id);
         self.record(CacheTable::Rename, hit)
     }
 
     #[inline]
     pub(crate) fn rename_put(&mut self, f: Bdd, map_id: u32, r: Bdd) {
-        Self::put2(&mut self.rename, RENAME_BITS, self.gen, f.0, map_id, r.0);
+        Self::put2(&mut self.rename, RENAME_BITS, f.0, map_id, r.0);
     }
 
     #[inline]
@@ -374,7 +359,7 @@ impl Caches {
         g: Bdd,
         cube: Bdd,
     ) -> Option<Bdd> {
-        let hit = Self::get4(&self.rename_and_exists, self.gen, f.0, map_id, g.0, cube.0);
+        let hit = Self::get4(&self.rename_and_exists, f.0, map_id, g.0, cube.0);
         self.record(CacheTable::RenameAndExists, hit)
     }
 
@@ -383,7 +368,6 @@ impl Caches {
         Self::put4(
             &mut self.rename_and_exists,
             RENAME_AND_EXISTS_BITS,
-            self.gen,
             (f.0, map_id, g.0, cube.0),
             r.0,
         );
@@ -392,24 +376,24 @@ impl Caches {
     #[inline]
     pub(crate) fn restrict_get(&mut self, f: Bdd, v: Var, value: bool) -> Option<Bdd> {
         let key = (v.0 << 1) | u32::from(value);
-        let hit = Self::get2(&self.restrict, self.gen, f.0, key);
+        let hit = Self::get2(&self.restrict, f.0, key);
         self.record(CacheTable::Restrict, hit)
     }
 
     #[inline]
     pub(crate) fn restrict_put(&mut self, f: Bdd, v: Var, value: bool, r: Bdd) {
         let key = (v.0 << 1) | u32::from(value);
-        Self::put2(&mut self.restrict, RESTRICT_BITS, self.gen, f.0, key, r.0);
+        Self::put2(&mut self.restrict, RESTRICT_BITS, f.0, key, r.0);
     }
 
     #[inline]
     pub(crate) fn cofactor_get(&mut self, f: Bdd, cube: Bdd) -> Option<Bdd> {
-        let hit = Self::get2(&self.cofactor, self.gen, f.0, cube.0);
+        let hit = Self::get2(&self.cofactor, f.0, cube.0);
         self.record(CacheTable::Cofactor, hit)
     }
 
     #[inline]
     pub(crate) fn cofactor_put(&mut self, f: Bdd, cube: Bdd, r: Bdd) {
-        Self::put2(&mut self.cofactor, COFACTOR_BITS, self.gen, f.0, cube.0, r.0);
+        Self::put2(&mut self.cofactor, COFACTOR_BITS, f.0, cube.0, r.0);
     }
 }

@@ -5,11 +5,16 @@
 //! since the solver learned to register its per-disjunct caches as roots,
 //! in the middle of one. GC rebuilds the arena keeping exactly the nodes
 //! reachable from the roots, remaps the roots (preserving each handle's
-//! complement bit), rebuilds the unique table over the survivors and
-//! invalidates every operation cache in O(1) via the generation counter
-//! (cached results may reference dead nodes).
+//! complement bit), rebuilds the unique table over the survivors and drops
+//! the operation caches (cached results may reference dead nodes).
+//!
+//! A collection is the only point where the kernel's footprint falls:
+//! between collections the arena, the unique table and the computed tables
+//! only grow. So the peaks in [`crate::ManagerStats`] are noted here, on
+//! entry, and [`Manager::stats`] folds in the current values.
 
 use crate::manager::{Bdd, Manager, Node};
+use crate::table::UniqueTable;
 use getafix_telemetry::{self as telemetry, Phase};
 use std::time::Instant;
 
@@ -33,10 +38,11 @@ impl Manager {
     pub fn gc(&mut self, roots: &[Bdd]) -> GcResult {
         let pause_start = Instant::now();
         let mut span = telemetry::span(Phase::Bdd, "gc");
-        // The pre-collection footprint is a candidate peak; capture it
-        // before the arena is replaced by the compacted copy.
-        self.note_peak_bytes();
+        // The footprint is at its largest since the last collection; note
+        // it before the arena is replaced by the compacted copy.
         let nodes_before = self.nodes.len();
+        self.stats.peak_nodes = self.stats.peak_nodes.max(nodes_before);
+        self.stats.peak_arena_bytes = self.stats.peak_arena_bytes.max(self.current_bytes());
 
         // Mark: old node index -> new node index, dense (the arena is the
         // key space, so a flat vector beats a hash map). The terminal keeps
@@ -56,7 +62,7 @@ impl Manager {
 
         let nodes_after = new_nodes.len();
         self.nodes = new_nodes;
-        self.unique.rebuild(&self.nodes);
+        self.unique.rebuild(&self.nodes, UniqueTable::capacity_for(nodes_after));
         self.caches.clear();
         self.stats.gcs += 1;
         self.stats.gc_reclaimed_nodes += (nodes_before - nodes_after) as u64;

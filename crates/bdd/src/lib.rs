@@ -18,14 +18,14 @@
 //!   [`Bdd::TRUE`] its complement) — structurally equal functions are
 //!   handle-equal, so equivalence checks are `O(1)`,
 //! * an **open-addressed unique table** hash-conses nodes: arena indices in
-//!   a power-of-two probe array, grown with an incremental rehash that
-//!   never stops the world (pre-size it with [`Manager::with_capacity`]),
+//!   a power-of-two probe array, rebuilt from the arena at twice the
+//!   capacity when it reaches load 3/4,
 //! * **lossy computed tables** memoize `ite`, conjunction, quantification
 //!   and relational products: fixed-size direct-mapped arrays
-//!   (overwrite-on-collision, of fixed sizes) whose entries are
-//!   invalidated in O(1) by a generation counter. Lossiness is sound
-//!   because canonicity makes keys exact — an evicted entry costs a
-//!   recomputation, never a wrong answer (see the `cache` module docs),
+//!   (overwrite-on-collision, of fixed sizes) in which an all-zero slot is
+//!   empty, since no lookup key starts with a constant handle. Lossiness
+//!   is sound because canonicity makes keys exact — an evicted entry costs
+//!   a recomputation, never a wrong answer (see the `cache` module docs),
 //! * variables are identified by their *level* (`u32`); the variable order
 //!   is the numeric order of levels and is fixed at variable-creation time.
 //!
@@ -49,8 +49,11 @@
 //!
 //! The arena only grows during normal operation. Long-running fixed-point
 //! computations call [`Manager::gc`] with the handles they need to keep; the
-//! manager rebuilds the arena, remaps the roots (complement bits preserved)
-//! and invalidates all caches via the generation counter.
+//! manager rebuilds the arena, remaps the roots (complement bits preserved),
+//! rebuilds the unique table over the survivors and drops the computed
+//! tables. A collection is the only point where the footprint falls, so
+//! the peaks in [`ManagerStats`] are read there and in [`Manager::stats`],
+//! never tracked per node.
 
 mod cache;
 mod explore;

@@ -149,12 +149,17 @@ pub struct ManagerStats {
     /// Total wall-clock time spent inside [`Manager::gc`] pauses, in
     /// milliseconds (always measured; one `Instant` pair per collection).
     pub gc_pause_ms: f64,
-    /// Peak arena size ever observed (in nodes).
+    /// The most nodes the arena ever held. Between collections the arena
+    /// only grows, so this is the largest of the counts at each
+    /// [`Manager::gc`] entry and the current one.
     pub peak_nodes: usize,
     /// Bytes currently held by the arena, the unique table and the
     /// computed caches.
     pub arena_bytes: usize,
-    /// Peak of [`ManagerStats::arena_bytes`] ever observed.
+    /// The most [`ManagerStats::arena_bytes`] ever held. Between
+    /// collections the arena, the unique table and the computed tables
+    /// only grow, so this is the largest of the footprints at each
+    /// [`Manager::gc`] entry and the current one.
     pub peak_arena_bytes: usize,
     /// [`Manager::rename_and_exists`] calls with variables to quantify
     /// whose map was not order-preserving, so the relation was renamed
@@ -201,26 +206,15 @@ impl Default for Manager {
 impl Manager {
     /// Creates an empty manager with just the terminal node.
     pub fn new() -> Self {
-        Self::with_capacity(0)
-    }
-
-    /// Creates a manager whose arena and unique table are pre-sized for
-    /// roughly `nodes` nodes, avoiding early growth/rehash churn on
-    /// workloads with a known scale.
-    pub fn with_capacity(nodes: usize) -> Self {
-        let mut arena = Vec::with_capacity(nodes.saturating_add(1));
-        arena.push(Node { var: TERMINAL_LEVEL, lo: 0, hi: 0 });
-        let mut m = Manager {
-            nodes: arena,
-            unique: UniqueTable::with_node_capacity(nodes),
+        Manager {
+            nodes: vec![Node { var: TERMINAL_LEVEL, lo: 0, hi: 0 }],
+            unique: UniqueTable::new(),
             caches: Caches::new(),
             num_vars: 0,
-            stats: ManagerStats { nodes: 1, peak_nodes: 1, ..ManagerStats::default() },
+            stats: ManagerStats::default(),
             map_registry: crate::rename::MapRegistry::default(),
             visit: RefCell::new(VisitSet::default()),
-        };
-        m.stats.peak_arena_bytes = m.current_bytes();
-        m
+        }
     }
 
     /// Allocates a fresh variable at the next level of the order.
@@ -243,21 +237,10 @@ impl Manager {
     }
 
     /// Bytes currently held by the arena, unique table and computed caches.
-    fn current_bytes(&self) -> usize {
+    pub(crate) fn current_bytes(&self) -> usize {
         self.nodes.capacity() * std::mem::size_of::<Node>()
             + self.unique.bytes()
             + self.caches.bytes()
-    }
-
-    /// Folds the current byte footprint into the tracked peak. Called at
-    /// the points where the footprint can step up (new arena peak, GC
-    /// entry) and from [`Manager::stats`], so the reported peak is
-    /// monotone and includes lazily allocated cache tables.
-    pub(crate) fn note_peak_bytes(&mut self) {
-        let cur = self.current_bytes();
-        if cur > self.stats.peak_arena_bytes {
-            self.stats.peak_arena_bytes = cur;
-        }
     }
 
     /// A snapshot of the manager's counters.
@@ -269,6 +252,7 @@ impl Manager {
         s.cache_hits = s.cache_tables.iter().map(|t| t.hits).sum();
         s.cache_misses = s.cache_tables.iter().map(|t| t.misses).sum();
         s.arena_bytes = self.current_bytes();
+        s.peak_nodes = self.stats.peak_nodes.max(s.nodes);
         s.peak_arena_bytes = self.stats.peak_arena_bytes.max(s.arena_bytes);
         s
     }
@@ -340,10 +324,6 @@ impl Manager {
         }
         let c = lo.parity();
         let idx = self.unique.get_or_insert(&mut self.nodes, var, lo.0 ^ c, hi.0 ^ c);
-        if self.nodes.len() > self.stats.peak_nodes {
-            self.stats.peak_nodes = self.nodes.len();
-            self.note_peak_bytes();
-        }
         Bdd((idx << 1) | c)
     }
 
@@ -812,29 +792,9 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_matches_default_semantics() {
-        let mut small = Manager::new();
-        let mut big = Manager::with_capacity(1 << 16);
-        let (vs, vb) = (small.new_vars(8), big.new_vars(8));
-        let mut fs = Bdd::FALSE;
-        let mut fb = Bdd::FALSE;
-        for i in 0..8 {
-            let (a, b) = (small.var(vs[i]), big.var(vb[i]));
-            fs = small.xor(fs, a);
-            fb = big.xor(fb, b);
-        }
-        for bits in 0..256u32 {
-            let env: Vec<bool> = (0..8).map(|i| (bits >> i) & 1 == 1).collect();
-            assert_eq!(small.eval(fs, &env), big.eval(fb, &env));
-        }
-        // Pre-sizing avoids growth: the unique table never rehashed.
-        assert_eq!(small.stats().nodes, big.stats().nodes);
-    }
-
-    #[test]
     fn unique_table_survives_many_inserts() {
-        // Push the table through several grow/incremental-rehash cycles and
-        // verify canonicity is preserved throughout.
+        // Push the table through several growth rebuilds and verify
+        // canonicity is preserved throughout.
         let mut m = Manager::new();
         let vars = m.new_vars(16);
         let mut handles = Vec::new();

@@ -7,7 +7,10 @@
 //! all assignments of a small variable pool. A second group of
 //! (non-random) regression tests pins down the *ordering guarantees* of
 //! [`Manager::sat_one`] and [`Manager::cubes`], which must be stated over
-//! the function and therefore survive the complement-edge encoding.
+//! the function and therefore survive the complement-edge encoding. A
+//! third group checks the kernel's bookkeeping rules: the unique table's
+//! growth rebuild keeps every handle, and the peaks read at each
+//! collection and in `stats()` are the true maxima of the footprint.
 
 use getafix_bdd::{Bdd, Manager, Var, VarMap};
 use proptest::prelude::*;
@@ -345,4 +348,157 @@ fn cube_ordering_equals_pre_complement_semantics() {
         vec![vec![(v[0], false), (v[1], true)], vec![(v[0], true), (v[2], false)]],
         "depth-first, 0-branch-first traversal order"
     );
+}
+
+/// The unique table grows by one rebuild over the arena: from a fresh
+/// manager it starts at 256 slots and is rebuilt at twice the capacity
+/// when it reaches load 3/4, at 192, 384, 768, 1,536 … entries. Rebuilding
+/// every function afterwards finds each node where it was and creates
+/// none, and so it does after a collection that keeps every function.
+#[test]
+fn growth_and_collection_keep_every_handle() {
+    let mut m = Manager::new();
+    let vars = m.new_vars(16);
+    // Minterms built bottom-up, so every node created is part of a
+    // result: 1,000 of them spread over 16 variables share only their
+    // low suffixes.
+    let build = |m: &mut Manager| -> Vec<Bdd> {
+        (0..1000u32)
+            .map(|i| {
+                let value = i * 37;
+                let literals: Vec<(Var, bool)> =
+                    vars.iter().enumerate().map(|(k, &v)| (v, (value >> k) & 1 == 1)).collect();
+                m.literal_cube(&literals)
+            })
+            .collect()
+    };
+    let first = build(&mut m);
+    let created = m.stats().nodes_created;
+    assert!(m.stats().nodes > 1536, "the table must have grown at least four times");
+    assert_eq!(build(&mut m), first, "a rebuilt function is the same handle");
+    assert_eq!(m.stats().nodes_created, created, "no node is created twice");
+
+    let kept = m.gc(&first);
+    assert_eq!(kept.nodes_after, kept.nodes_before, "every node belongs to a kept function");
+    assert_eq!(build(&mut m), kept.roots, "after a collection too");
+    assert_eq!(m.stats().nodes_created, created);
+}
+
+/// The peak rules on six variables, `x` at levels 0–2 and `y` at 3–5, so a
+/// truth table is one `u64`: bit `w` is the value at the assignment whose
+/// level-`k` variable is bit `k` of `w`.
+const PEAK_VARS: usize = 6;
+
+/// The truth table of the literal at level `k`.
+fn tt6_var(k: usize) -> u64 {
+    (0..64).filter(|w| (w >> k) & 1 == 1).fold(0, |t, w| t | (1 << w))
+}
+
+/// `∃` over the levels set in `mask`, on a truth table.
+fn tt6_exists(mut t: u64, mask: u8) -> u64 {
+    for k in (0..PEAK_VARS).filter(|k| (mask >> k) & 1 == 1) {
+        let (lo, hi) = (0..64).fold((0u64, 0u64), |(lo, hi), w| {
+            let bit = |w: usize| (t >> w) & 1;
+            (lo | bit(w & !(1 << k)) << w, hi | bit(w | (1 << k)) << w)
+        });
+        t = lo | hi;
+    }
+    t
+}
+
+/// Renames `x` onto `y` in a table that does not depend on `y`: the
+/// result at `w` reads the table where `x` holds `w`'s `y` bits.
+fn tt6_x_onto_y(t: u64) -> u64 {
+    (0..64).filter(|w| (t >> ((w & !7) | (w >> 3))) & 1 == 1).fold(0, |r, w| r | (1 << w))
+}
+
+/// The truth table of a built BDD over the six variables.
+fn bdd_table6(m: &Manager, f: Bdd) -> u64 {
+    (0..64usize)
+        .filter(|w| {
+            let env: Vec<bool> = (0..PEAK_VARS).map(|k| (w >> k) & 1 == 1).collect();
+            m.eval(f, &env)
+        })
+        .fold(0, |t, w| t | (1 << w))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Between collections the arena, the unique table and the computed
+    /// tables only grow, so the peaks `stats()` reports (the values noted
+    /// at each collection's entry folded with the current ones) equal the
+    /// maxima of the footprint sampled after every step, over random
+    /// sequences of `and`, `xor`, `ite`, `and_exists`,
+    /// `rename_and_exists` and collections that keep random roots. Every
+    /// live function keeps its truth table throughout.
+    #[test]
+    fn peaks_are_the_maxima_of_the_sampled_footprint(
+        steps in prop::collection::vec((0u8..6, 0usize..64, 0usize..64, 0usize..64, 0u8..64,
+                                        any::<u64>()), 1..24)
+    ) {
+        let mut m = Manager::new();
+        let vars = m.new_vars(PEAK_VARS);
+        let x_onto_y = VarMap::new((0..3).map(|k| (vars[k], vars[k + 3])).collect::<Vec<_>>());
+        let mut live: Vec<(Bdd, u64)> = (0..PEAK_VARS).map(|k| (m.var(vars[k]), tt6_var(k))).collect();
+        let (mut max_nodes, mut max_bytes) = (0, 0);
+        for &(kind, i, j, k, mask, keep) in &steps {
+            let s = m.stats();
+            max_nodes = max_nodes.max(s.nodes);
+            max_bytes = max_bytes.max(s.arena_bytes);
+            prop_assert_eq!(s.peak_nodes, max_nodes);
+            prop_assert_eq!(s.peak_arena_bytes, max_bytes);
+            for &(f, t) in &live {
+                prop_assert_eq!(bdd_table6(&m, f), t);
+            }
+            let n = live.len();
+            let ((f, tf), (g, tg), (h, th)) = (live[i % n], live[j % n], live[k % n]);
+            // Built inside the steps that quantify: a collection's entry
+            // must see the footprint of the last sample.
+            let cube = |m: &mut Manager| {
+                let quantified: Vec<Var> =
+                    (0..PEAK_VARS).filter(|b| (mask >> b) & 1 == 1).map(|b| vars[b]).collect();
+                m.cube(&quantified)
+            };
+            let made = match kind {
+                0 => (m.and(f, g), tf & tg),
+                1 => (m.xor(f, g), tf ^ tg),
+                2 => (m.ite(f, g, h), (tf & tg) | (!tf & th)),
+                3 => {
+                    let cube = cube(&mut m);
+                    (m.and_exists(f, g, cube), tt6_exists(tf & tg, mask))
+                }
+                4 => {
+                    // Only `x` is left in the relation, so the map covers
+                    // its support and is order-preserving: the fused path.
+                    let (cube, cube_y) = (cube(&mut m), m.cube(&vars[3..]));
+                    let rel = m.exists(f, cube_y);
+                    let image = m.rename_and_exists(rel, &x_onto_y, g, cube);
+                    let renamed = tt6_x_onto_y(tt6_exists(tf, 0b111_000));
+                    (image, tt6_exists(renamed & tg, mask))
+                }
+                _ => {
+                    // The literals stay, so there is always something to
+                    // combine; every other root stays when its bit is set.
+                    let kept: Vec<(Bdd, u64)> = live
+                        .iter()
+                        .enumerate()
+                        .filter(|&(r, _)| r < PEAK_VARS || (keep >> (r % 64)) & 1 == 1)
+                        .map(|(_, &root)| root)
+                        .collect();
+                    let roots: Vec<Bdd> = kept.iter().map(|&(f, _)| f).collect();
+                    let moved = m.gc(&roots).roots;
+                    live = moved.into_iter().zip(kept.iter().map(|&(_, t)| t)).collect();
+                    continue;
+                }
+            };
+            live.push(made);
+        }
+        let s = m.stats();
+        prop_assert_eq!(s.peak_nodes, max_nodes.max(s.nodes));
+        prop_assert_eq!(s.peak_arena_bytes, max_bytes.max(s.arena_bytes));
+        for &(f, t) in &live {
+            prop_assert_eq!(bdd_table6(&m, f), t);
+        }
+    }
 }

@@ -123,7 +123,7 @@ fn minterm(m: &mut Manager, vars: &[Var], value: u64) -> Bdd {
 /// Symbolic BFS using `and_exists` for the image and a separate rename to
 /// pull the frontier back onto the current-state block.
 fn bench_and_exists_image(bits: usize) -> KernelBench {
-    let mut m = Manager::with_capacity(1 << 16);
+    let mut m = Manager::new();
     let (cur, next) = state_vars(&mut m, bits);
     let t = transition(&mut m, &cur, &next);
     let cube = m.cube(&cur);
@@ -149,7 +149,7 @@ fn bench_and_exists_image(bits: usize) -> KernelBench {
 /// conjoins the transition and quantifies — one traversal, the solver's
 /// `compile_app` hot path.
 fn bench_rename_and_exists_image(bits: usize) -> KernelBench {
-    let mut m = Manager::with_capacity(1 << 16);
+    let mut m = Manager::new();
     let (cur, next) = state_vars(&mut m, bits);
     let t = transition(&mut m, &cur, &next);
     let cube = m.cube(&cur);
@@ -173,9 +173,9 @@ fn bench_rename_and_exists_image(bits: usize) -> KernelBench {
 
 /// GC churn: rounds of building transient structure around one live
 /// accumulator, collecting after every round — measures mark/copy/rebuild
-/// throughput and that the generation-stamped caches make `clear` free.
+/// throughput, computed tables dropped and allocated again included.
 fn bench_gc_churn(bits: usize, rounds: usize) -> KernelBench {
-    let mut m = Manager::with_capacity(1 << 14);
+    let mut m = Manager::new();
     let vars = m.new_vars(bits);
     let t0 = Instant::now();
     let mut live = Bdd::FALSE;

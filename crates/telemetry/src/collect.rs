@@ -47,7 +47,7 @@ pub enum Phase {
     Solve,
     /// Witness extraction, refinement and replay.
     Witness,
-    /// BDD kernel events: GC, unique-table rehash, cache generations.
+    /// BDD kernel events: GC, unique-table rehash.
     Bdd,
 }
 
